@@ -16,6 +16,8 @@ from .conv_code import ConvCode, parse_octal_generators
 from .equalizers import build_std_trellis, compensate_edges, viterbi_mlse
 from .harness import (
     ConfigError,
+    SimConfig,
+    calibration_defaults,
     parse_config,
     run_ber_sweep,
     write_csv,
@@ -52,21 +54,23 @@ def _cmd_trellis(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _load_config(path) -> SimConfig:
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
+def _cmd_sweep(args) -> int:
+    cfg = _load_config(args.config)
     try:
         records = run_ber_sweep(cfg, log=lambda m: print(m, file=sys.stderr))
         out = args.output or cfg.output
         write_csv(out, records, with_timing=args.timing)
         print(f"wrote {len(records)} records to {out}", file=sys.stderr)
+    except ConfigError:
+        raise  # reported by main() with exit code 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -74,29 +78,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args.config)
     if cfg.chain != "cpm":
-        print("error: config key 'chain': calibration needs chain = cpm",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("config key 'chain': calibration needs chain = cpm")
     try:
-        from .cpm import b999_bandwidth
-
-        params = cfg.cpm_params()
-        cutoff = cfg.cutoff if cfg.cutoff is not None else b999_bandwidth(params)
-        cal_db = cfg.calibration_ebn0_db
-        if cal_db is None:
-            cal_db = 0.5 * (cfg.ebn0_db[0] + cfg.ebn0_db[-1])
+        cutoff, cal_db = calibration_defaults(cfg)
         design, fact = design_whitening(
-            params, cal_db, cfg.L_nw, cutoff=cutoff,
+            cfg.cpm_params(), cal_db, cfg.L_nw, cutoff=cutoff,
             n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
         save_whitening_design(args.output, design, fact)
         _, trunc = wmf_taps(fact, cfg.wmf_len)

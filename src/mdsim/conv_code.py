@@ -36,21 +36,17 @@ class ConvCode:
     """Rate-1/n binary convolutional code from octal generators."""
 
     generators: tuple[int, ...]
-    K: int = 1
     n: int = field(init=False)
     nu: int = field(init=False)
 
-    def __init__(self, generators, K: int = 1):
+    def __init__(self, generators):
         gens = tuple(int(g) for g in generators)
         if len(gens) < 2:
             raise ValueError("need n >= 2 generators")
-        if K != 1:
-            raise ValueError("only K = 1 input bit per step is supported")
         if any(g <= 0 for g in gens):
             raise ValueError("generators must be positive integers")
         nu = max(g.bit_length() for g in gens) - 1
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "K", 1)
         object.__setattr__(self, "n", len(gens))
         object.__setattr__(self, "nu", nu)
 
@@ -103,12 +99,3 @@ def build_conv_trellis(code: ConvCode) -> TrellisSpec:
                 outputs[s, c, i] = bin(window & g_lsb[i]).count("1") & 1
     return TrellisSpec(num_states=S, num_inputs=2,
                        next_state=next_state, outputs=outputs)
-
-
-def encoder_state_after(code: ConvCode, bits) -> int:
-    """State reached from 0 after encoding ``bits`` (last nu bits, newest at LSB)."""
-    s = 0
-    mask = code.num_states - 1
-    for b in np.asarray(bits, dtype=np.int64):
-        s = ((s << 1) | int(b)) & mask
-    return s

@@ -109,13 +109,6 @@ class Waveform:
     def sample_rate(self) -> float:
         return self.params.N_os / self.params.T
 
-    def to_iq_file(self, path) -> None:
-        """Dump as interleaved I/Q 32-bit little-endian floats."""
-        iq = np.empty(2 * self.samples.size, dtype="<f4")
-        iq[0::2] = self.samples.real
-        iq[1::2] = self.samples.imag
-        iq.tofile(path)
-
 
 def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> Waveform:
     """Constant-envelope phase modulation of a bipolar M-ary symbol sequence.

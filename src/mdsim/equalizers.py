@@ -2,6 +2,16 @@
 with per-survivor decision feedback, symbol-level DFSE, log-domain BCJR,
 and soft-input Viterbi channel decoding.
 
+The four hard-decision receivers share one add-compare-select core
+(:func:`_viterbi`): a time loop over a padded predecessor table and one
+traceback.  Each receiver supplies only its branch metrics.  The reduced
+receivers search a small window trellis (the r newest state bits for
+RSSE, the J newest symbols for DFSE) and take the older digits of each
+branch hypothesis from the survivor register of the state: an integer
+holding that survivor's last decisions, newest in the least significant
+digit, zeros before the block (per-survivor processing).  Ties go to the
+lower predecessor state, then the lower input.
+
 All decoders use the squared Euclidean metric on real observations and a
 shared prehistory convention: trellis tables assume the pre-block symbol
 history is the all-zero-index symbol, and callers compensate the first L
@@ -20,7 +30,7 @@ from scipy.special import logsumexp
 
 from .conv_code import ConvCode, build_conv_trellis
 from .matched_encoder import IsiResponse, MatchedTrellis, edge_offsets
-from .trellis import TrellisSpec
+from .trellis import TrellisSpec, window_next_state
 
 
 class DecodeResult(NamedTuple):
@@ -52,28 +62,45 @@ def compensate_edges(obs, taps, M: int) -> np.ndarray:
     return obs
 
 
-def _padded_predecessors(trellis: TrellisSpec):
-    """Predecessor lists padded to uniform width.
+def _viterbi(trellis: TrellisSpec, steps: int, branch_metrics, *,
+             start_state: int = 0, end_state: int | None = 0,
+             base: int = 1, memory: int = 0) -> DecodeResult:
+    """Add-compare-select over ``trellis`` for ``steps`` steps, then one
+    traceback; returns the input sequence and its metric.
 
-    Returns ``(pred_state, pred_input, valid)``; invalid slots must be
-    masked to +inf (min-sum) or -inf (sum-product) by the caller.  Real
-    predecessors are sorted ascending so argmin ties resolve to the lowest
-    predecessor state index.
+    ``branch_metrics(t, reg)`` gives the (num_states, num_inputs) metrics
+    of step t.  ``reg[s]`` is the survivor register of state s: its last
+    ``memory`` inputs as base-``base`` digits, newest in the least
+    significant digit.  Candidates are compared in predecessor-slot order
+    and argmin keeps the first minimum, so ties go to the lower
+    predecessor state, then the lower input.  With ``end_state=None``
+    traceback starts from the best final metric.
     """
-    S, U = trellis.num_states, trellis.num_inputs
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(S)]
-    for s in range(S):
-        for u in range(U):
-            buckets[int(trellis.next_state[s, u])].append((s, u))
-    fan = max(len(b) for b in buckets)
-    ps = np.zeros((S, fan), dtype=np.int64)
-    pu = np.zeros((S, fan), dtype=np.int64)
-    valid = np.zeros((S, fan), dtype=bool)
-    for ns, b in enumerate(buckets):
-        b.sort()
-        for j, (s, u) in enumerate(b):
-            ps[ns, j], pu[ns, j], valid[ns, j] = s, u, True
-    return ps, pu, valid
+    ps, pu, valid = trellis.predecessors
+    pad = np.where(valid, 0.0, np.inf)
+    S = trellis.num_states
+    pm = np.full(S, np.inf)
+    pm[start_state] = 0.0
+    reg = np.zeros(S, dtype=np.int64)
+    modulus = base**memory
+    back = np.empty((steps, S), dtype=np.int16)
+    rows = np.arange(S)
+    for t in range(steps):
+        cand = pm[ps] + branch_metrics(t, reg)[ps, pu] + pad
+        j = np.argmin(cand, axis=1)
+        pm = cand[rows, j]
+        back[t] = j
+        if memory:
+            reg = (reg[ps[rows, j]] * base + pu[rows, j]) % modulus
+
+    s = int(np.argmin(pm)) if end_state is None else int(end_state)
+    metric = float(pm[s])
+    bits = np.empty(steps, dtype=np.int64)
+    for t in range(steps - 1, -1, -1):
+        j = back[t, s]
+        bits[t] = pu[s, j]
+        s = int(ps[s, j])
+    return DecodeResult(bits=bits, metric=metric)
 
 
 def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
@@ -85,39 +112,24 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     in add-compare-select go to the lower predecessor state index.
     """
     obs = np.asarray(obs, dtype=np.float64)
-    T = obs.size
-    S = trellis.num_states
     hyp = trellis.outputs
-    ps, pu, valid = _padded_predecessors(trellis)
-    pad = np.where(valid, 0.0, np.inf)
-
-    pm = np.full(S, np.inf)
-    pm[start_state] = 0.0
-    back = np.empty((T, S), dtype=np.int16)
-    rows = np.arange(S)
-    for t in range(T):
-        bm = (obs[t] - hyp) ** 2
-        cand = pm[ps] + bm[ps, pu] + pad
-        j = np.argmin(cand, axis=1)
-        pm = cand[rows, j]
-        back[t] = j
-
-    if end_state is None:
-        s = int(np.argmin(pm))
-    else:
-        s = int(end_state)
-    metric = float(pm[s])
-    bits = np.empty(T, dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        j = back[t, s]
-        bits[t] = pu[s, j]
-        s = int(ps[s, j])
-    return DecodeResult(bits=bits, metric=metric)
+    return _viterbi(trellis, obs.size, lambda t, reg: (obs[t] - hyp) ** 2,
+                    start_state=start_state, end_state=end_state)
 
 
 def symbol_value(index, M: int):
     """Natural bipolar value of a symbol index: 2*index - (M-1)."""
     return 2 * np.asarray(index, dtype=np.float64) - (M - 1)
+
+
+def _past_taps(taps, M: int, windows, lags) -> np.ndarray:
+    """Sum over ``lags`` (ascending) of taps[l] times the symbol sent l
+    steps back, which is digit l-1 of each M-ary window (newest least
+    significant)."""
+    acc = np.zeros(np.shape(windows))
+    for l in lags:
+        acc += taps[l] * symbol_value(windows // M ** (l - 1) % M, M)
+    return acc
 
 
 def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
@@ -137,20 +149,10 @@ def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
         raise ValueError(
             f"ISI trellis would need {S} states (cap {state_cap}); "
             "reduce memory or raise the cap")
-    states = np.arange(S, dtype=np.int64)
-    next_state = np.empty((S, M), dtype=np.int64)
-    outputs = np.empty((S, M), dtype=np.float64)
-    past = np.zeros(S)
-    digits = states.copy()
-    for l in range(1, mem + 1):
-        past += h.taps[l] * symbol_value(digits % M, M)
-        digits //= M
-    carry = M * (states % (M ** max(mem - 1, 0))) if mem >= 1 else states * 0
-    for x in range(M):
-        outputs[:, x] = h.taps[0] * symbol_value(x, M) + past
-        next_state[:, x] = x + carry if mem >= 1 else 0
+    past = _past_taps(h.taps, M, np.arange(S), range(1, mem + 1))
+    outputs = h.taps[0] * symbol_value(np.arange(M), M) + past[:, None]
     return TrellisSpec(num_states=S, num_inputs=M,
-                       next_state=next_state, outputs=outputs)
+                       next_state=window_next_state(M, mem), outputs=outputs)
 
 
 def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
@@ -179,12 +181,7 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
 
     enc = np.repeat(np.arange(z_enc), z_cha)
     win = np.tile(np.arange(z_cha), z_enc)
-    past = np.zeros(S)
-    digits = win.copy()
-    for l in range(1, L + 1):
-        past += h.taps[l] * symbol_value(digits % M, M)
-        digits //= M
-    carry = M * (win % (M ** max(L - 1, 0))) if L >= 1 else win * 0
+    past = _past_taps(h.taps, M, win, range(1, L + 1))
 
     next_state = np.empty((S, 2), dtype=np.int64)
     outputs = np.empty((S, 2), dtype=np.float64)
@@ -192,8 +189,7 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
         enc_next = code_tr.next_state[enc, c]
         x = x_sym[enc, c]
         outputs[:, c] = h.taps[0] * symbol_value(x, M) + past
-        win_next = x + carry if L >= 1 else win * 0
-        next_state[:, c] = enc_next * z_cha + win_next
+        next_state[:, c] = enc_next * z_cha + (win * M + x) % z_cha
     return TrellisSpec(num_states=S, num_inputs=2,
                        next_state=next_state, outputs=outputs)
 
@@ -202,7 +198,7 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
     """Reduced-state Viterbi over the merged trellis with survivor feedback.
 
     Hyperstates keep the r newest state bits; the older nu+L-r bits of each
-    branch hypothesis come from the hyperstate's own survivor history.
+    branch hypothesis come from the hyperstate's own survivor register.
     r = nu+L reproduces full MLSE, r = 0 is a pure decision-feedback
     detector.
     """
@@ -215,47 +211,20 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
                       "state truncation loses its distance rationale",
                       stacklevel=2)
     obs = np.asarray(obs, dtype=np.float64)
-    T = obs.size
-    H = 1 << r
+    H = part.num_hyperstates
+    # Branch labels come from the registers, so the window trellis has none.
+    window = TrellisSpec(num_states=H, num_inputs=2,
+                         next_state=window_next_state(2, r),
+                         outputs=np.zeros((H, 2)))
     flat = mt.trellis.outputs.reshape(-1)
+    inputs = np.arange(2)
 
-    pm = np.full(H, np.inf)
-    pm[0] = 0.0
-    hist = np.zeros((H, T), dtype=np.int8)
-    hs = np.arange(H, dtype=np.int64)
-
-    for t in range(T):
-        # Reconstruct each survivor's full window state: kept bits are the
-        # hyperstate id, older bits come from its decision history.
-        older = np.zeros(H, dtype=np.int64)
-        for j in range(r + 1, mem + 1):
-            idx = t - j
-            if idx >= 0:
-                older |= hist[:, idx].astype(np.int64) << (j - 1)
-        full = hs | older
-        d0 = obs[t] - flat[full << 1]
-        d1 = obs[t] - flat[(full << 1) | 1]
-        bm0 = pm + d0 * d0
-        bm1 = pm + d1 * d1
-        if r == 0:
-            take1 = bm1[0] < bm0[0]
-            pm = np.array([bm1[0] if take1 else bm0[0]])
-            hist[0, t] = 1 if take1 else 0
-        else:
-            ns = hs
-            p0 = ns >> 1
-            p1 = p0 | (H >> 1)
-            u = (ns & 1).astype(np.int8)
-            c0 = np.where(u == 1, bm1[p0], bm0[p0])
-            c1 = np.where(u == 1, bm1[p1], bm0[p1])
-            take1 = c1 < c0  # tie goes to the lower predecessor p0
-            pm = np.where(take1, c1, c0)
-            pred = np.where(take1, p1, p0)
-            hist = hist[pred]
-            hist[:, t] = u
+    def metrics(t, reg):
+        d = obs[t] - flat[(reg[:, None] << 1) | inputs]
+        return d * d
 
     # Flushed blocks terminate in hyperstate 0.
-    return DecodeResult(bits=hist[0].astype(np.int64), metric=float(pm[0]))
+    return _viterbi(window, obs.size, metrics, base=2, memory=mem)
 
 
 def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
@@ -269,45 +238,15 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
     obs = np.asarray(obs, dtype=np.float64)
-    T = obs.size
-    base = build_isi_trellis(h, M, memory=J)
-    S = base.num_states
-    hyp = base.outputs  # (S, M) from the first J+1 taps
+    window = build_isi_trellis(h, M, memory=J)
+    hyp = window.outputs  # (M^J, M) from the first J+1 taps
 
-    pm = np.full(S, np.inf)
-    pm[0] = 0.0
-    hist = np.zeros((S, T), dtype=np.int8)
-    carry = M * (np.arange(S) % (M ** max(J - 1, 0))) if J >= 1 else None
+    def metrics(t, reg):
+        fb = _past_taps(h.taps, M, reg, range(J + 1, L + 1))
+        return (obs[t] - (hyp + fb[:, None])) ** 2
 
-    for t in range(T):
-        fb = np.zeros(S)
-        for l in range(J + 1, L + 1):
-            idx = t - l
-            sym_idx = hist[:, idx].astype(np.int64) if idx >= 0 else np.zeros(S, dtype=np.int64)
-            fb += h.taps[l] * symbol_value(sym_idx, M)
-        cand = pm[:, None] + (obs[t] - (hyp + fb[:, None])) ** 2  # (S, M)
-        if J == 0:
-            x = int(np.argmin(cand[0]))
-            pm = np.array([cand[0, x]])
-            hist[0, t] = x
-        else:
-            ns = np.arange(S)
-            x_new = ns % M
-            base_pred = ns // M
-            best = np.full(S, np.inf)
-            pred = np.zeros(S, dtype=np.int64)
-            for q in range(M):
-                p = base_pred + q * (M ** (J - 1))
-                c = cand[p, x_new]
-                better = c < best  # tie keeps the lower q / predecessor
-                best = np.where(better, c, best)
-                pred = np.where(better, p, pred)
-            pm = best
-            hist = hist[pred]
-            hist[:, t] = x_new.astype(np.int8)
-
-    s = int(np.argmin(pm)) if end_state is None else int(end_state)
-    return hist[s].astype(np.int64)
+    return _viterbi(window, obs.size, metrics, end_state=end_state,
+                    base=M, memory=L).bits
 
 
 @dataclass(frozen=True)
@@ -330,7 +269,7 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     n = M.bit_length() - 1
     hyp = isi_trellis.outputs
     nxt = isi_trellis.next_state
-    ps, pu, valid = _padded_predecessors(isi_trellis)
+    ps, pu, valid = isi_trellis.predecessors
     pad = np.where(valid, 0.0, -np.inf)
     inv2v = -0.5 / float(noise_variance)
 
@@ -380,28 +319,7 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     if llrs.size % code.n:
         raise ValueError("need one LLR per coded bit")
     llrs = llrs.reshape(-1, code.n)
-    T = llrs.shape[0]
     tr = build_conv_trellis(code)
-    S = tr.num_states
     signs = 2.0 * tr.outputs - 1.0  # (S, 2, n); minimize sum((2v-1)*llr)
-    ps, pu, valid = _padded_predecessors(tr)
-    pad = np.where(valid, 0.0, np.inf)
-
-    pm = np.full(S, np.inf)
-    pm[0] = 0.0
-    back = np.empty((T, S), dtype=np.int16)
-    rows = np.arange(S)
-    for t in range(T):
-        bm = signs @ llrs[t]  # (S, 2)
-        cand = pm[ps] + bm[ps, pu] + pad
-        j = np.argmin(cand, axis=1)
-        pm = cand[rows, j]
-        back[t] = j
-
-    s = int(np.argmin(pm)) if end_state is None else int(end_state)
-    bits = np.empty(T, dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        j = back[t, s]
-        bits[t] = pu[s, j]
-        s = int(ps[s, j])
-    return bits
+    return _viterbi(tr, llrs.shape[0], lambda t, reg: signs @ llrs[t],
+                    end_state=end_state).bits

@@ -8,9 +8,11 @@ from the base seed; a sweep is a pure function of its configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +273,7 @@ def write_csv(path, records: list[BerRecord], with_timing: bool = False) -> None
 
 @dataclass
 class _ChainContext:
-    """Everything fixed across blocks: code, effective ISI, decoders."""
+    """Everything fixed across blocks: code, effective ISI, CPM front end."""
 
     code: ConvCode
     isi: IsiResponse
@@ -283,6 +285,19 @@ class _ChainContext:
     n0_cal: float = float("nan")
 
 
+def calibration_defaults(cfg: SimConfig) -> tuple[float, float]:
+    """Receive-lowpass cutoff and whitening calibration Eb/N0 of a CPM
+    config: the configured values, else the 99.9% power bandwidth and the
+    middle of the Eb/N0 grid."""
+    cutoff = cfg.cutoff
+    if cutoff is None:
+        cutoff = b999_bandwidth(cfg.cpm_params())
+    cal_db = cfg.calibration_ebn0_db
+    if cal_db is None:
+        cal_db = 0.5 * (cfg.ebn0_db[0] + cfg.ebn0_db[-1])
+    return cutoff, cal_db
+
+
 def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
     code = ConvCode(cfg.generators)
     if cfg.chain == "pam_isi":
@@ -290,18 +305,14 @@ def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
         return _ChainContext(code=code, isi=isi)
 
     params = cfg.cpm_params()
-    cutoff = cfg.cutoff
-    if cutoff is None:
-        cutoff = b999_bandwidth(params)
+    cutoff, cal_db = calibration_defaults(cfg)
+    if cfg.cutoff is None:
         log(f"receive lowpass cutoff (99.9% power): {cutoff:.6g}")
     if cfg.whitening_file:
         design, fact = load_whitening_design(cfg.whitening_file)
         log(f"loaded whitening design from {cfg.whitening_file}")
         n0_cal = float("nan")  # unknown measurement point; use var as-is
     else:
-        cal_db = cfg.calibration_ebn0_db
-        if cal_db is None:
-            cal_db = 0.5 * (cfg.ebn0_db[0] + cfg.ebn0_db[-1])
         design, fact = design_whitening(
             params, cal_db, cfg.L_nw, cutoff=cutoff,
             n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
@@ -374,95 +385,101 @@ def _point_n0(ctx: _ChainContext, cfg: SimConfig, ebn0_db: float) -> float:
     return eb * 10.0 ** (-ebn0_db / 10.0)
 
 
-class _SchemeRunner:
-    """Per-scheme decoder state and error accumulation."""
+def _noise_variance(ctx: _ChainContext, cfg: SimConfig):
+    """Per-sample noise variance at the equalizer input, as a function of N0.
 
-    def __init__(self, scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig):
-        self.scheme = scheme
-        self.ctx = ctx
-        self.cfg = cfg
-        self.errors = 0
-        self.bits = 0
-        self.seconds = 0.0
-        code, isi, M = ctx.code, ctx.isi, cfg.M
-        if scheme.kind in ("md", "rsse"):
-            self.mt = build_matched_trellis(code, isi, M)
-        if scheme.kind == "rsse":
-            self.part = PartitionSpec(scheme.param)
-            if scheme.param > code.nu + isi.L:
-                raise ValueError(
-                    f"RSSE kept bits {scheme.param} exceed memory {code.nu + isi.L}")
-        if scheme.kind == "std":
-            self.std = build_std_trellis(code, isi, M, state_cap=cfg.state_cap)
-        if scheme.kind == "dfse_va":
-            if scheme.param > isi.L:
-                raise ValueError(
-                    f"DFSE kept symbols {scheme.param} exceed channel memory {isi.L}")
-            build_isi_trellis(isi, M, memory=scheme.param,
-                              state_cap=cfg.state_cap)  # fail fast on caps
-        if scheme.kind == "bcjr_va":
-            mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
-            mem = min(mem, isi.L)
-            self.bcjr_mem = mem
-            self.bcjr_tr = build_isi_trellis(isi, M, memory=mem,
-                                             state_cap=cfg.state_cap)
+    CPM chain: the calibration variance after the whitening filter
+    (var * f'Phi f, computed once), scaled from the calibration point.
+    """
+    if cfg.chain == "pam_isi":
+        return lambda n0: max(n0 / 2.0, 1e-12)
+    phi = ctx.whitening.noise_acf
+    f = ctx.whitening.f
+    gain = 0.0
+    for j in range(f.size):
+        for k in range(f.size):
+            lag = abs(j - k)
+            if lag < phi.size:
+                gain += f[j] * f[k] * phi[lag]
+    base = ctx.noise_var_cal * gain
 
-    def done(self) -> bool:
-        return self.errors >= self.cfg.min_errors or self.bits >= self.cfg.max_bits
-
-    def _noise_variance(self, n0: float) -> float:
-        ctx, cfg = self.ctx, self.cfg
-        if cfg.chain == "pam_isi":
-            return max(n0 / 2.0, 1e-12)
-        # variance after the whitening filter, scaled from the calibration point
-        phi = ctx.whitening.noise_acf
-        f = ctx.whitening.f
-        gain = 0.0
-        for j in range(f.size):
-            for k in range(f.size):
-                lag = abs(j - k)
-                if lag < phi.size:
-                    gain += f[j] * f[k] * phi[lag]
-        base = ctx.noise_var_cal * gain
+    def variance(n0):
         scale = n0 / ctx.n0_cal if np.isfinite(ctx.n0_cal) else 1.0
         return max(base * scale, 1e-12)
+    return variance
+
+
+def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
+                   matched):
+    """One scheme's receiver, built once per sweep: a function
+    ``(obs, n0) -> decoded bits``.  Raises ValueError if it cannot run."""
+    code, isi, M = ctx.code, ctx.isi, cfg.M
+    if scheme.kind in ("md", "rsse"):
+        mt = matched()
+    if scheme.kind == "md":
+        return lambda obs, n0: viterbi_mlse(mt.trellis, obs, end_state=0).bits
+    if scheme.kind == "std":
+        std = build_std_trellis(code, isi, M, state_cap=cfg.state_cap)
+        return lambda obs, n0: viterbi_mlse(std, obs, end_state=0).bits
+    if scheme.kind == "rsse":
+        if scheme.param > code.nu + isi.L:
+            raise ValueError(
+                f"RSSE kept bits {scheme.param} exceed memory {code.nu + isi.L}")
+        part = PartitionSpec(scheme.param)
+        return lambda obs, n0: rsse_decode(mt, part, obs).bits
+    if scheme.kind == "dfse_va":
+        if scheme.param > isi.L:
+            raise ValueError(
+                f"DFSE kept symbols {scheme.param} exceed channel memory {isi.L}")
+        build_isi_trellis(isi, M, memory=scheme.param,
+                          state_cap=cfg.state_cap)  # fail fast on caps
+        shifts = np.arange(M.bit_length() - 2, -1, -1)
+
+        def dfse_va(obs, n0):
+            sym = dfse_equalize(isi, M, scheme.param, obs)
+            llrs = (1.0 - 2.0 * ((sym[:, None] >> shifts) & 1)).reshape(-1)
+            return soft_viterbi_decode(code, llrs, end_state=0)
+        return dfse_va
+    mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
+    bcjr_tr = build_isi_trellis(isi, M, memory=min(mem, isi.L),
+                                state_cap=cfg.state_cap)
+    noise_variance = _noise_variance(ctx, cfg)
+
+    def bcjr_va(obs, n0):
+        res = bcjr_equalize(bcjr_tr, obs, noise_variance(n0))
+        return soft_viterbi_decode(code, res.bit_llrs, end_state=0)
+    return bcjr_va
+
+
+@dataclass
+class _Tally:
+    """Errors, bits and decode seconds of one scheme at one Eb/N0 point."""
+
+    scheme: SchemeSpec
+    decoder: Callable[[np.ndarray, float], np.ndarray]
+    errors: int = 0
+    bits: int = 0
+    seconds: float = 0.0
+
+    def done(self, cfg: SimConfig) -> bool:
+        return self.errors >= cfg.min_errors or self.bits >= cfg.max_bits
 
     def decode(self, info: np.ndarray, obs: np.ndarray, n0: float) -> None:
         t0 = time.perf_counter()
-        ctx, cfg = self.ctx, self.cfg
-        kind = self.scheme.kind
-        if kind == "md":
-            decoded = viterbi_mlse(self.mt.trellis, obs, end_state=0).bits
-        elif kind == "std":
-            decoded = viterbi_mlse(self.std, obs, end_state=0).bits
-        elif kind == "rsse":
-            decoded = rsse_decode(self.mt, self.part, obs).bits
-        elif kind == "dfse_va":
-            sym = dfse_equalize(ctx.isi, cfg.M, self.scheme.param, obs)
-            llrs = self._symbols_to_llrs(sym)
-            decoded = soft_viterbi_decode(ctx.code, llrs, end_state=0)
-        else:
-            res = bcjr_equalize(self.bcjr_tr, obs, self._noise_variance(n0))
-            decoded = soft_viterbi_decode(ctx.code, res.bit_llrs, end_state=0)
-        n_info = info.size
-        self.errors += int(np.count_nonzero(decoded[:n_info] != info))
-        self.bits += n_info
+        decoded = self.decoder(obs, n0)
+        self.errors += int(np.count_nonzero(decoded[:info.size] != info))
+        self.bits += info.size
         self.seconds += time.perf_counter() - t0
 
-    def _symbols_to_llrs(self, sym_idx: np.ndarray) -> np.ndarray:
-        n = self.cfg.M.bit_length() - 1
-        bits = ((sym_idx[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-        return (1.0 - 2.0 * bits).reshape(-1)
-
-    def record(self, ebn0_db: float) -> BerRecord:
+    def record(self, ctx: _ChainContext, cfg: SimConfig,
+               ebn0_db: float) -> BerRecord:
         ber = self.errors / self.bits if self.bits else 0.0
         lo, hi = wilson_interval(self.errors, self.bits)
-        states = complexity(self.scheme, nu=self.ctx.code.nu,
-                            L=self.ctx.isi.L, M=self.cfg.M,
-                            bcjr_memory=self.cfg.bcjr_memory)
+        states = complexity(self.scheme, nu=ctx.code.nu, L=ctx.isi.L, M=cfg.M,
+                            bcjr_memory=cfg.bcjr_memory)
         return BerRecord(scheme=self.scheme.label(), states=states,
                          ebn0_db=ebn0_db, bits=self.bits, errors=self.errors,
-                         ber=ber, ci_lo=lo, ci_hi=hi, seed=self.cfg.seed,
+                         ber=ber, ci_lo=lo, ci_hi=hi, seed=cfg.seed,
                          seconds=self.seconds)
 
 
@@ -470,33 +487,37 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     """Simulate every (scheme, Eb/N0) point to its stop rule.
 
     Decoder construction failures (for example the super-trellis state
-    cap) disable that scheme with a message and leave the others running.
+    cap) disable that scheme with a message and leave the others running;
+    a sweep with no scheme left is a config error.
     """
     ctx = _resolve_chain(cfg, log)
-    runners_proto: list[SchemeSpec] = []
+    # MD and every RSSE scheme share one merged trellis.
+    matched = functools.cache(
+        lambda: build_matched_trellis(ctx.code, ctx.isi, cfg.M))
+    decoders = []
     for scheme in cfg.schemes:
         try:
-            _SchemeRunner(scheme, ctx, cfg)
+            decoders.append((scheme, _build_decoder(scheme, ctx, cfg, matched)))
         except (ValueError, MemoryError) as exc:
             log(f"scheme {scheme.label()} disabled: {exc}")
-            continue
-        runners_proto.append(scheme)
+    if not decoders:
+        raise ConfigError("config key 'schemes': no scheme can run on this "
+                          "chain (see the messages above)")
 
     records: list[BerRecord] = []
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
         n0 = _point_n0(ctx, cfg, ebn0)
-        runners = [_SchemeRunner(s, ctx, cfg) for s in runners_proto]
+        tallies = [_Tally(s, d) for s, d in decoders]
         block_idx = 0
-        while any(not r.done() for r in runners):
+        while any(not t.done(cfg) for t in tallies):
             info, obs = _make_block(ctx, cfg, n0, point_idx, block_idx)
-            for r in runners:
-                if not r.done():
-                    r.decode(info, obs, n0)
+            for t in tallies:
+                if not t.done(cfg):
+                    t.decode(info, obs, n0)
             block_idx += 1
-        for r in runners:
-            records.append(r.record(ebn0))
+        records += [t.record(ctx, cfg, ebn0) for t in tallies]
         log(f"Eb/N0 = {ebn0:g} dB: " + ", ".join(
-            f"{r.scheme.label()} ber={r.errors / max(r.bits, 1):.3e}"
-            for r in runners))
+            f"{t.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"
+            for t in tallies))
     records.sort(key=lambda r: (r.scheme, r.ebn0_db))
     return records

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv_code import ConvCode, conv_encode
-from .trellis import TrellisSpec
+from .trellis import TrellisSpec, window_next_state
 
 
 def gauss_mod(x: int, n: int) -> int:
@@ -199,15 +199,9 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int) -> MatchedTrel
         hyp += float(1 << (n - 1 - i)) * u_i
     hyp = 2.0 * hyp + C
 
-    state = w >> 1
-    inp = w & 1
-    next_state = np.empty((S, 2), dtype=np.int64)
-    next_state[state, inp] = ((state << 1) | inp) & (S - 1)
-    outputs = np.empty((S, 2), dtype=np.float64)
-    outputs[state, inp] = hyp
-
     spec = TrellisSpec(num_states=S, num_inputs=2,
-                       next_state=next_state, outputs=outputs)
+                       next_state=window_next_state(2, mem),
+                       outputs=hyp.reshape(S, 2))
     return MatchedTrellis(trellis=spec, code=code, isi=h, M=M, offset=C)
 
 

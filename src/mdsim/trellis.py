@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,33 @@ class TrellisSpec:
         self.next_state.setflags(write=False)
         self.outputs.setflags(write=False)
 
+    @cached_property
+    def predecessors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Predecessor table padded to the largest fan-in.
+
+        Returns ``(pred_state, pred_input, valid)``, each (num_states, fan);
+        callers mask invalid slots to +inf (min-sum) or -inf (sum-product).
+        The slots of a state hold its branches in ascending (state, input)
+        order, so argmin ties resolve to the lower predecessor state, then
+        the lower input.
+        """
+        S, U = self.num_states, self.num_inputs
+        nxt = self.next_state.reshape(-1)
+        # Branch ids s*U + u, sorted by next state, then by (s, u).
+        branch = np.lexsort((np.arange(S * U), nxt))
+        fan_in = np.bincount(nxt, minlength=S)
+        slot = np.arange(S * U) - np.repeat(np.cumsum(fan_in) - fan_in, fan_in)
+        at = (nxt[branch], slot)
+        ps = np.zeros((S, int(fan_in.max())), dtype=np.int64)
+        pu = np.zeros_like(ps)
+        valid = np.zeros(ps.shape, dtype=bool)
+        ps[at] = branch // U
+        pu[at] = branch % U
+        valid[at] = True
+        for a in (ps, pu, valid):
+            a.setflags(write=False)
+        return ps, pu, valid
+
     @property
     def scalar_output(self) -> bool:
         return self.outputs.ndim == 2
@@ -46,3 +74,10 @@ class TrellisSpec:
                     out_txt = "".join(str(int(b)) for b in np.atleast_1d(out))
                 lines.append(f"{s} {u} {int(self.next_state[s, u])} {out_txt}")
         return "\n".join(lines) + "\n"
+
+
+def window_next_state(base: int, digits: int) -> np.ndarray:
+    """Successors in a trellis whose state is the last ``digits`` inputs,
+    newest in the least significant base-``base`` digit."""
+    S = base**digits
+    return (np.arange(S)[:, None] * base + np.arange(base)) % S

@@ -50,6 +50,16 @@ def test_sweep_runs_small_config(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_sweep_without_runnable_scheme_is_config_error(tmp_path, capsys):
+    # a 2-output code cannot drive 8-ary symbols: MD and STD both drop out
+    cfg = tmp_path / "m8.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text(f"chain = pam_isi\nM = 8\ncode = 5,7\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "'schemes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest(capsys):
     assert main(["selftest", "--seeds", "6"]) == 0
     assert "passed" in capsys.readouterr().out

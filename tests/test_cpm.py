@@ -221,16 +221,6 @@ class TestNoise:
         assert pval < 0.01
 
 
-def test_iq_file_dump(tmp_path):
-    w = cpm_modulate(P3RC, random_symbols(P3RC, 10, 20), theta0=0.2)
-    path = tmp_path / "wave.iq"
-    w.to_iq_file(path)
-    raw = np.fromfile(path, dtype="<f4")
-    assert raw.size == 2 * w.samples.size
-    np.testing.assert_allclose(raw[0::2] + 1j * raw[1::2], w.samples,
-                               atol=1e-6)
-
-
 def test_lowpass_group_delay_compensated():
     sym = random_symbols(P3RC, 120, 10).astype(float)
     w = cpm_modulate(P3RC, sym, theta0=0.5)

@@ -37,18 +37,15 @@ def normal_from_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
 class NoiseModel:
     """AWGN descriptor; identical seed implies an identical noise sequence."""
 
-    kind: str = "awgn"
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "awgn"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
     def sample(self, size: int) -> np.ndarray:
-        if self.kind == "none" or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return np.zeros(size)
         rng = make_rng(self.seed)
         return self.sigma * normal_from_uniform(rng, size)

@@ -105,10 +105,6 @@ class Waveform:
     samples: np.ndarray
     params: CpmParams
 
-    @property
-    def sample_rate(self) -> float:
-        return self.params.N_os / self.params.T
-
 
 def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> Waveform:
     """Constant-envelope phase modulation of a bipolar M-ary symbol sequence.

@@ -98,22 +98,6 @@ def parse_scheme(text: str) -> SchemeSpec:
     raise ValueError(f"unknown scheme {text!r}")
 
 
-def complexity(scheme: SchemeSpec, *, nu: int, L: int, M: int,
-               bcjr_memory: int = 2) -> int:
-    """Receiver complexity in states: products for joint trellises, sums
-    for serial equalizer-plus-decoder structures, 2^r for hyperstates."""
-    if scheme.kind == "std":
-        return 2**nu * M**L
-    if scheme.kind == "md":
-        return 2 ** (nu + L)
-    if scheme.kind == "rsse":
-        return 2**scheme.param
-    if scheme.kind == "dfse_va":
-        return M**scheme.param + 2**nu
-    mem = scheme.param if scheme.param is not None else bcjr_memory
-    return M**mem + 2**nu
-
-
 @dataclass(frozen=True)
 class SimConfig:
     chain: str = "pam_isi"
@@ -150,17 +134,34 @@ class SimConfig:
         if self.min_errors <= 0 or self.max_bits <= 0 or self.block_bits <= 0:
             raise ConfigError("config key 'min_errors'/'max_bits'/'block_bits': "
                               "stop rule must be positive")
+        if self.M != 1 << len(self.generators):
+            raise ConfigError(f"config key 'M': {self.M} is not 2^n for the "
+                              f"rate-1/n code, n = {len(self.generators)}")
 
     def cpm_params(self) -> CpmParams:
         return CpmParams(M=self.M, h_num=self.h_num, h_den=self.h_den,
                          L_cpm=self.L_cpm, pulse=self.pulse, N_os=self.N_os)
 
 
-_CONFIG_KEYS = {
-    "chain": str, "code": str, "M": int, "taps": str, "pulse": str,
-    "h_index": str, "L_cpm": int, "N_os": int, "L_nw": int, "schemes": str,
-    "ebn0_db": str, "min_errors": int, "max_bits": int, "block_bits": int,
-    "seed": int, "output": str, "whitening_file": str,
+def _floats(txt: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in txt.split(","))
+
+
+def _h_index(txt: str) -> dict:
+    num, _, den = txt.partition("/")
+    return {"h_num": int(num), "h_den": int(den or "1")}
+
+
+# Config key -> parser of its value.  A parser returns the SimConfig field
+# of the same name, or a dict of fields for a key that names none.
+_CONFIG_KEYS: dict[str, Callable] = {
+    "chain": str,
+    "code": lambda txt: {"generators": tuple(parse_octal_generators(txt))},
+    "M": int, "taps": _floats, "pulse": str, "h_index": _h_index,
+    "L_cpm": int, "N_os": int, "L_nw": int,
+    "schemes": lambda txt: tuple(parse_scheme(t) for t in txt.split(",")),
+    "ebn0_db": _floats, "min_errors": int, "max_bits": int,
+    "block_bits": int, "seed": int, "output": str, "whitening_file": str,
     "calibration_ebn0_db": float, "calibration_symbols": int,
     "bcjr_memory": int, "state_cap": int, "cutoff": float, "wmf_len": int,
     "isi_trim": float,
@@ -168,7 +169,8 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> SimConfig:
-    """Flat key = value config text (comments with '#')."""
+    """Flat key = value config text (comments with '#'); the last of
+    duplicate keys wins."""
     kv: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -182,54 +184,16 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"config key {key!r}: unknown key")
         kv[key] = val.strip()
 
-    def conv(key, fn, default):
+    fields = {}
+    for key, parse in _CONFIG_KEYS.items():
         if key not in kv:
-            return default
+            continue
         try:
-            return fn(kv[key])
+            value = parse(kv[key])
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-    def floats(txt):
-        return tuple(float(v) for v in txt.split(","))
-
-    def h_index(txt):
-        num, _, den = txt.partition("/")
-        return int(num), int(den or "1")
-
-    def schemes(txt):
-        return tuple(parse_scheme(tok) for tok in txt.split(","))
-
-    defaults = SimConfig()
-    hn, hd = conv("h_index", h_index, (defaults.h_num, defaults.h_den))
-    return SimConfig(
-        chain=conv("chain", str, defaults.chain),
-        generators=tuple(conv("code", parse_octal_generators,
-                              list(defaults.generators))),
-        M=conv("M", int, defaults.M),
-        taps=conv("taps", floats, defaults.taps),
-        pulse=conv("pulse", str, defaults.pulse),
-        h_num=hn, h_den=hd,
-        L_cpm=conv("L_cpm", int, defaults.L_cpm),
-        N_os=conv("N_os", int, defaults.N_os),
-        L_nw=conv("L_nw", int, defaults.L_nw),
-        schemes=conv("schemes", schemes, defaults.schemes),
-        ebn0_db=conv("ebn0_db", floats, defaults.ebn0_db),
-        min_errors=conv("min_errors", int, defaults.min_errors),
-        max_bits=conv("max_bits", int, defaults.max_bits),
-        block_bits=conv("block_bits", int, defaults.block_bits),
-        seed=conv("seed", int, defaults.seed),
-        output=conv("output", str, defaults.output),
-        whitening_file=conv("whitening_file", str, None),
-        calibration_ebn0_db=conv("calibration_ebn0_db", float, None),
-        calibration_symbols=conv("calibration_symbols", int,
-                                 defaults.calibration_symbols),
-        bcjr_memory=conv("bcjr_memory", int, defaults.bcjr_memory),
-        state_cap=conv("state_cap", int, defaults.state_cap),
-        cutoff=conv("cutoff", float, None),
-        wmf_len=conv("wmf_len", int, defaults.wmf_len),
-        isi_trim=conv("isi_trim", float, defaults.isi_trim),
-    )
+        fields.update(value if isinstance(value, dict) else {key: value})
+    return SimConfig(**fields)
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple[float, float]:
@@ -273,16 +237,23 @@ def write_csv(path, records: list[BerRecord], with_timing: bool = False) -> None
 
 @dataclass
 class _ChainContext:
-    """Everything fixed across blocks: code, effective ISI, CPM front end."""
+    """Everything fixed across blocks: code, effective ISI, CPM front end.
+
+    A point sends with N0 = ``eb * 10^(-Eb/N0 / 10)``; its equalizer input
+    has noise variance ``noise_var_cal * N0 / n0_cal``.  PAM: Eb is the
+    mean symbol energy times the ISI energy, variance N0/2.  CPM: Eb = 1
+    (one bit per interval), variance as measured at the calibration point.
+    """
 
     code: ConvCode
     isi: IsiResponse
+    eb: float
+    noise_var_cal: float
+    n0_cal: float
     params: CpmParams | None = None
     fact: object = None
     whitening: object = None
     cutoff: float | None = None
-    noise_var_cal: float = float("nan")
-    n0_cal: float = float("nan")
 
 
 def calibration_defaults(cfg: SimConfig) -> tuple[float, float]:
@@ -302,23 +273,27 @@ def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
     code = ConvCode(cfg.generators)
     if cfg.chain == "pam_isi":
         isi = IsiResponse(np.array(cfg.taps)).check_minimum_phase()
-        return _ChainContext(code=code, isi=isi)
+        e_sym = (cfg.M**2 - 1) / 3.0
+        return _ChainContext(code=code, isi=isi,
+                             eb=e_sym * float(np.sum(isi.taps**2)),
+                             noise_var_cal=0.5, n0_cal=1.0)
 
     params = cfg.cpm_params()
     cutoff, cal_db = calibration_defaults(cfg)
     if cfg.cutoff is None:
         log(f"receive lowpass cutoff (99.9% power): {cutoff:.6g}")
     if cfg.whitening_file:
-        design, fact = load_whitening_design(cfg.whitening_file)
+        try:
+            design, fact = load_whitening_design(cfg.whitening_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config key 'whitening_file': {exc}") from exc
         log(f"loaded whitening design from {cfg.whitening_file}")
-        n0_cal = float("nan")  # unknown measurement point; use var as-is
     else:
         design, fact = design_whitening(
             params, cal_db, cfg.L_nw, cutoff=cutoff,
             n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
         log(f"whitening calibrated at Eb/N0 = {cal_db:g} dB; "
             f"f = {np.array2string(design.f, precision=4)}")
-        n0_cal = 10.0 ** (-cal_db / 10.0)
     _, trunc = wmf_taps(fact, cfg.wmf_len)
     log(f"wmf anti-causal recursion truncated to {cfg.wmf_len} taps "
         f"(neglected tail magnitude {trunc:.2e})")
@@ -326,9 +301,11 @@ def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
     if isi.L < design.overall.L:
         log(f"overall ISI trimmed from {design.overall.taps.size} to "
             f"{isi.taps.size} taps (threshold {cfg.isi_trim:g})")
-    return _ChainContext(code=code, isi=isi, params=params,
-                         fact=fact, whitening=design, cutoff=cutoff,
-                         noise_var_cal=design.noise_variance, n0_cal=n0_cal)
+    return _ChainContext(
+        code=code, isi=isi, eb=1.0,
+        noise_var_cal=design.output_noise_variance,
+        n0_cal=10.0 ** (-design.calibration_ebn0_db / 10.0),
+        params=params, fact=fact, whitening=design, cutoff=cutoff)
 
 
 def _block_words(seed: int, point_idx: int, block_idx: int) -> np.ndarray:
@@ -354,9 +331,7 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
     symbols = _map_symbols(ctx.code, bits, cfg.M)
 
     if cfg.chain == "pam_isi":
-        sigma = math.sqrt(n0 / 2.0)
-        noise = NoiseModel(kind="awgn" if sigma > 0 else "none",
-                           sigma=sigma, seed=int(w[1]))
+        noise = NoiseModel(sigma=math.sqrt(n0 / 2.0), seed=int(w[1]))
         obs = fir_awgn_channel(symbols, ctx.isi, noise)
     else:
         theta0 = float(w[2]) / 2.0**64 * 2.0 * math.pi
@@ -365,90 +340,55 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
                              cutoff=ctx.cutoff)
         d = apply_wmf(d, ctx.fact, cfg.wmf_len)
         d = apply_whitening(d, ctx.whitening.f)
-        obs = d[: bits.size]
-        if obs.size < bits.size:
-            obs = np.pad(obs, (0, bits.size - obs.size))
+        obs = d[: bits.size]  # n_sym + L_cpm - 1 samples come back
     return info, compensate_edges(obs, ctx.isi.taps, cfg.M)
-
-
-def _point_n0(ctx: _ChainContext, cfg: SimConfig, ebn0_db: float) -> float:
-    """Map Eb/N0 to the channel noise level.
-
-    CPM chain: Eb = Es = 1 (one information bit per modulation interval).
-    PAM chain: Eb = mean symbol energy times the ISI energy, real noise
-    with per-sample variance N0/2.
-    """
-    if cfg.chain == "cpm":
-        return 10.0 ** (-ebn0_db / 10.0)
-    e_sym = (cfg.M**2 - 1) / 3.0
-    eb = e_sym * float(np.sum(ctx.isi.taps**2))
-    return eb * 10.0 ** (-ebn0_db / 10.0)
-
-
-def _noise_variance(ctx: _ChainContext, cfg: SimConfig):
-    """Per-sample noise variance at the equalizer input, as a function of N0.
-
-    CPM chain: the calibration variance after the whitening filter
-    (var * f'Phi f, computed once), scaled from the calibration point.
-    """
-    if cfg.chain == "pam_isi":
-        return lambda n0: max(n0 / 2.0, 1e-12)
-    phi = ctx.whitening.noise_acf
-    f = ctx.whitening.f
-    gain = 0.0
-    for j in range(f.size):
-        for k in range(f.size):
-            lag = abs(j - k)
-            if lag < phi.size:
-                gain += f[j] * f[k] * phi[lag]
-    base = ctx.noise_var_cal * gain
-
-    def variance(n0):
-        scale = n0 / ctx.n0_cal if np.isfinite(ctx.n0_cal) else 1.0
-        return max(base * scale, 1e-12)
-    return variance
 
 
 def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
                    matched):
     """One scheme's receiver, built once per sweep: a function
-    ``(obs, n0) -> decoded bits``.  Raises ValueError if it cannot run."""
+    ``(obs, n0) -> decoded bits`` and the states of the trellises it
+    searches, summed over the stages of a serial receiver.  Raises
+    ValueError if it cannot run."""
     code, isi, M = ctx.code, ctx.isi, cfg.M
     if scheme.kind in ("md", "rsse"):
         mt = matched()
     if scheme.kind == "md":
-        return lambda obs, n0: viterbi_mlse(mt.trellis, obs, end_state=0).bits
+        return (lambda obs, n0: viterbi_mlse(mt.trellis, obs, end_state=0).bits,
+                mt.trellis.num_states)
     if scheme.kind == "std":
         std = build_std_trellis(code, isi, M, state_cap=cfg.state_cap)
-        return lambda obs, n0: viterbi_mlse(std, obs, end_state=0).bits
+        return (lambda obs, n0: viterbi_mlse(std, obs, end_state=0).bits,
+                std.num_states)
     if scheme.kind == "rsse":
         if scheme.param > code.nu + isi.L:
             raise ValueError(
                 f"RSSE kept bits {scheme.param} exceed memory {code.nu + isi.L}")
         part = PartitionSpec(scheme.param)
-        return lambda obs, n0: rsse_decode(mt, part, obs).bits
+        return (lambda obs, n0: rsse_decode(mt, part, obs).bits,
+                part.num_hyperstates)
     if scheme.kind == "dfse_va":
         if scheme.param > isi.L:
             raise ValueError(
                 f"DFSE kept symbols {scheme.param} exceed channel memory {isi.L}")
-        build_isi_trellis(isi, M, memory=scheme.param,
-                          state_cap=cfg.state_cap)  # fail fast on caps
+        window = build_isi_trellis(isi, M, memory=scheme.param,
+                                   state_cap=cfg.state_cap)
         shifts = np.arange(M.bit_length() - 2, -1, -1)
 
         def dfse_va(obs, n0):
             sym = dfse_equalize(isi, M, scheme.param, obs)
             llrs = (1.0 - 2.0 * ((sym[:, None] >> shifts) & 1)).reshape(-1)
             return soft_viterbi_decode(code, llrs, end_state=0)
-        return dfse_va
+        return dfse_va, window.num_states + code.num_states
     mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
     bcjr_tr = build_isi_trellis(isi, M, memory=min(mem, isi.L),
                                 state_cap=cfg.state_cap)
-    noise_variance = _noise_variance(ctx, cfg)
 
     def bcjr_va(obs, n0):
-        res = bcjr_equalize(bcjr_tr, obs, noise_variance(n0))
+        var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
+        res = bcjr_equalize(bcjr_tr, obs, var)
         return soft_viterbi_decode(code, res.bit_llrs, end_state=0)
-    return bcjr_va
+    return bcjr_va, bcjr_tr.num_states + code.num_states
 
 
 @dataclass
@@ -457,6 +397,7 @@ class _Tally:
 
     scheme: SchemeSpec
     decoder: Callable[[np.ndarray, float], np.ndarray]
+    states: int
     errors: int = 0
     bits: int = 0
     seconds: float = 0.0
@@ -471,13 +412,10 @@ class _Tally:
         self.bits += info.size
         self.seconds += time.perf_counter() - t0
 
-    def record(self, ctx: _ChainContext, cfg: SimConfig,
-               ebn0_db: float) -> BerRecord:
+    def record(self, cfg: SimConfig, ebn0_db: float) -> BerRecord:
         ber = self.errors / self.bits if self.bits else 0.0
         lo, hi = wilson_interval(self.errors, self.bits)
-        states = complexity(self.scheme, nu=ctx.code.nu, L=ctx.isi.L, M=cfg.M,
-                            bcjr_memory=cfg.bcjr_memory)
-        return BerRecord(scheme=self.scheme.label(), states=states,
+        return BerRecord(scheme=self.scheme.label(), states=self.states,
                          ebn0_db=ebn0_db, bits=self.bits, errors=self.errors,
                          ber=ber, ci_lo=lo, ci_hi=hi, seed=cfg.seed,
                          seconds=self.seconds)
@@ -497,7 +435,7 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     decoders = []
     for scheme in cfg.schemes:
         try:
-            decoders.append((scheme, _build_decoder(scheme, ctx, cfg, matched)))
+            decoders.append((scheme, *_build_decoder(scheme, ctx, cfg, matched)))
         except (ValueError, MemoryError) as exc:
             log(f"scheme {scheme.label()} disabled: {exc}")
     if not decoders:
@@ -506,8 +444,8 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
 
     records: list[BerRecord] = []
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
-        n0 = _point_n0(ctx, cfg, ebn0)
-        tallies = [_Tally(s, d) for s, d in decoders]
+        n0 = ctx.eb * 10.0 ** (-ebn0 / 10.0)
+        tallies = [_Tally(*d) for d in decoders]
         block_idx = 0
         while any(not t.done(cfg) for t in tallies):
             info, obs = _make_block(ctx, cfg, n0, point_idx, block_idx)
@@ -515,7 +453,7 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
                 if not t.done(cfg):
                     t.decode(info, obs, n0)
             block_idx += 1
-        records += [t.record(ctx, cfg, ebn0) for t in tallies]
+        records += [t.record(cfg, ebn0) for t in tallies]
         log(f"Eb/N0 = {ebn0:g} dB: " + ", ".join(
             f"{t.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"
             for t in tallies))

@@ -153,7 +153,6 @@ class MatchedTrellis:
     code: ConvCode
     isi: IsiResponse
     M: int
-    offset: float
 
     @property
     def nu(self) -> int:
@@ -162,10 +161,6 @@ class MatchedTrellis:
     @property
     def L(self) -> int:
         return self.isi.L
-
-    @property
-    def num_states(self) -> int:
-        return self.trellis.num_states
 
     def edge_offsets(self) -> np.ndarray:
         return edge_offsets(self.isi.taps, self.M)
@@ -202,7 +197,7 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int) -> MatchedTrel
     spec = TrellisSpec(num_states=S, num_inputs=2,
                        next_state=window_next_state(2, mem),
                        outputs=hyp.reshape(S, 2))
-    return MatchedTrellis(trellis=spec, code=code, isi=h, M=M, offset=C)
+    return MatchedTrellis(trellis=spec, code=code, isi=h, M=M)
 
 
 def matched_encode(mt: MatchedTrellis, bits) -> np.ndarray:

@@ -57,10 +57,6 @@ class SpectralFactorization:
     b: np.ndarray
     residual: float
 
-    @property
-    def order(self) -> int:
-        return self.b.size - 1
-
 
 def spectral_factorize(acf) -> SpectralFactorization:
     """Factor a symmetric nonnegative-spectrum sequence into its
@@ -108,6 +104,8 @@ class WhiteningDesign:
 
     ``f[0] = 1`` and ``f[k] = -p[k]``; ``overall`` is the combined ISI
     the equalizers must handle once the whitening filter is in the path.
+    ``noise_variance`` is measured before that filter, at
+    ``calibration_ebn0_db``.
     """
 
     noise_acf: np.ndarray
@@ -117,6 +115,20 @@ class WhiteningDesign:
     order: int
     overall: IsiResponse | None = None
     noise_variance: float = float("nan")
+    calibration_ebn0_db: float = float("nan")
+
+    @property
+    def output_noise_variance(self) -> float:
+        """Noise variance after the whitening filter at the calibration
+        point: ``noise_variance * f'Phi f``."""
+        phi, f = self.noise_acf, self.f
+        gain = 0.0
+        for j in range(f.size):
+            for k in range(f.size):
+                lag = abs(j - k)
+                if lag < phi.size:
+                    gain += f[j] * f[k] * phi[lag]
+        return self.noise_variance * gain
 
     def with_overall(self, b) -> "WhiteningDesign":
         return replace(self, overall=overall_isi(b, self.f))
@@ -246,7 +258,8 @@ def design_whitening(params: CpmParams, eb_n0_db: float, L_nw: int, *,
                                   cutoff=cutoff, fact=fact, wmf_len=wmf_len,
                                   seed=seed)
     design = yule_walker(phi, L_nw)
-    design = replace(design, noise_variance=var, noise_acf=phi)
+    design = replace(design, noise_variance=var, noise_acf=phi,
+                     calibration_ebn0_db=eb_n0_db)
     design = design.with_overall(fact.b)
     return design, fact
 
@@ -260,6 +273,7 @@ def save_whitening_design(path, design: WhiteningDesign,
     lines = [
         f"order = {design.order}",
         f"noise_variance = {design.noise_variance:.17g}",
+        f"calibration_ebn0_db = {design.calibration_ebn0_db:.17g}",
         f"acf = {fmt(fact.acf)}",
         f"b = {fmt(fact.b)}",
         f"noise_acf = {fmt(design.noise_acf)}",
@@ -287,6 +301,9 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
         return (np.array([float(v) for v in txt.split(",")])
                 if txt else np.zeros(0))
 
+    if "calibration_ebn0_db" not in kv:
+        raise ValueError(f"design file {path} has no calibration_ebn0_db; "
+                         "re-run `mdsim calibrate` to write it")
     acf = arr("acf")
     b = arr("b")
     residual = float(np.max(np.abs(np.convolve(b, b[::-1]) - acf)))
@@ -297,5 +314,6 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
         reflection=arr("reflection"), order=int(kv["order"]),
         overall=IsiResponse(overall_taps).check_minimum_phase()
         if overall_taps.size else None,
-        noise_variance=float(kv.get("noise_variance", "nan")))
+        noise_variance=float(kv.get("noise_variance", "nan")),
+        calibration_ebn0_db=float(kv["calibration_ebn0_db"]))
     return design, fact

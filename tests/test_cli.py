@@ -51,13 +51,49 @@ def test_sweep_runs_small_config(tmp_path, capsys):
 
 
 def test_sweep_without_runnable_scheme_is_config_error(tmp_path, capsys):
-    # a 2-output code cannot drive 8-ary symbols: MD and STD both drop out
-    cfg = tmp_path / "m8.cfg"
+    # STD (16 states) is above the cap and RSSE(9) above the memory of 3 bits
+    cfg = tmp_path / "none.cfg"
     out = tmp_path / "out.csv"
-    cfg.write_text(f"chain = pam_isi\nM = 8\ncode = 5,7\noutput = {out}\n")
+    cfg.write_text("chain = pam_isi\ntaps = 1,0.5\nschemes = STD,RSSE(9)\n"
+                   f"state_cap = 8\noutput = {out}\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "'schemes'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_code_alphabet_mismatch_is_config_error(tmp_path, capsys):
+    # a 2-output code cannot drive 8-ary symbols, not even behind DFSE
+    cfg = tmp_path / "m8.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text("chain = pam_isi\nM = 8\ncode = 5,7\n"
+                   f"schemes = MD,DFSE(1)+VA\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "'M'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
+    from mdsim.whitening import (
+        save_whitening_design,
+        spectral_factorize,
+        yule_walker,
+    )
+
+    fact = spectral_factorize([0.25, 1.0, 0.25])
+    design = yule_walker([1.0, 0.3], 1).with_overall(fact.b)
+    path = tmp_path / "old_design.txt"
+    save_whitening_design(path, design, fact)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines
+                              if not ln.startswith("calibration_ebn0_db")))
+    cfg = tmp_path / "cpm.cfg"
+    cfg.write_text(f"chain = cpm\ncutoff = 0.75\nwhitening_file = {path}\n"
+                   "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
+                   f"output = {tmp_path / 'out.csv'}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "'whitening_file'" in err
+    assert "mdsim calibrate" in err
 
 
 def test_selftest(capsys):

@@ -1,14 +1,16 @@
-"""Sweep determinism, stop rules, complexity accounting, and config parsing."""
+"""Sweep determinism, stop rules, state accounting, and config parsing."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdsim.conv_code import ConvCode
 from mdsim.harness import (
+    _CONFIG_KEYS,
     ConfigError,
     SchemeSpec,
     SimConfig,
-    complexity,
     parse_config,
     parse_scheme,
     run_ber_sweep,
@@ -45,14 +47,15 @@ class TestSchemeParsing:
             parse_scheme("RSSE")
 
 
-def test_complexity_formulas():
-    # serial receivers add states, joint trellises multiply
-    assert complexity(SchemeSpec("dfse_va", 2), nu=6, L=4, M=4) == 16 + 64
-    assert complexity(SchemeSpec("std"), nu=2, L=4, M=4) == 4 * 256
-    assert complexity(SchemeSpec("rsse", 5), nu=6, L=4, M=4) == 32
-    assert complexity(SchemeSpec("md"), nu=2, L=4, M=4) == 64
-    assert complexity(SchemeSpec("bcjr_va"), nu=6, L=4, M=4,
-                      bcjr_memory=2) == 16 + 64
+def test_states_column_counts_built_receivers():
+    # 4-state code, L = 1, M = 4: joint trellises multiply, serial
+    # receivers add; BCJR's default memory 2 is capped at the channel's 1
+    cfg = parse_config("taps = 1,0.5\nschemes = MD,STD,RSSE(2),DFSE(1)+VA,"
+                       "BCJR+VA\nebn0_db = 10\nmax_bits = 500\n"
+                       "block_bits = 500\n")
+    states = {r.scheme: r.states for r in run_ber_sweep(cfg)}
+    assert states == {"MD": 8, "STD": 16, "MD-RSSE(4)": 4,
+                      "DFSE(1)+VA": 4 + 4, "BCJR+VA": 4 + 4}
 
 
 def test_wilson_interval():
@@ -95,6 +98,65 @@ class TestConfigParsing:
         assert parse_config("isi_trim = 0.01\n").isi_trim == 0.01
         assert parse_config("").isi_trim == 1e-3
 
+    def test_every_key(self):
+        text = """chain = cpm
+code = 133,171
+M = 4
+taps = 1,0.25
+pulse = LREC
+h_index = 3/8
+L_cpm = 2
+N_os = 12
+L_nw = 2
+schemes = MD,STD,RSSE(3),DFSE(1)+VA,BCJR(3)+VA
+ebn0_db = 4,5.5
+min_errors = 7
+max_bits = 9000
+block_bits = 300
+seed = 11
+output = out.csv
+whitening_file = design.txt
+calibration_ebn0_db = 4.75
+calibration_symbols = 1234
+bcjr_memory = 3
+state_cap = 4096
+cutoff = 0.6
+wmf_len = 15
+isi_trim = 0.002
+"""
+        assert {ln.partition(" =")[0] for ln in text.splitlines()} \
+            == set(_CONFIG_KEYS)
+        assert parse_config(text) == SimConfig(
+            chain="cpm", generators=(0o133, 0o171), M=4, taps=(1.0, 0.25),
+            pulse="LREC", h_num=3, h_den=8, L_cpm=2, N_os=12, L_nw=2,
+            schemes=(SchemeSpec("md"), SchemeSpec("std"),
+                     SchemeSpec("rsse", 3), SchemeSpec("dfse_va", 1),
+                     SchemeSpec("bcjr_va", 3)),
+            ebn0_db=(4.0, 5.5), min_errors=7, max_bits=9000, block_bits=300,
+            seed=11, output="out.csv", whitening_file="design.txt",
+            calibration_ebn0_db=4.75, calibration_symbols=1234,
+            bcjr_memory=3, state_cap=4096, cutoff=0.6, wmf_len=15,
+            isi_trim=0.002)
+
+    def test_last_duplicate_wins(self):
+        assert parse_config("seed = 2\nseed = 5\n").seed == 5
+
+    def test_code_must_fit_alphabet(self):
+        with pytest.raises(ConfigError, match="'M'"):
+            parse_config("M = 8\ncode = 5,7\n")
+        assert parse_config("M = 8\ncode = 5,7,3\n").generators == (5, 7, 3)
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme.split("## Configuration files", 1)[1].splitlines()
+        head = next(i for i, ln in enumerate(lines) if ln.startswith("|"))
+        keys = set()
+        for row in lines[head + 2:]:  # below the header and rule rows
+            if not row.startswith("|"):
+                break
+            keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        assert keys == set(_CONFIG_KEYS)
+
 
 class TestSweep:
     def test_deterministic_csv(self, tmp_path):
@@ -134,19 +196,18 @@ class TestSweep:
         """Recompute errors with an independent comparator: re-run the
         decoder on re-generated blocks and diff transmitted vs decoded."""
         from mdsim.equalizers import viterbi_mlse
-        from mdsim.harness import _ChainContext, _make_block, _point_n0
-        from mdsim.matched_encoder import IsiResponse, build_matched_trellis
+        from mdsim.harness import _make_block, _resolve_chain
+        from mdsim.matched_encoder import build_matched_trellis
 
         cfg = SimConfig(chain="pam_isi", taps=(1.0, 0.5, 0.25),
                         schemes=(SchemeSpec("md"),),
                         ebn0_db=(8.0,), min_errors=25, max_bits=20_000,
                         block_bits=500, seed=3)
         recs = run_ber_sweep(cfg)
-        code = ConvCode(cfg.generators)
-        isi = IsiResponse(np.array(cfg.taps)).check_minimum_phase()
-        ctx = _ChainContext(code=code, isi=isi)
-        mt = build_matched_trellis(code, isi, 4)
-        n0 = _point_n0(ctx, cfg, 8.0)
+        ctx = _resolve_chain(cfg, log=lambda msg: None)
+        mt = build_matched_trellis(ctx.code, ctx.isi, 4)
+        # Eb = mean symbol energy (M^2 - 1)/3 times the ISI energy
+        n0 = 5.0 * (1.0 + 0.25 + 0.0625) * 10.0 ** (-8.0 / 10.0)
         errors = 0
         bits = 0
         bi = 0
@@ -218,7 +279,8 @@ def test_whitening_file_reuse_reproduces_inline_calibration(tmp_path):
 
     base = dict(chain="cpm", generators=(0o5, 0o7), M=4, pulse="LRC",
                 h_num=1, h_den=4, L_cpm=3, N_os=8, L_nw=1,
-                schemes=(SchemeSpec("md"),), ebn0_db=(10.0, 13.0),
+                schemes=(SchemeSpec("md"), SchemeSpec("bcjr_va")),
+                ebn0_db=(10.0, 13.0),
                 min_errors=25, max_bits=20_000, block_bits=1000, seed=55,
                 calibration_symbols=50_000)
     cfg_inline = SimConfig(**base)

@@ -100,9 +100,9 @@ class TestSerialReference:
 class TestMatchedTrellis:
     def test_state_counts(self):
         h2 = IsiResponse([1, 0.5, 0.25])
-        assert build_matched_trellis(CODE_57, h2, 4).num_states == 16
+        assert build_matched_trellis(CODE_57, h2, 4).trellis.num_states == 16
         h0 = IsiResponse([1.0])
-        assert build_matched_trellis(CODE_57, h0, 4).num_states == 4
+        assert build_matched_trellis(CODE_57, h0, 4).trellis.num_states == 4
 
     def test_l0_hypotheses_are_scaled_symbols(self):
         mt = build_matched_trellis(CODE_57, IsiResponse([0.7]), 4)
@@ -142,7 +142,7 @@ class TestEncodeOracle:
         taps = np.concatenate([[1.0], rng.random(3) - 0.5])
         h = IsiResponse(taps)
         mt = build_matched_trellis(CODE_133_171, h, 4)
-        assert mt.num_states == 2 ** (6 + 3)
+        assert mt.trellis.num_states == 2 ** (6 + 3)
         bits = (rng.random(2000) < 0.5).astype(np.int64)
         np.testing.assert_allclose(matched_encode(mt, bits),
                                    serial_reference(CODE_133_171, h, 4, bits),
@@ -172,7 +172,7 @@ class TestEncodeOracle:
         h = IsiResponse(taps)
         code = CODE_57 if seed % 2 else CODE_133_171
         mt = build_matched_trellis(code, h, 4)
-        assert mt.num_states == 2 ** (code.nu + h.L)
+        assert mt.trellis.num_states == 2 ** (code.nu + h.L)
         bits = (rng.random(500) < 0.5).astype(np.int64)
         np.testing.assert_allclose(matched_encode(mt, bits),
                                    serial_reference(code, h, 4, bits),

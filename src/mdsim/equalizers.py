@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .conv_code import ConvCode, build_conv_trellis
 from .matched_encoder import IsiResponse, MatchedTrellis, edge_offsets
@@ -228,17 +227,22 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
 
 
 def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
-                  *, end_state: int | None = None) -> np.ndarray:
+                  *, end_state: int | None = None,
+                  window: TrellisSpec | None = None) -> np.ndarray:
     """Reduced-state symbol equalizer: M^J trellis states, survivor feedback
     for the channel taps beyond the kept window.  Returns hard symbol
     indices (natural map order).
+
+    ``window`` is ``build_isi_trellis(h, M, memory=kept_symbols)``, for
+    callers that decode many blocks; it is built here when omitted.
     """
     L = h.L
     J = kept_symbols
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
     obs = np.asarray(obs, dtype=np.float64)
-    window = build_isi_trellis(h, M, memory=J)
+    if window is None:
+        window = build_isi_trellis(h, M, memory=J)
     hyp = window.outputs  # (M^J, M) from the first J+1 taps
 
     def metrics(t, reg):
@@ -255,13 +259,38 @@ class BcjrResult:
     bit_llrs: np.ndarray           # (T * n,) log P(bit=0) - log P(bit=1)
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, rounded as scipy.special.logsumexp
+    (1.17) rounds it: the m tied maxima leave the sum, which becomes
+    log1p(rest / m) + log(m) + max.  An all -inf slice gives -inf; its
+    terms are -inf - -inf = NaN until the maximum mask zeroes them, so
+    callers hold ``np.errstate(invalid="ignore")``.
+    """
+    amax = a.max(axis)
+    col = np.expand_dims(amax, axis)
+    top = a == col
+    terms = np.exp(a - col)
+    terms[top] = 0.0
+    out = terms.sum(axis)
+    if np.count_nonzero(top) == amax.size:  # no ties: m = 1, log(m) = 0
+        return np.log1p(out) + amax
+    m = top.sum(axis)
+    out /= m
+    out = np.log1p(out)
+    out += np.log(m)
+    out += amax
+    return out
+
+
 def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
                   *, start_state: int = 0,
                   end_state: int | None = None) -> BcjrResult:
     """Symbol-by-symbol MAP over an ISI trellis, log domain, exact log-sum-exp.
 
-    Symbol posteriors are marginalized to bit LLRs through the natural map
-    (MSB first), one LLR per coded bit.
+    The forward and backward recursions are independent, so one time loop
+    runs both on a stacked (2, S, M) array; this needs M predecessors per
+    state, as in every window trellis.  Symbol posteriors are marginalized
+    to bit LLRs through the natural map (MSB first), one LLR per coded bit.
     """
     obs = np.asarray(obs, dtype=np.float64)
     T = obs.size
@@ -270,56 +299,67 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     hyp = isi_trellis.outputs
     nxt = isi_trellis.next_state
     ps, pu, valid = isi_trellis.predecessors
-    pad = np.where(valid, 0.0, -np.inf)
+    if not valid.all():
+        raise ValueError("BCJR needs num_inputs predecessors per state")
+    into = ps * M + pu  # flat (state, input) index of each incoming branch
     inv2v = -0.5 / float(noise_variance)
 
     gammas = inv2v * (obs[:, None, None] - hyp[None, :, :]) ** 2  # (T, S, M)
+    flat = gammas.reshape(T, S * M)
 
     alpha = np.full((T + 1, S), -np.inf)
     alpha[0, start_state] = 0.0
-    for t in range(T):
-        a = alpha[t][ps] + gammas[t][ps, pu] + pad
-        alpha[t + 1] = logsumexp(a, axis=1)
-        alpha[t + 1] -= alpha[t + 1].max()
-
     beta = np.full((T + 1, S), -np.inf)
     if end_state is None:
         beta[T] = 0.0
     else:
         beta[T, end_state] = 0.0
-    for t in range(T - 1, -1, -1):
-        beta[t] = logsumexp(gammas[t] + beta[t + 1][nxt], axis=1)
-        beta[t] -= beta[t].max()
+    step = np.empty((2, S, M))
+    # The posteriors go through T in chunks of about 4096 branches, so that
+    # gammas stays the only full (T, S, M) array.
+    chunk = max(1, 4096 // (S * M))
+    with np.errstate(invalid="ignore"):
+        for t in range(T):
+            b = T - 1 - t
+            np.add(alpha[t][ps], flat[t][into], out=step[0])
+            np.add(gammas[b], beta[b + 1][nxt], out=step[1])
+            both = _logsumexp(step, 2)
+            both -= both.max(1)[:, None]
+            alpha[t + 1], beta[b] = both
 
-    post = np.empty((T, M))
-    for t in range(T):
-        joint = alpha[t][:, None] + gammas[t] + beta[t + 1][nxt]  # (S, M)
-        log_pu = logsumexp(joint, axis=0)
-        log_pu -= logsumexp(log_pu)
-        post[t] = np.exp(log_pu)
+        post = np.empty((T, M))
+        for t0 in range(0, T, chunk):
+            t1 = min(t0 + chunk, T)
+            joint = alpha[t0:t1, :, None] + gammas[t0:t1]
+            joint += beta[t0 + 1:t1 + 1][:, nxt]
+            log_pu = _logsumexp(joint, 1)
+            log_pu -= _logsumexp(log_pu, 1)[:, None]
+            post[t0:t1] = np.exp(log_pu)
 
-    llrs = np.empty((T, n))
-    log_post = np.log(np.maximum(post, 1e-300))
-    u = np.arange(M)
-    for i in range(n):
-        bit = (u >> (n - 1 - i)) & 1
-        llrs[:, i] = (logsumexp(log_post[:, bit == 0], axis=1)
-                      - logsumexp(log_post[:, bit == 1], axis=1))
+        llrs = np.empty((T, n))
+        log_post = np.log(np.maximum(post, 1e-300))
+        u = np.arange(M)
+        for i in range(n):
+            bit = (u >> (n - 1 - i)) & 1
+            llrs[:, i] = (_logsumexp(log_post[:, bit == 0], 1)
+                          - _logsumexp(log_post[:, bit == 1], 1))
     return BcjrResult(symbol_posteriors=post, bit_llrs=llrs.reshape(-1))
 
 
 def soft_viterbi_decode(code: ConvCode, llrs, *,
-                        end_state: int | None = 0) -> np.ndarray:
+                        end_state: int | None = 0,
+                        trellis: TrellisSpec | None = None) -> np.ndarray:
     """Max-correlation Viterbi over the code trellis from per-bit LLRs.
 
     LLR convention: positive favors bit 0.  One LLR per coded bit,
-    n per trellis step.
+    n per trellis step.  ``trellis`` is ``build_conv_trellis(code)``, for
+    callers that decode many blocks; it is built here when omitted.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.size % code.n:
         raise ValueError("need one LLR per coded bit")
     llrs = llrs.reshape(-1, code.n)
-    tr = build_conv_trellis(code)
+    tr = build_conv_trellis(code) if trellis is None else trellis
     signs = 2.0 * tr.outputs - 1.0  # (S, 2, n); minimize sum((2v-1)*llr)
     return _viterbi(tr, llrs.shape[0], lambda t, reg: signs @ llrs[t],
                     end_state=end_state).bits

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseModel, fir_awgn_channel, make_rng
-from .conv_code import ConvCode, conv_encode, parse_octal_generators
+from .conv_code import (
+    ConvCode,
+    build_conv_trellis,
+    conv_encode,
+    parse_octal_generators,
+)
 from .cpm import CpmParams, b999_bandwidth, transmit_receive
 from .equalizers import (
     PartitionSpec,
@@ -32,6 +37,7 @@ from .equalizers import (
     viterbi_mlse,
 )
 from .matched_encoder import IsiResponse, build_matched_trellis
+from .trellis import TrellisSpec
 from .whitening import (
     apply_whitening,
     apply_wmf,
@@ -255,6 +261,12 @@ class _ChainContext:
     whitening: object = None
     cutoff: float | None = None
 
+    @functools.cached_property
+    def code_trellis(self) -> TrellisSpec:
+        """The code trellis behind the serial equalizers, built at their
+        first block and shared by every serial scheme of the sweep."""
+        return build_conv_trellis(self.code)
+
 
 def calibration_defaults(cfg: SimConfig) -> tuple[float, float]:
     """Receive-lowpass cutoff and whitening calibration Eb/N0 of a CPM
@@ -349,7 +361,8 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
     """One scheme's receiver, built once per sweep: a function
     ``(obs, n0) -> decoded bits`` and the states of the trellises it
     searches, summed over the stages of a serial receiver.  Raises
-    ValueError if it cannot run."""
+    ConfigError for an RSSE or DFSE parameter beyond the chain's memory,
+    and ValueError if it cannot run."""
     code, isi, M = ctx.code, ctx.isi, cfg.M
     if scheme.kind in ("md", "rsse"):
         mt = matched()
@@ -362,23 +375,26 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
                 std.num_states)
     if scheme.kind == "rsse":
         if scheme.param > code.nu + isi.L:
-            raise ValueError(
-                f"RSSE kept bits {scheme.param} exceed memory {code.nu + isi.L}")
+            raise ConfigError(
+                f"config key 'schemes': RSSE kept bits {scheme.param} exceed "
+                f"the merged-trellis memory nu+L = {code.nu + isi.L}")
         part = PartitionSpec(scheme.param)
         return (lambda obs, n0: rsse_decode(mt, part, obs).bits,
                 part.num_hyperstates)
     if scheme.kind == "dfse_va":
         if scheme.param > isi.L:
-            raise ValueError(
-                f"DFSE kept symbols {scheme.param} exceed channel memory {isi.L}")
+            raise ConfigError(
+                f"config key 'schemes': DFSE kept symbols {scheme.param} "
+                f"exceed the channel memory L = {isi.L}")
         window = build_isi_trellis(isi, M, memory=scheme.param,
                                    state_cap=cfg.state_cap)
         shifts = np.arange(M.bit_length() - 2, -1, -1)
 
         def dfse_va(obs, n0):
-            sym = dfse_equalize(isi, M, scheme.param, obs)
+            sym = dfse_equalize(isi, M, scheme.param, obs, window=window)
             llrs = (1.0 - 2.0 * ((sym[:, None] >> shifts) & 1)).reshape(-1)
-            return soft_viterbi_decode(code, llrs, end_state=0)
+            return soft_viterbi_decode(code, llrs, end_state=0,
+                                       trellis=ctx.code_trellis)
         return dfse_va, window.num_states + code.num_states
     mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
     bcjr_tr = build_isi_trellis(isi, M, memory=min(mem, isi.L),
@@ -387,7 +403,8 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
     def bcjr_va(obs, n0):
         var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
         res = bcjr_equalize(bcjr_tr, obs, var)
-        return soft_viterbi_decode(code, res.bit_llrs, end_state=0)
+        return soft_viterbi_decode(code, res.bit_llrs, end_state=0,
+                                   trellis=ctx.code_trellis)
     return bcjr_va, bcjr_tr.num_states + code.num_states
 
 
@@ -426,7 +443,8 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
 
     Decoder construction failures (for example the super-trellis state
     cap) disable that scheme with a message and leave the others running;
-    a sweep with no scheme left is a config error.
+    a scheme parameter beyond the chain's memory, or a sweep with no
+    scheme left, is a config error.
     """
     ctx = _resolve_chain(cfg, log)
     # MD and every RSSE scheme share one merged trellis.
@@ -436,6 +454,8 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     for scheme in cfg.schemes:
         try:
             decoders.append((scheme, *_build_decoder(scheme, ctx, cfg, matched)))
+        except ConfigError:
+            raise
         except (ValueError, MemoryError) as exc:
             log(f"scheme {scheme.label()} disabled: {exc}")
     if not decoders:

@@ -51,11 +51,24 @@ def test_sweep_runs_small_config(tmp_path, capsys):
 
 
 def test_sweep_without_runnable_scheme_is_config_error(tmp_path, capsys):
-    # STD (16 states) is above the cap and RSSE(9) above the memory of 3 bits
+    # STD (16 states) is above the cap, which disables it
     cfg = tmp_path / "none.cfg"
     out = tmp_path / "out.csv"
-    cfg.write_text("chain = pam_isi\ntaps = 1,0.5\nschemes = STD,RSSE(9)\n"
+    cfg.write_text("chain = pam_isi\ntaps = 1,0.5\nschemes = STD\n"
                    f"state_cap = 8\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "'schemes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rsse_beyond_memory_is_config_error(tmp_path, capsys):
+    # RSSE(9) keeps more bits than the merged trellis has (nu + L = 3);
+    # the sweep must fail instead of writing the MD rows alone
+    cfg = tmp_path / "rsse9.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text("chain = pam_isi\ntaps = 1,0.5\nschemes = MD,RSSE(9)\n"
+                   "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
+                   f"output = {out}\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "'schemes'" in capsys.readouterr().err
     assert not out.exists()

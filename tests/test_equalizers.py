@@ -256,6 +256,15 @@ class TestBcjr:
         post /= post.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(res.symbol_posteriors, post, atol=1e-6)
 
+    def test_rejects_uneven_fan_in(self):
+        from mdsim.trellis import TrellisSpec
+        # state 0 has three incoming branches, state 1 one
+        tr = TrellisSpec(num_states=2, num_inputs=2,
+                         next_state=np.array([[0, 0], [0, 1]]),
+                         outputs=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="predecessors"):
+            bcjr_equalize(tr, np.zeros(3), 1.0)
+
 
 class TestSoftViterbi:
     def test_clean_llrs(self):

@@ -230,6 +230,38 @@ class TestSweep:
         assert any("STD disabled" in m for m in msgs)
         assert [r.scheme for r in recs] == ["MD-RSSE(8)"]
 
+    @pytest.mark.parametrize("schemes", ["MD,RSSE(4)", "MD,DFSE(2)+VA"])
+    def test_scheme_beyond_memory_is_config_error(self, schemes):
+        # nu + L = 3 state bits, L = 1 symbol of channel memory
+        cfg = parse_config(f"taps = 1,0.5\nschemes = {schemes}\n")
+        with pytest.raises(ConfigError, match="'schemes'"):
+            run_ber_sweep(cfg)
+
+    def test_serial_trellises_built_once_per_sweep(self, monkeypatch):
+        import mdsim.conv_code
+        import mdsim.equalizers
+        import mdsim.harness
+
+        calls = {"build_conv_trellis": 0, "build_isi_trellis": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (mdsim.conv_code, mdsim.equalizers, mdsim.harness):
+            for name in calls:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        cfg = parse_config("taps = 1,0.5,0.25\nschemes = DFSE(1)+VA,BCJR+VA\n"
+                           "ebn0_db = 4,6\nmin_errors = 100000\n"
+                           "max_bits = 1500\nblock_bits = 500\n")
+        recs = run_ber_sweep(cfg)
+        assert sum(r.bits for r in recs) == 4 * 1500
+        # one code trellis per sweep, one ISI trellis per serial scheme
+        assert calls == {"build_conv_trellis": 1, "build_isi_trellis": 2}
+
     def test_stop_rule_respected(self):
         recs = run_ber_sweep(PAM_CFG)
         for r in recs:

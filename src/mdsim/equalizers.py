@@ -243,6 +243,10 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
     obs = np.asarray(obs, dtype=np.float64)
     if window is None:
         window = build_isi_trellis(h, M, memory=J)
+    elif window.num_inputs != M or window.num_states != M**J:
+        raise ValueError(f"window trellis has {window.num_states} states and "
+                         f"{window.num_inputs} inputs, not M^J = {M**J} and "
+                         f"M = {M}")
     hyp = window.outputs  # (M^J, M) from the first J+1 taps
 
     def metrics(t, reg):
@@ -272,8 +276,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     terms = np.exp(a - col)
     terms[top] = 0.0
     out = terms.sum(axis)
-    if np.count_nonzero(top) == amax.size:  # no ties: m = 1, log(m) = 0
-        return np.log1p(out) + amax
     m = top.sum(axis)
     out /= m
     out = np.log1p(out)
@@ -360,6 +362,9 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
         raise ValueError("need one LLR per coded bit")
     llrs = llrs.reshape(-1, code.n)
     tr = build_conv_trellis(code) if trellis is None else trellis
+    if tr.outputs.shape != (code.num_states, 2, code.n):
+        raise ValueError(f"trellis outputs {tr.outputs.shape} do not fit a "
+                         f"{code.num_states}-state rate-1/{code.n} code")
     signs = 2.0 * tr.outputs - 1.0  # (S, 2, n); minimize sum((2v-1)*llr)
     return _viterbi(tr, llrs.shape[0], lambda t, reg: signs @ llrs[t],
                     end_state=end_state).bits

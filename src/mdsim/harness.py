@@ -37,7 +37,6 @@ from .equalizers import (
     viterbi_mlse,
 )
 from .matched_encoder import IsiResponse, build_matched_trellis
-from .trellis import TrellisSpec
 from .whitening import (
     apply_whitening,
     apply_wmf,
@@ -261,12 +260,6 @@ class _ChainContext:
     whitening: object = None
     cutoff: float | None = None
 
-    @functools.cached_property
-    def code_trellis(self) -> TrellisSpec:
-        """The code trellis behind the serial equalizers, built at their
-        first block and shared by every serial scheme of the sweep."""
-        return build_conv_trellis(self.code)
-
 
 def calibration_defaults(cfg: SimConfig) -> tuple[float, float]:
     """Receive-lowpass cutoff and whitening calibration Eb/N0 of a CPM
@@ -357,12 +350,14 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
 
 
 def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
-                   matched):
+                   matched, code_trellis, isi_trellis):
     """One scheme's receiver, built once per sweep: a function
     ``(obs, n0) -> decoded bits`` and the states of the trellises it
-    searches, summed over the stages of a serial receiver.  Raises
-    ConfigError for an RSSE or DFSE parameter beyond the chain's memory,
-    and ValueError if it cannot run."""
+    searches, summed over the stages of a serial receiver.  ``matched()``,
+    ``code_trellis()`` and ``isi_trellis(memory)`` return the merged,
+    code and ISI window trellises, shared by every scheme of the sweep.
+    Raises ConfigError for an RSSE or DFSE parameter beyond the chain's
+    memory, and ValueError if it cannot run."""
     code, isi, M = ctx.code, ctx.isi, cfg.M
     if scheme.kind in ("md", "rsse"):
         mt = matched()
@@ -381,30 +376,27 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
         part = PartitionSpec(scheme.param)
         return (lambda obs, n0: rsse_decode(mt, part, obs).bits,
                 part.num_hyperstates)
+    vtr = code_trellis()
     if scheme.kind == "dfse_va":
         if scheme.param > isi.L:
             raise ConfigError(
                 f"config key 'schemes': DFSE kept symbols {scheme.param} "
                 f"exceed the channel memory L = {isi.L}")
-        window = build_isi_trellis(isi, M, memory=scheme.param,
-                                   state_cap=cfg.state_cap)
+        window = isi_trellis(scheme.param)
         shifts = np.arange(M.bit_length() - 2, -1, -1)
 
         def dfse_va(obs, n0):
             sym = dfse_equalize(isi, M, scheme.param, obs, window=window)
             llrs = (1.0 - 2.0 * ((sym[:, None] >> shifts) & 1)).reshape(-1)
-            return soft_viterbi_decode(code, llrs, end_state=0,
-                                       trellis=ctx.code_trellis)
+            return soft_viterbi_decode(code, llrs, end_state=0, trellis=vtr)
         return dfse_va, window.num_states + code.num_states
     mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
-    bcjr_tr = build_isi_trellis(isi, M, memory=min(mem, isi.L),
-                                state_cap=cfg.state_cap)
+    bcjr_tr = isi_trellis(min(mem, isi.L))
 
     def bcjr_va(obs, n0):
         var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
         res = bcjr_equalize(bcjr_tr, obs, var)
-        return soft_viterbi_decode(code, res.bit_llrs, end_state=0,
-                                   trellis=ctx.code_trellis)
+        return soft_viterbi_decode(code, res.bit_llrs, end_state=0, trellis=vtr)
     return bcjr_va, bcjr_tr.num_states + code.num_states
 
 
@@ -447,13 +439,18 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     scheme left, is a config error.
     """
     ctx = _resolve_chain(cfg, log)
-    # MD and every RSSE scheme share one merged trellis.
+    # MD and every RSSE scheme share one merged trellis; the serial
+    # schemes share one code trellis and one ISI trellis per window depth.
     matched = functools.cache(
         lambda: build_matched_trellis(ctx.code, ctx.isi, cfg.M))
+    code_trellis = functools.cache(lambda: build_conv_trellis(ctx.code))
+    isi_trellis = functools.cache(lambda memory: build_isi_trellis(
+        ctx.isi, cfg.M, memory=memory, state_cap=cfg.state_cap))
     decoders = []
     for scheme in cfg.schemes:
         try:
-            decoders.append((scheme, *_build_decoder(scheme, ctx, cfg, matched)))
+            decoders.append((scheme, *_build_decoder(
+                scheme, ctx, cfg, matched, code_trellis, isi_trellis)))
         except ConfigError:
             raise
         except (ValueError, MemoryError) as exc:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mdsim.channel import make_rng, normal_from_uniform
-from mdsim.conv_code import ConvCode, conv_encode
+from mdsim.conv_code import ConvCode, build_conv_trellis, conv_encode
 from mdsim.equalizers import (
     PartitionSpec,
     bcjr_equalize,
@@ -208,6 +208,18 @@ class TestDfse:
         with pytest.raises(ValueError):
             dfse_equalize(H, 4, H.L + 1, np.zeros(4))
 
+    def test_prebuilt_window(self):
+        idx, sym = self.make_symbols(200, 8)
+        obs = np.convolve(sym, H.taps)[: sym.size]
+        obs += 0.6 * normal_from_uniform(make_rng(9), obs.size)
+        window = build_isi_trellis(H, 4, memory=1)
+        np.testing.assert_array_equal(
+            dfse_equalize(H, 4, 1, obs, window=window),
+            dfse_equalize(H, 4, 1, obs))
+        for J, M in ((2, 4), (1, 2)):  # wrong window depth, wrong alphabet
+            with pytest.raises(ValueError, match="window"):
+                dfse_equalize(H, M, J, obs, window=window)
+
 
 class TestBcjr:
     def test_noiseless_llr_signs(self):
@@ -309,3 +321,12 @@ class TestSoftViterbi:
     def test_rejects_partial_llrs(self):
         with pytest.raises(ValueError):
             soft_viterbi_decode(CODE, np.zeros(5))
+
+    def test_prebuilt_trellis(self):
+        llrs = normal_from_uniform(make_rng(4), 2 * 60)
+        np.testing.assert_array_equal(
+            soft_viterbi_decode(CODE, llrs, trellis=build_conv_trellis(CODE)),
+            soft_viterbi_decode(CODE, llrs))
+        other = build_conv_trellis(ConvCode([0o133, 0o171]))
+        with pytest.raises(ValueError, match="trellis"):
+            soft_viterbi_decode(CODE, llrs, trellis=other)

@@ -254,12 +254,14 @@ class TestSweep:
             for name in calls:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
-        cfg = parse_config("taps = 1,0.5,0.25\nschemes = DFSE(1)+VA,BCJR+VA\n"
+        cfg = parse_config("taps = 1,0.5,0.25\n"
+                           "schemes = DFSE(1)+VA,DFSE(2)+VA,BCJR+VA\n"
                            "ebn0_db = 4,6\nmin_errors = 100000\n"
                            "max_bits = 1500\nblock_bits = 500\n")
         recs = run_ber_sweep(cfg)
-        assert sum(r.bits for r in recs) == 4 * 1500
-        # one code trellis per sweep, one ISI trellis per serial scheme
+        assert sum(r.bits for r in recs) == 6 * 1500
+        # one code trellis per sweep, one ISI trellis per window depth:
+        # DFSE(2) and BCJR (bcjr_memory = 2) share theirs
         assert calls == {"build_conv_trellis": 1, "build_isi_trellis": 2}
 
     def test_stop_rule_respected(self):

@@ -41,7 +41,6 @@ from .matched_encoder import (
     edge_offsets,
     gauss_mod,
     matched_encode,
-    natural_map_bipolar,
     offset_constant,
     serial_reference,
     state_counts,

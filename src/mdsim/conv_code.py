@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trellis import TrellisSpec
+from .trellis import TrellisSpec, window_next_state
 
 
 def parse_octal_generators(text: str) -> list[int]:
@@ -81,21 +81,19 @@ def conv_encode(code: ConvCode, bits) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Bitwise parity of each element of an integer array."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
 def build_conv_trellis(code: ConvCode) -> TrellisSpec:
     """Trellis with 2^nu states; branch label = the n output bits."""
-    for i, g in enumerate(code.generators):
-        if g.bit_length() > code.nu + 1:
-            raise ValueError(f"generator {g:o} (octal) longer than nu+1 bits")
     S = code.num_states
-    mask = S - 1
-    next_state = np.empty((S, 2), dtype=np.int64)
-    outputs = np.empty((S, 2, code.n), dtype=np.int64)
-    g_lsb = [code.taps_lsb_first(i) for i in range(code.n)]
-    for s in range(S):
-        for c in (0, 1):
-            window = (s << 1) | c  # bit m = c[k-m]
-            next_state[s, c] = ((s << 1) | c) & mask
-            for i in range(code.n):
-                outputs[s, c, i] = bin(window & g_lsb[i]).count("1") & 1
+    # w[s, c] = (s << 1) | c: bit m is c[k-m]
+    w = np.arange(S << 1, dtype=np.int64).reshape(S, 2, 1)
+    g_lsb = np.array([code.taps_lsb_first(i) for i in range(code.n)])
     return TrellisSpec(num_states=S, num_inputs=2,
-                       next_state=next_state, outputs=outputs)
+                       next_state=window_next_state(2, code.nu),
+                       outputs=_parity(w & g_lsb))

@@ -28,7 +28,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .conv_code import ConvCode, build_conv_trellis
-from .matched_encoder import IsiResponse, MatchedTrellis, edge_offsets
+from .matched_encoder import (
+    IsiResponse,
+    MatchedTrellis,
+    bits_per_symbol,
+    edge_offsets,
+    symbol_bits,
+    symbol_index,
+    symbol_value,
+)
 from .trellis import TrellisSpec, window_next_state
 
 
@@ -116,11 +124,6 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
                     start_state=start_state, end_state=end_state)
 
 
-def symbol_value(index, M: int):
-    """Natural bipolar value of a symbol index: 2*index - (M-1)."""
-    return 2 * np.asarray(index, dtype=np.float64) - (M - 1)
-
-
 def _past_taps(taps, M: int, windows, lags) -> np.ndarray:
     """Sum over ``lags`` (ascending) of taps[l] times the symbol sent l
     steps back, which is digit l-1 of each M-ary window (newest least
@@ -162,9 +165,7 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
     significant M-ary digit).  Serves as the equivalence baseline for the
     merged binary trellis; both describe identical branch hypotheses.
     """
-    n = M.bit_length() - 1
-    if (1 << n) != M or code.n != n:
-        raise ValueError("need n = log2(M) output bits per step")
+    bits_per_symbol(code, M)
     L = h.L
     z_enc = code.num_states
     z_cha = M**L
@@ -174,9 +175,8 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
             f"super trellis would need {S} states (cap {state_cap}); "
             "use the merged trellis instead")
     code_tr = build_conv_trellis(code)
-    weights = 1 << np.arange(n - 1, -1, -1)
     # x_sym[enc, c]: symbol index produced by the code branch
-    x_sym = (code_tr.outputs @ weights).astype(np.int64)
+    x_sym = symbol_index(code_tr.outputs, M).reshape(z_enc, 2)
 
     enc = np.repeat(np.arange(z_enc), z_cha)
     win = np.tile(np.arange(z_cha), z_enc)
@@ -297,7 +297,6 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     obs = np.asarray(obs, dtype=np.float64)
     T = obs.size
     S, M = isi_trellis.num_states, isi_trellis.num_inputs
-    n = M.bit_length() - 1
     hyp = isi_trellis.outputs
     nxt = isi_trellis.next_state
     ps, pu, valid = isi_trellis.predecessors
@@ -338,13 +337,11 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
             log_pu -= _logsumexp(log_pu, 1)[:, None]
             post[t0:t1] = np.exp(log_pu)
 
-        llrs = np.empty((T, n))
         log_post = np.log(np.maximum(post, 1e-300))
-        u = np.arange(M)
-        for i in range(n):
-            bit = (u >> (n - 1 - i)) & 1
-            llrs[:, i] = (_logsumexp(log_post[:, bit == 0], 1)
-                          - _logsumexp(log_post[:, bit == 1], 1))
+        bits = symbol_bits(np.arange(M), M).reshape(M, -1)  # [u, i]: bit i of u
+        llrs = np.stack([_logsumexp(log_post[:, bit == 0], 1)
+                         - _logsumexp(log_post[:, bit == 1], 1)
+                         for bit in bits.T], axis=1)
     return BcjrResult(symbol_posteriors=post, bit_llrs=llrs.reshape(-1))
 
 

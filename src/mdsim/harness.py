@@ -36,7 +36,13 @@ from .equalizers import (
     soft_viterbi_decode,
     viterbi_mlse,
 )
-from .matched_encoder import IsiResponse, build_matched_trellis
+from .matched_encoder import (
+    IsiResponse,
+    build_matched_trellis,
+    symbol_bits,
+    symbol_index,
+    symbol_value,
+)
 from .whitening import (
     apply_whitening,
     apply_wmf,
@@ -142,6 +148,15 @@ class SimConfig:
         if self.M != 1 << len(self.generators):
             raise ConfigError(f"config key 'M': {self.M} is not 2^n for the "
                               f"rate-1/n code, n = {len(self.generators)}")
+        for key, low in (("L_nw", 0), ("wmf_len", 1), ("bcjr_memory", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"config key {key!r}: must be at least {low}")
+        if self.chain == "cpm":
+            try:
+                self.cpm_params()
+            except ValueError as exc:
+                raise ConfigError("config key 'pulse'/'h_index'/'L_cpm'/"
+                                  f"'N_os': {exc}") from exc
 
     def cpm_params(self) -> CpmParams:
         return CpmParams(M=self.M, h_num=self.h_num, h_den=self.h_den,
@@ -318,13 +333,6 @@ def _block_words(seed: int, point_idx: int, block_idx: int) -> np.ndarray:
     return ss.generate_state(4, np.uint64)
 
 
-def _map_symbols(code: ConvCode, bits: np.ndarray, M: int) -> np.ndarray:
-    n = M.bit_length() - 1
-    coded = conv_encode(code, bits).reshape(-1, n)
-    weights = 1 << np.arange(n - 1, -1, -1)
-    return (2 * (coded @ weights) - (M - 1)).astype(np.float64)
-
-
 def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
                 point_idx: int, block_idx: int):
     """One seeded transmission: returns (info_bits, observations)."""
@@ -333,7 +341,7 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
     info = (rng.random(cfg.block_bits) < 0.5).astype(np.int64)
     flush = np.zeros(ctx.code.nu + ctx.isi.L, dtype=np.int64)
     bits = np.concatenate([info, flush])
-    symbols = _map_symbols(ctx.code, bits, cfg.M)
+    symbols = symbol_value(symbol_index(conv_encode(ctx.code, bits), cfg.M), cfg.M)
 
     if cfg.chain == "pam_isi":
         noise = NoiseModel(sigma=math.sqrt(n0 / 2.0), seed=int(w[1]))
@@ -383,11 +391,10 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
                 f"config key 'schemes': DFSE kept symbols {scheme.param} "
                 f"exceed the channel memory L = {isi.L}")
         window = isi_trellis(scheme.param)
-        shifts = np.arange(M.bit_length() - 2, -1, -1)
 
         def dfse_va(obs, n0):
             sym = dfse_equalize(isi, M, scheme.param, obs, window=window)
-            llrs = (1.0 - 2.0 * ((sym[:, None] >> shifts) & 1)).reshape(-1)
+            llrs = 1.0 - 2.0 * symbol_bits(sym, M)
             return soft_viterbi_decode(code, llrs, end_state=0, trellis=vtr)
         return dfse_va, window.num_states + code.num_states
     mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
@@ -441,8 +448,8 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     ctx = _resolve_chain(cfg, log)
     # MD and every RSSE scheme share one merged trellis; the serial
     # schemes share one code trellis and one ISI trellis per window depth.
-    matched = functools.cache(
-        lambda: build_matched_trellis(ctx.code, ctx.isi, cfg.M))
+    matched = functools.cache(lambda: build_matched_trellis(
+        ctx.code, ctx.isi, cfg.M, state_cap=cfg.state_cap))
     code_trellis = functools.cache(lambda: build_conv_trellis(ctx.code))
     isi_trellis = functools.cache(lambda memory: build_isi_trellis(
         ctx.isi, cfg.M, memory=memory, state_cap=cfg.state_cap))

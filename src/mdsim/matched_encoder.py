@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv_code import ConvCode, conv_encode
+from .conv_code import ConvCode, _parity, conv_encode
 from .trellis import TrellisSpec, window_next_state
 
 
@@ -29,18 +29,38 @@ def gauss_mod(x: int, n: int) -> int:
     return x - n * math.floor(x / n)
 
 
-def natural_map_bipolar(code_bits, M: int) -> int:
-    """Map an n-bit vector (MSB first) to {-(M-1), ..., -1, +1, ..., M-1}."""
-    if M < 2 or (M & (M - 1)) != 0:
-        raise ValueError("alphabet size M must be a power of two")
+def _msb_weights(M: int) -> np.ndarray:
+    """The natural mapper: n = log2(M) code bits, first one most significant,
+    form the symbol index x, sent as 2x - (M-1).  Bit sequences hold n bits
+    per symbol, flattened; these are the weights of the n bits in x."""
     n = M.bit_length() - 1
-    bits = np.asarray(code_bits, dtype=np.int64)
-    if bits.size != n:
-        raise ValueError(f"expected {n} bits for M={M}, got {bits.size}")
-    x = 0
-    for b in bits:
-        x = (x << 1) | int(b)
-    return 2 * x - (M - 1)
+    if n < 1 or (1 << n) != M:
+        raise ValueError(f"alphabet size M = {M} is not a power of two")
+    return 1 << np.arange(n - 1, -1, -1)
+
+
+def bits_per_symbol(code: ConvCode, M: int) -> int:
+    """n = log2(M); raises unless the code emits n bits per step."""
+    if code.n != _msb_weights(M).size:
+        raise ValueError("need n = log2(M) output bits per step")
+    return code.n
+
+
+def symbol_index(coded_bits, M: int) -> np.ndarray:
+    """Symbol indices of a bit sequence."""
+    w = _msb_weights(M)
+    return np.asarray(coded_bits, dtype=np.int64).reshape(-1, w.size) @ w
+
+
+def symbol_bits(index, M: int) -> np.ndarray:
+    """The bit sequence of symbol indices."""
+    w = _msb_weights(M)
+    return (np.asarray(index, dtype=np.int64)[..., None] // w % 2).reshape(-1)
+
+
+def symbol_value(index, M: int):
+    """Natural bipolar value of a symbol index: 2*index - (M-1)."""
+    return 2 * np.asarray(index, dtype=np.float64) - (M - 1)
 
 
 @dataclass(frozen=True)
@@ -125,24 +145,9 @@ def serial_reference(code: ConvCode, h: IsiResponse, M: int, bits) -> np.ndarray
     This is the plain serial concatenation and serves as the oracle the
     merged trellis is checked against.
     """
-    n = M.bit_length() - 1
-    if (1 << n) != M or code.n != n:
-        raise ValueError("need n = log2(M) output bits per step")
-    bits = np.asarray(bits, dtype=np.int64)
-    coded = conv_encode(code, bits).reshape(-1, n)
-    weights = 1 << np.arange(n - 1, -1, -1)
-    symbols = 2 * (coded @ weights) - (M - 1)
-    return np.convolve(symbols.astype(np.float64), h.taps)[: bits.size]
-
-
-def _parity(x: np.ndarray) -> np.ndarray:
-    """Bitwise parity of each element of an integer array."""
-    x = x.copy()
-    shift = 32
-    while shift:
-        x ^= x >> shift
-        shift >>= 1
-    return x & 1
+    bits_per_symbol(code, M)
+    symbols = symbol_value(symbol_index(conv_encode(code, bits), M), M)
+    return np.convolve(symbols, h.taps)[: len(bits)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,8 @@ class MatchedTrellis:
         return edge_offsets(self.isi.taps, self.M)
 
 
-def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int) -> MatchedTrellis:
+def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
+                          state_cap: int = 1 << 20) -> MatchedTrellis:
     """Merge code, mapper, and channel into one binary trellis.
 
     The branch hypothesis for bit window w is
@@ -175,12 +181,14 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int) -> MatchedTrel
     bipolar offset of all taps.  Every branch equals the serial chain
     output for a bit history realizing that window.
     """
-    n = M.bit_length() - 1
-    if (1 << n) != M or code.n != n:
-        raise ValueError("need n = log2(M) output bits per step")
+    n = bits_per_symbol(code, M)
     nu, L = code.nu, h.L
     mem = nu + L
     S = 1 << mem
+    if S > state_cap:
+        raise ValueError(
+            f"merged trellis would need {S} states (cap {state_cap}); "
+            "use a serial receiver or raise the cap")
     C = offset_constant(h, M)
 
     # Flat enumeration over windows w = (state << 1) | input; bit m = c[k-m].

@@ -248,13 +248,12 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
 
 def design_whitening(params: CpmParams, eb_n0_db: float, L_nw: int, *,
                      cutoff: float | None, n_symbols: int = 200_000,
-                     wmf_len: int = 20, acf_lags: int | None = None,
+                     wmf_len: int = 20,
                      seed: int = 77_001) -> tuple[WhiteningDesign, SpectralFactorization]:
     """One-stop calibration: pulse ACF, factorization, noise measurement,
     prediction filter, and the combined ISI for the equalizers."""
     fact = spectral_factorize(sampled_pulse_acf(params))
-    lags = max(L_nw, acf_lags if acf_lags is not None else L_nw)
-    phi, var = estimate_noise_acf(params, eb_n0_db, lags, n_symbols,
+    phi, var = estimate_noise_acf(params, eb_n0_db, L_nw, n_symbols,
                                   cutoff=cutoff, fact=fact, wmf_len=wmf_len,
                                   seed=seed)
     design = yule_walker(phi, L_nw)
@@ -301,9 +300,10 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
         return (np.array([float(v) for v in txt.split(",")])
                 if txt else np.zeros(0))
 
-    if "calibration_ebn0_db" not in kv:
-        raise ValueError(f"design file {path} has no calibration_ebn0_db; "
-                         "re-run `mdsim calibrate` to write it")
+    for key in ("order", "noise_variance", "calibration_ebn0_db"):
+        if key not in kv:
+            raise ValueError(f"design file {path} has no {key}; "
+                             "re-run `mdsim calibrate` to write it")
     acf = arr("acf")
     b = arr("b")
     residual = float(np.max(np.abs(np.convolve(b, b[::-1]) - acf)))
@@ -314,6 +314,6 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
         reflection=arr("reflection"), order=int(kv["order"]),
         overall=IsiResponse(overall_taps).check_minimum_phase()
         if overall_taps.size else None,
-        noise_variance=float(kv.get("noise_variance", "nan")),
+        noise_variance=float(kv["noise_variance"]),
         calibration_ebn0_db=float(kv["calibration_ebn0_db"]))
     return design, fact

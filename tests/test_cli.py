@@ -85,7 +85,8 @@ def test_sweep_code_alphabet_mismatch_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
+def _sweep_with_design_lacking(key, tmp_path):
+    """Exit code of a cpm sweep whose design file lacks ``key``."""
     from mdsim.whitening import (
         save_whitening_design,
         spectral_factorize,
@@ -94,19 +95,49 @@ def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
 
     fact = spectral_factorize([0.25, 1.0, 0.25])
     design = yule_walker([1.0, 0.3], 1).with_overall(fact.b)
-    path = tmp_path / "old_design.txt"
+    path = tmp_path / "design.txt"
     save_whitening_design(path, design, fact)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(ln for ln in lines
-                              if not ln.startswith("calibration_ebn0_db")))
+                              if not ln.startswith(key + " ")))
     cfg = tmp_path / "cpm.cfg"
     cfg.write_text(f"chain = cpm\ncutoff = 0.75\nwhitening_file = {path}\n"
                    "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
                    f"output = {tmp_path / 'out.csv'}\n")
-    assert main(["sweep", "--config", str(cfg)]) == 1
+    return main(["sweep", "--config", str(cfg)])
+
+
+def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
+    assert _sweep_with_design_lacking("calibration_ebn0_db", tmp_path) == 1
     err = capsys.readouterr().err
     assert "'whitening_file'" in err
     assert "mdsim calibrate" in err
+
+
+def test_sweep_rejects_design_file_without_order(tmp_path, capsys):
+    assert _sweep_with_design_lacking("order", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "'whitening_file'" in err
+    assert "has no order" in err
+
+
+@pytest.mark.parametrize("chain, line, key", [
+    ("cpm", "L_nw = -1", "L_nw"),
+    ("cpm", "wmf_len = 0", "wmf_len"),
+    ("pam_isi", "bcjr_memory = -1", "bcjr_memory"),
+    ("cpm", "N_os = 4", "N_os"),
+])
+def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys,
+                                                  chain, line, key):
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"chain = {chain}\n{line}\nschemes = MD,BCJR+VA\n"
+                   "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
+                   "cutoff = 0.75\ncalibration_symbols = 2000\n"
+                   f"output = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_selftest(capsys):

@@ -85,6 +85,17 @@ def test_trellis_walk_reproduces_encoder():
     assert s == 2 * bits[-2] + bits[-1]
 
 
+def test_every_branch_label_matches_encoder():
+    for code in (CODE_57, CODE_133_171, ConvCode([0o5, 0o7, 0o3])):
+        tr = build_conv_trellis(code)
+        for s in range(code.num_states):
+            for c in (0, 1):
+                # the nu bits of state s, oldest first, then the input
+                history = [(s >> j) & 1 for j in range(code.nu - 1, -1, -1)] + [c]
+                np.testing.assert_array_equal(
+                    tr.outputs[s, c], conv_encode(code, history)[-code.n:])
+
+
 def test_state_is_last_nu_bits():
     tr = build_conv_trellis(CODE_57)
 

@@ -230,6 +230,18 @@ class TestSweep:
         assert any("STD disabled" in m for m in msgs)
         assert [r.scheme for r in recs] == ["MD-RSSE(8)"]
 
+    def test_state_cap_bounds_merged_trellis(self):
+        # nu + L = 4 state bits: MD and RSSE need the 16-state merged table
+        cfg = parse_config("taps = 1,0.5,0.25\n"
+                           "schemes = MD,RSSE(2),DFSE(1)+VA\nstate_cap = 8\n"
+                           "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n")
+        msgs = []
+        recs = run_ber_sweep(cfg, log=msgs.append)
+        for label in ("MD", "MD-RSSE(4)"):
+            assert (f"scheme {label} disabled: merged trellis would need "
+                    "16 states (cap 8)") in " ".join(msgs)
+        assert [r.scheme for r in recs] == ["DFSE(1)+VA"]
+
     @pytest.mark.parametrize("schemes", ["MD,RSSE(4)", "MD,DFSE(2)+VA"])
     def test_scheme_beyond_memory_is_config_error(self, schemes):
         # nu + L = 3 state bits, L = 1 symbol of channel memory

@@ -9,13 +9,16 @@ from mdsim.channel import make_rng
 from mdsim.conv_code import ConvCode
 from mdsim.matched_encoder import (
     IsiResponse,
+    bits_per_symbol,
     build_matched_trellis,
     gauss_mod,
     matched_encode,
-    natural_map_bipolar,
     offset_constant,
     serial_reference,
     state_counts,
+    symbol_bits,
+    symbol_index,
+    symbol_value,
 )
 
 CODE_57 = ConvCode([0o5, 0o7])
@@ -38,23 +41,46 @@ class TestGaussMod:
         assert 0 <= gauss_mod(x, n) < n
 
 
+def natural_map(code_bits, M):
+    return symbol_value(symbol_index(code_bits, M), M).tolist()
+
+
 class TestNaturalMap:
     def test_examples(self):
-        assert natural_map_bipolar([1, 0], 4) == 1
-        assert natural_map_bipolar([0, 0], 4) == -3
-        assert natural_map_bipolar([1], 2) == 1
-        assert natural_map_bipolar([0], 2) == -1
+        assert natural_map([1, 0], 4) == [1]
+        assert natural_map([0, 0], 4) == [-3]
+        assert natural_map([1], 2) == [1]
+        assert natural_map([0], 2) == [-1]
 
     def test_bijection(self):
         for M in (2, 4, 8):
             n = M.bit_length() - 1
-            vals = {natural_map_bipolar([(x >> (n - 1 - i)) & 1 for i in range(n)], M)
-                    for x in range(M)}
-            assert vals == set(range(-(M - 1), M, 2))
+            vals = natural_map([(x >> (n - 1 - i)) & 1
+                                for x in range(M) for i in range(n)], M)
+            assert sorted(vals) == list(range(-(M - 1), M, 2))
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            natural_map_bipolar([1, 0], 6)
+            symbol_index([1, 0], 6)
+        with pytest.raises(ValueError):
+            symbol_bits([1], 6)
+        with pytest.raises(ValueError, match="log2"):
+            bits_per_symbol(CODE_57, 8)
+
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_round_trip(self, M):
+        n = M.bit_length() - 1
+        bits = (make_rng(M).random(30 * n) < 0.5).astype(np.int64)
+        assert np.array_equal(symbol_bits(symbol_index(bits, M), M), bits)
+        assert np.array_equal(symbol_index(symbol_bits(np.arange(M), M), M),
+                              np.arange(M))
+
+
+def test_build_matched_trellis_respects_state_cap():
+    h = IsiResponse([1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="16 states"):
+        build_matched_trellis(CODE_57, h, 4, state_cap=8)
+    assert build_matched_trellis(CODE_57, h, 4, state_cap=16).trellis.num_states == 16
 
 
 def test_offset_constant():

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +42,8 @@ from .trellis import TrellisSpec, window_next_state
 
 
 class DecodeResult(NamedTuple):
-    bits: np.ndarray
-    metric: float
+    bits: np.ndarray  # (T,), or (B, T) for a batch
+    metric: float | np.ndarray  # (B,) for a batch
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,15 @@ class PartitionSpec:
     def num_hyperstates(self) -> int:
         return 1 << self.kept_bits
 
+    @cached_property
+    def window(self) -> TrellisSpec:
+        """The hyperstate trellis: a binary window of the r newest bits.
+        Branch labels come from the survivor registers, so it has none."""
+        H = self.num_hyperstates
+        return TrellisSpec(num_states=H, num_inputs=2,
+                           next_state=window_next_state(2, self.kept_bits),
+                           outputs=np.zeros((H, 2)))
+
 
 def compensate_edges(obs, taps, M: int) -> np.ndarray:
     """Subtract the silent-prehistory offsets from the first L observations."""
@@ -69,45 +79,97 @@ def compensate_edges(obs, taps, M: int) -> np.ndarray:
     return obs
 
 
-def _viterbi(trellis: TrellisSpec, steps: int, branch_metrics, *,
-             start_state: int = 0, end_state: int | None = 0,
-             base: int = 1, memory: int = 0) -> DecodeResult:
-    """Add-compare-select over ``trellis`` for ``steps`` steps, then one
-    traceback; returns the input sequence and its metric.
+def _as_blocks(obs) -> np.ndarray:
+    """``obs`` as a float (B, T) array: a (T,) block is a batch of one."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.ndim not in (1, 2):
+        raise ValueError(f"need a (T,) block or a (B, T) batch, not shape {obs.shape}")
+    return obs.reshape(-1, obs.shape[-1])
 
-    ``branch_metrics(t, reg)`` gives the (num_states, num_inputs) metrics
-    of step t.  ``reg[s]`` is the survivor register of state s: its last
-    ``memory`` inputs as base-``base`` digits, newest in the least
-    significant digit.  Candidates are compared in predecessor-slot order
-    and argmin keeps the first minimum, so ties go to the lower
-    predecessor state, then the lower input.  With ``end_state=None``
-    traceback starts from the best final metric.
+
+def _pointer_dtype(fan_in: int):
+    """Smallest signed dtype of a traceback pointer (a predecessor slot)."""
+    return np.int8 if fan_in <= 127 else np.int32
+
+
+def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
+    """Bytes per block that :func:`_viterbi` holds over ``steps`` steps:
+    one traceback pointer per state and step, and three 8-byte values per
+    step (the block's observations, traceback indices and decisions)."""
+    fan_in = int(np.bincount(trellis.next_state.reshape(-1)).max())
+    pointer = np.dtype(_pointer_dtype(fan_in)).itemsize
+    return steps * (trellis.num_states * pointer + 24)
+
+
+def _copies(index: np.ndarray, size: int, blocks: int) -> np.ndarray:
+    """``index`` into a table of ``size`` entries, for each of ``blocks``
+    copies of the table laid end to end: a (blocks, *index.shape) array."""
+    return index + size * np.arange(blocks).reshape(-1, *[1] * index.ndim)
+
+
+def _viterbi(trellis: TrellisSpec, blocks: int, steps: int, branch_metrics,
+             *, start_state: int = 0, end_state: int | None = 0,
+             base: int = 1, memory: int = 0) -> DecodeResult:
+    """Add-compare-select over ``trellis`` for ``steps`` steps on
+    ``blocks`` independent blocks, then one traceback; returns the (B, T)
+    input sequences and their (B,) metrics.
+
+    The B blocks run as one block-diagonal trellis of B*S states: block
+    b's copy of state s is row b*S + s, and its predecessors are offset by
+    b*S, so each numpy call of a step serves every block.
+    ``branch_metrics(t, prev)`` gives the (B, S, P) metrics of step t on
+    the branches into each state, in the predecessor-slot order of
+    ``trellis.predecessors``.  ``prev`` holds, in the same shape, the
+    survivor register of each branch's predecessor: its last ``memory``
+    inputs as base-``base`` digits, newest in the least significant digit
+    (None without registers).  Candidates are compared in slot order and
+    argmin keeps the first minimum, so ties go to the lower predecessor
+    state, then the lower input.  With ``end_state=None`` each block's
+    traceback starts from its best final metric.
     """
     ps, pu, valid = trellis.predecessors
-    pad = np.where(valid, 0.0, np.inf)
-    S = trellis.num_states
-    pm = np.full(S, np.inf)
-    pm[start_state] = 0.0
-    reg = np.zeros(S, dtype=np.int64)
+    S, P = ps.shape
+    rows = blocks * S
+    by_block = _copies(ps, S, blocks)  # (B, S, P)
+    ps = by_block.reshape(rows, P)
+    pad = np.tile(np.where(valid, 0.0, np.inf), (blocks, 1))
+    ps_flat, pu_flat = ps.reshape(-1), np.tile(pu.reshape(-1), blocks)
+    slot0 = np.arange(rows) * P  # flat index of each row's first slot
+    pm = np.full(rows, np.inf)
+    pm[start_state::S] = 0.0
+    reg = np.zeros(rows, dtype=np.int64)
     modulus = base**memory
-    back = np.empty((steps, S), dtype=np.int16)
-    rows = np.arange(S)
+    back = np.empty((steps, rows), dtype=_pointer_dtype(P))
     for t in range(steps):
-        cand = pm[ps] + branch_metrics(t, reg)[ps, pu] + pad
-        j = np.argmin(cand, axis=1)
-        pm = cand[rows, j]
+        prev = reg.take(by_block) if memory else None
+        cand = pm.take(ps)
+        cand += branch_metrics(t, prev).reshape(rows, P)
+        cand += pad
+        j = cand.argmin(1)
         back[t] = j
+        k = slot0 + j
+        pm = cand.take(k)
         if memory:
-            reg = (reg[ps[rows, j]] * base + pu[rows, j]) % modulus
+            reg = (prev.take(k) * base + pu_flat.take(k)) % modulus
 
-    s = int(np.argmin(pm)) if end_state is None else int(end_state)
-    metric = float(pm[s])
-    bits = np.empty(steps, dtype=np.int64)
+    pm = pm.reshape(blocks, S)
+    s = (np.argmin(pm, axis=1) if end_state is None
+         else np.full(blocks, end_state, dtype=np.int64))
+    metric = pm[np.arange(blocks), s]
+    s = s + S * np.arange(blocks)
+    picked = np.empty((steps, blocks), dtype=np.int64)
     for t in range(steps - 1, -1, -1):
-        j = back[t, s]
-        bits[t] = pu[s, j]
-        s = int(ps[s, j])
-    return DecodeResult(bits=bits, metric=metric)
+        k = s * P + back[t].take(s)
+        picked[t] = k
+        s = ps_flat.take(k)
+    return DecodeResult(bits=pu_flat.take(picked.T), metric=metric)
+
+
+def _one_or_batch(obs, res: DecodeResult) -> DecodeResult:
+    """A batch result, or block 0 of it (metric a float) for a (T,) block."""
+    if np.ndim(obs) == 2:
+        return res
+    return DecodeResult(bits=res.bits[0], metric=float(res.metric[0]))
 
 
 def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
@@ -117,20 +179,26 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     Block decoding: known start state, full traceback at the end.  With
     ``end_state=None`` traceback starts from the best final metric.  Ties
     in add-compare-select go to the lower predecessor state index.
+    ``obs`` is one (T,) block, or a (B, T) batch decoded at once; a batch
+    gives (B, T) bits and (B,) metrics.
     """
-    obs = np.asarray(obs, dtype=np.float64)
-    hyp = trellis.outputs
-    return _viterbi(trellis, obs.size, lambda t, reg: (obs[t] - hyp) ** 2,
-                    start_state=start_state, end_state=end_state)
+    blocks = _as_blocks(obs)
+    cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
+    ps, pu, _ = trellis.predecessors
+    hyp = trellis.outputs[ps, pu]  # (S, P) candidate hypotheses
+    res = _viterbi(trellis, *blocks.shape, lambda t, reg: (cols[t] - hyp) ** 2,
+                   start_state=start_state, end_state=end_state)
+    return _one_or_batch(obs, res)
 
 
 def _past_taps(taps, M: int, windows, lags) -> np.ndarray:
     """Sum over ``lags`` (ascending) of taps[l] times the symbol sent l
     steps back, which is digit l-1 of each M-ary window (newest least
     significant)."""
+    levels = symbol_value(np.arange(M), M)
     acc = np.zeros(np.shape(windows))
     for l in lags:
-        acc += taps[l] * symbol_value(windows // M ** (l - 1) % M, M)
+        acc += taps[l] * levels[windows // M ** (l - 1) % M]
     return acc
 
 
@@ -199,7 +267,7 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
     Hyperstates keep the r newest state bits; the older nu+L-r bits of each
     branch hypothesis come from the hyperstate's own survivor register.
     r = nu+L reproduces full MLSE, r = 0 is a pure decision-feedback
-    detector.
+    detector.  ``obs`` is one (T,) block or a (B, T) batch.
     """
     mem = mt.nu + mt.L
     r = part.kept_bits
@@ -209,58 +277,82 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
         warnings.warn("ISI response not verified minimum phase; "
                       "state truncation loses its distance rationale",
                       stacklevel=2)
-    obs = np.asarray(obs, dtype=np.float64)
-    H = part.num_hyperstates
-    # Branch labels come from the registers, so the window trellis has none.
-    window = TrellisSpec(num_states=H, num_inputs=2,
-                         next_state=window_next_state(2, r),
-                         outputs=np.zeros((H, 2)))
+    blocks = _as_blocks(obs)
+    pu = part.window.predecessors[1]
+    cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
     flat = mt.trellis.outputs.reshape(-1)
-    inputs = np.arange(2)
 
-    def metrics(t, reg):
-        d = obs[t] - flat[(reg[:, None] << 1) | inputs]
+    def metrics(t, prev):
+        d = cols[t] - flat.take((prev << 1) | pu)
         return d * d
 
     # Flushed blocks terminate in hyperstate 0.
-    return _viterbi(window, obs.size, metrics, base=2, memory=mem)
+    return _one_or_batch(obs, _viterbi(part.window, *blocks.shape, metrics,
+                                       base=2, memory=mem))
+
+
+def build_dfse_feedback(h: IsiResponse, M: int, kept_symbols: int,
+                        state_cap: int = 1 << 20) -> np.ndarray:
+    """Feedback of the taps beyond a DFSE window of ``kept_symbols``: entry
+    i is the sum over lags J+1..L of taps[l] times the symbol sent l steps
+    back, for the older register digits ``reg // M**J == i``.  It has
+    M^(L-J) entries, bounded by ``state_cap`` as the trellises are."""
+    L, J = h.L, kept_symbols
+    if J < 0 or J > L:
+        raise ValueError(f"kept_symbols must be in [0, {L}]")
+    n = M ** (L - J)
+    if n > state_cap:
+        raise ValueError(
+            f"DFSE feedback table would need {n} entries (cap {state_cap}); "
+            "keep more symbols or raise the cap")
+    return _past_taps(h.taps, M, np.arange(n) * M**J, range(J + 1, L + 1))
 
 
 def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
                   *, end_state: int | None = None,
-                  window: TrellisSpec | None = None) -> np.ndarray:
+                  window: TrellisSpec | None = None,
+                  feedback: np.ndarray | None = None) -> np.ndarray:
     """Reduced-state symbol equalizer: M^J trellis states, survivor feedback
     for the channel taps beyond the kept window.  Returns hard symbol
-    indices (natural map order).
+    indices (natural map order), (T,) for one block or (B, T) for a batch.
 
-    ``window`` is ``build_isi_trellis(h, M, memory=kept_symbols)``, for
-    callers that decode many blocks; it is built here when omitted.
+    ``window`` is ``build_isi_trellis(h, M, memory=kept_symbols)`` and
+    ``feedback`` is ``build_dfse_feedback(h, M, kept_symbols)``, for
+    callers that decode many blocks; each is built here when omitted.
     """
     L = h.L
     J = kept_symbols
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
-    obs = np.asarray(obs, dtype=np.float64)
+    blocks = _as_blocks(obs)
     if window is None:
         window = build_isi_trellis(h, M, memory=J)
     elif window.num_inputs != M or window.num_states != M**J:
         raise ValueError(f"window trellis has {window.num_states} states and "
                          f"{window.num_inputs} inputs, not M^J = {M**J} and "
                          f"M = {M}")
-    hyp = window.outputs  # (M^J, M) from the first J+1 taps
+    if feedback is None:
+        feedback = build_dfse_feedback(h, M, J)
+    elif np.shape(feedback) != (M ** (L - J),):
+        raise ValueError(f"feedback table has shape {np.shape(feedback)}, "
+                         f"not (M^(L-J),) = ({M ** (L - J)},)")
+    ps, pu, _ = window.predecessors
+    hyp = window.outputs[ps, pu]  # (M^J, P) from the first J+1 taps
+    cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
+    older = M**J
 
-    def metrics(t, reg):
-        fb = _past_taps(h.taps, M, reg, range(J + 1, L + 1))
-        return (obs[t] - (hyp + fb[:, None])) ** 2
+    def metrics(t, prev):
+        return (cols[t] - (hyp + feedback.take(prev // older))) ** 2
 
-    return _viterbi(window, obs.size, metrics, end_state=end_state,
-                    base=M, memory=L).bits
+    res = _viterbi(window, *blocks.shape, metrics, end_state=end_state,
+                   base=M, memory=L)
+    return res.bits if np.ndim(obs) == 2 else res.bits[0]
 
 
 @dataclass(frozen=True)
 class BcjrResult:
-    symbol_posteriors: np.ndarray  # (T, M) probabilities
-    bit_llrs: np.ndarray           # (T * n,) log P(bit=0) - log P(bit=1)
+    symbol_posteriors: np.ndarray  # (T, M) probabilities; (B, T, M) batched
+    bit_llrs: np.ndarray           # (T * n,) log P(bit=0) - log P(bit=1); (B, T * n)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -284,18 +376,26 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def bcjr_bytes(isi_trellis: TrellisSpec, steps: int) -> int:
+    """Bytes per block of the largest arrays :func:`bcjr_equalize` holds:
+    the (T, S, M) branch metrics and the forward and backward metrics."""
+    S, M = isi_trellis.num_states, isi_trellis.num_inputs
+    return 8 * (steps * S * M + 2 * (steps + 1) * S)
+
+
 def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
                   *, start_state: int = 0,
                   end_state: int | None = None) -> BcjrResult:
     """Symbol-by-symbol MAP over an ISI trellis, log domain, exact log-sum-exp.
 
     The forward and backward recursions are independent, so one time loop
-    runs both on a stacked (2, S, M) array; this needs M predecessors per
-    state, as in every window trellis.  Symbol posteriors are marginalized
-    to bit LLRs through the natural map (MSB first), one LLR per coded bit.
+    runs both, for every block of a (B, T) batch, on a stacked (2, B, S, M)
+    array; this needs M predecessors per state, as in every window trellis.
+    Symbol posteriors are marginalized to bit LLRs through the natural map
+    (MSB first), one LLR per coded bit.
     """
-    obs = np.asarray(obs, dtype=np.float64)
-    T = obs.size
+    blocks = _as_blocks(obs)
+    B, T = blocks.shape
     S, M = isi_trellis.num_states, isi_trellis.num_inputs
     hyp = isi_trellis.outputs
     nxt = isi_trellis.next_state
@@ -305,44 +405,53 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     into = ps * M + pu  # flat (state, input) index of each incoming branch
     inv2v = -0.5 / float(noise_variance)
 
-    gammas = inv2v * (obs[:, None, None] - hyp[None, :, :]) ** 2  # (T, S, M)
-    flat = gammas.reshape(T, S * M)
+    # (T, B, S, M), C-ordered and built in place
+    gammas = np.ascontiguousarray(blocks.T)[:, :, None, None] - hyp
+    gammas **= 2
+    gammas *= inv2v
+    flat = gammas.reshape(T, B * S * M)
+    # The tables for the B copies of the trellis in a flat (B, S) row.
+    ps, nxt, into = _copies(ps, S, B), _copies(nxt, S, B), _copies(into, S * M, B)
 
-    alpha = np.full((T + 1, S), -np.inf)
-    alpha[0, start_state] = 0.0
-    beta = np.full((T + 1, S), -np.inf)
+    alpha = np.full((T + 1, B, S), -np.inf)
+    alpha[0, :, start_state] = 0.0
+    beta = np.full((T + 1, B, S), -np.inf)
     if end_state is None:
         beta[T] = 0.0
     else:
-        beta[T, end_state] = 0.0
-    step = np.empty((2, S, M))
+        beta[T, :, end_state] = 0.0
+    step = np.empty((2, B, S, M))
     # The posteriors go through T in chunks of about 4096 branches, so that
-    # gammas stays the only full (T, S, M) array.
-    chunk = max(1, 4096 // (S * M))
+    # gammas stays the only full (T, B, S, M) array.
+    chunk = max(1, 4096 // (B * S * M))
     with np.errstate(invalid="ignore"):
         for t in range(T):
             b = T - 1 - t
-            np.add(alpha[t][ps], flat[t][into], out=step[0])
-            np.add(gammas[b], beta[b + 1][nxt], out=step[1])
-            both = _logsumexp(step, 2)
-            both -= both.max(1)[:, None]
+            np.add(alpha[t].take(ps), flat[t].take(into), out=step[0])
+            np.add(gammas[b], beta[b + 1].take(nxt), out=step[1])
+            both = _logsumexp(step, 3)
+            both -= both.max(2)[..., None]
             alpha[t + 1], beta[b] = both
 
-        post = np.empty((T, M))
+        post = np.empty((T, B, M))
         for t0 in range(0, T, chunk):
             t1 = min(t0 + chunk, T)
-            joint = alpha[t0:t1, :, None] + gammas[t0:t1]
-            joint += beta[t0 + 1:t1 + 1][:, nxt]
-            log_pu = _logsumexp(joint, 1)
-            log_pu -= _logsumexp(log_pu, 1)[:, None]
+            joint = alpha[t0:t1, :, :, None] + gammas[t0:t1]
+            joint += beta[t0 + 1:t1 + 1].reshape(t1 - t0, -1)[:, nxt]
+            log_pu = _logsumexp(joint, 2)
+            log_pu -= _logsumexp(log_pu, 2)[..., None]
             post[t0:t1] = np.exp(log_pu)
 
         log_post = np.log(np.maximum(post, 1e-300))
         bits = symbol_bits(np.arange(M), M).reshape(M, -1)  # [u, i]: bit i of u
-        llrs = np.stack([_logsumexp(log_post[:, bit == 0], 1)
-                         - _logsumexp(log_post[:, bit == 1], 1)
-                         for bit in bits.T], axis=1)
-    return BcjrResult(symbol_posteriors=post, bit_llrs=llrs.reshape(-1))
+        llrs = np.stack([_logsumexp(log_post[..., bit == 0], 2)
+                         - _logsumexp(log_post[..., bit == 1], 2)
+                         for bit in bits.T], axis=2)  # (T, B, n)
+    post = post.transpose(1, 0, 2)
+    llrs = llrs.transpose(1, 0, 2).reshape(B, -1)
+    if np.ndim(obs) == 1:
+        post, llrs = post[0], llrs[0]
+    return BcjrResult(symbol_posteriors=post, bit_llrs=llrs)
 
 
 def soft_viterbi_decode(code: ConvCode, llrs, *,
@@ -351,17 +460,27 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     """Max-correlation Viterbi over the code trellis from per-bit LLRs.
 
     LLR convention: positive favors bit 0.  One LLR per coded bit,
-    n per trellis step.  ``trellis`` is ``build_conv_trellis(code)``, for
-    callers that decode many blocks; it is built here when omitted.
+    n per trellis step, in a (T * n,) block or a (B, T * n) batch.
+    ``trellis`` is ``build_conv_trellis(code)``, for callers that decode
+    many blocks; it is built here when omitted.
     """
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.size % code.n:
+    blocks = _as_blocks(llrs)
+    B, n = blocks.shape[0], code.n
+    if blocks.shape[1] % n:
         raise ValueError("need one LLR per coded bit")
-    llrs = llrs.reshape(-1, code.n)
     tr = build_conv_trellis(code) if trellis is None else trellis
-    if tr.outputs.shape != (code.num_states, 2, code.n):
+    if tr.outputs.shape != (code.num_states, 2, n):
         raise ValueError(f"trellis outputs {tr.outputs.shape} do not fit a "
-                         f"{code.num_states}-state rate-1/{code.n} code")
-    signs = 2.0 * tr.outputs - 1.0  # (S, 2, n); minimize sum((2v-1)*llr)
-    return _viterbi(tr, llrs.shape[0], lambda t, reg: signs @ llrs[t],
-                    end_state=end_state).bits
+                         f"{code.num_states}-state rate-1/{n} code")
+    ps, pu, _ = tr.predecessors
+    # (n, S*P) candidate signs; minimize sum((2v-1)*llr).  The products
+    # are exact, so for n = 2 any summation order gives the same metric.
+    signs = (2.0 * tr.outputs[ps, pu] - 1.0).reshape(-1, n).T
+    steps = blocks.shape[1] // n
+    cols = np.ascontiguousarray(blocks.reshape(B, steps, n).transpose(1, 0, 2))
+
+    def metrics(t, reg):
+        return cols[t] @ signs
+
+    bits = _viterbi(tr, B, steps, metrics, end_state=end_state).bits
+    return bits if np.ndim(llrs) == 2 else bits[0]

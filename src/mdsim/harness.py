@@ -27,13 +27,16 @@ from .conv_code import (
 from .cpm import CpmParams, b999_bandwidth, transmit_receive
 from .equalizers import (
     PartitionSpec,
+    bcjr_bytes,
     bcjr_equalize,
+    build_dfse_feedback,
     build_isi_trellis,
     build_std_trellis,
     compensate_edges,
     dfse_equalize,
     rsse_decode,
     soft_viterbi_decode,
+    viterbi_bytes,
     viterbi_mlse,
 )
 from .matched_encoder import (
@@ -360,22 +363,24 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
 def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
                    matched, code_trellis, isi_trellis):
     """One scheme's receiver, built once per sweep: a function
-    ``(obs, n0) -> decoded bits`` and the states of the trellises it
-    searches, summed over the stages of a serial receiver.  ``matched()``,
-    ``code_trellis()`` and ``isi_trellis(memory)`` return the merged,
-    code and ISI window trellises, shared by every scheme of the sweep.
-    Raises ConfigError for an RSSE or DFSE parameter beyond the chain's
-    memory, and ValueError if it cannot run."""
+    ``(obs, n0) -> decoded bits`` of a (B, T) batch of blocks, the states
+    of the trellises it searches, summed over the stages of a serial
+    receiver, and the bytes it holds per block of the batch.
+    ``matched()``, ``code_trellis()`` and ``isi_trellis(memory)`` return
+    the merged, code and ISI window trellises, shared by every scheme of
+    the sweep.  Raises ConfigError for an RSSE or DFSE parameter beyond
+    the chain's memory, and ValueError if it cannot run."""
     code, isi, M = ctx.code, ctx.isi, cfg.M
+    steps = cfg.block_bits + code.nu + isi.L
     if scheme.kind in ("md", "rsse"):
         mt = matched()
     if scheme.kind == "md":
         return (lambda obs, n0: viterbi_mlse(mt.trellis, obs, end_state=0).bits,
-                mt.trellis.num_states)
+                mt.trellis.num_states, viterbi_bytes(mt.trellis, steps))
     if scheme.kind == "std":
         std = build_std_trellis(code, isi, M, state_cap=cfg.state_cap)
         return (lambda obs, n0: viterbi_mlse(std, obs, end_state=0).bits,
-                std.num_states)
+                std.num_states, viterbi_bytes(std, steps))
     if scheme.kind == "rsse":
         if scheme.param > code.nu + isi.L:
             raise ConfigError(
@@ -383,7 +388,7 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
                 f"the merged-trellis memory nu+L = {code.nu + isi.L}")
         part = PartitionSpec(scheme.param)
         return (lambda obs, n0: rsse_decode(mt, part, obs).bits,
-                part.num_hyperstates)
+                part.num_hyperstates, viterbi_bytes(part.window, steps))
     vtr = code_trellis()
     if scheme.kind == "dfse_va":
         if scheme.param > isi.L:
@@ -391,12 +396,16 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
                 f"config key 'schemes': DFSE kept symbols {scheme.param} "
                 f"exceed the channel memory L = {isi.L}")
         window = isi_trellis(scheme.param)
+        feedback = build_dfse_feedback(isi, M, scheme.param,
+                                       state_cap=cfg.state_cap)
 
         def dfse_va(obs, n0):
-            sym = dfse_equalize(isi, M, scheme.param, obs, window=window)
-            llrs = 1.0 - 2.0 * symbol_bits(sym, M)
+            sym = dfse_equalize(isi, M, scheme.param, obs, window=window,
+                                feedback=feedback)
+            llrs = 1.0 - 2.0 * symbol_bits(sym, M).reshape(sym.shape[0], -1)
             return soft_viterbi_decode(code, llrs, end_state=0, trellis=vtr)
-        return dfse_va, window.num_states + code.num_states
+        return (dfse_va, window.num_states + code.num_states,
+                viterbi_bytes(window, steps) + viterbi_bytes(vtr, steps))
     mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
     bcjr_tr = isi_trellis(min(mem, isi.L))
 
@@ -404,7 +413,16 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
         var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
         res = bcjr_equalize(bcjr_tr, obs, var)
         return soft_viterbi_decode(code, res.bit_llrs, end_state=0, trellis=vtr)
-    return bcjr_va, bcjr_tr.num_states + code.num_states
+    return (bcjr_va, bcjr_tr.num_states + code.num_states,
+            bcjr_bytes(bcjr_tr, steps) + viterbi_bytes(vtr, steps))
+
+
+# Bytes a scheme may hold per batch of blocks, by the estimate of its
+# decoder build.  This is about what one block of the 1024-state STD
+# receiver of examples_cfg/pam.cfg held before blocks were batched (2 MB
+# of int16 traceback pointers), so batching leaves the peak memory of a
+# sweep where it was; that receiver itself decodes one block per call.
+BATCH_BYTES = 1 << 21
 
 
 @dataclass
@@ -414,6 +432,7 @@ class _Tally:
     scheme: SchemeSpec
     decoder: Callable[[np.ndarray, float], np.ndarray]
     states: int
+    batch: int  # blocks per decoder call
     errors: int = 0
     bits: int = 0
     seconds: float = 0.0
@@ -421,11 +440,21 @@ class _Tally:
     def done(self, cfg: SimConfig) -> bool:
         return self.errors >= cfg.min_errors or self.bits >= cfg.max_bits
 
-    def decode(self, info: np.ndarray, obs: np.ndarray, n0: float) -> None:
+    def decode(self, cfg: SimConfig, info: np.ndarray, obs: np.ndarray,
+               n0: float) -> None:
+        """Decode a round of blocks, ``batch`` at a time, and count them in
+        order until the stop rule holds.  Blocks decoded past that one are
+        discarded; ``seconds`` includes them."""
         t0 = time.perf_counter()
-        decoded = self.decoder(obs, n0)
-        self.errors += int(np.count_nonzero(decoded[:info.size] != info))
-        self.bits += info.size
+        for i in range(0, len(info), self.batch):
+            if self.done(cfg):
+                break
+            decoded = self.decoder(obs[i:i + self.batch], n0)
+            for row, sent in zip(decoded, info[i:i + self.batch]):
+                if self.done(cfg):
+                    break
+                self.errors += int(np.count_nonzero(row[:sent.size] != sent))
+                self.bits += sent.size
         self.seconds += time.perf_counter() - t0
 
     def record(self, cfg: SimConfig, ebn0_db: float) -> BerRecord:
@@ -435,6 +464,22 @@ class _Tally:
                          ebn0_db=ebn0_db, bits=self.bits, errors=self.errors,
                          ber=ber, ci_lo=lo, ci_hi=hi, seed=cfg.seed,
                          seconds=self.seconds)
+
+
+def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
+                last: int) -> int:
+    """Blocks of the round that starts at block ``first``: twice the
+    ``last`` round (one block first), at most the largest batch of the
+    ``live`` tallies and the blocks left before ``max_bits``.  Once a tally
+    has seen errors, also at most the blocks it needs at its error rate so
+    far to reach ``min_errors``, so that points stopping on errors waste
+    little."""
+    size = min(2 * last, max(t.batch for t in live),
+               -(-cfg.max_bits // cfg.block_bits) - first)
+    for t in live:
+        if t.errors:  # ceil((min_errors - errors) / (errors / first))
+            size = min(size, -(-(cfg.min_errors - t.errors) * first // t.errors))
+    return max(size, 1)
 
 
 def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
@@ -456,8 +501,10 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     decoders = []
     for scheme in cfg.schemes:
         try:
-            decoders.append((scheme, *_build_decoder(
-                scheme, ctx, cfg, matched, code_trellis, isi_trellis)))
+            decoder, states, block_bytes = _build_decoder(
+                scheme, ctx, cfg, matched, code_trellis, isi_trellis)
+            decoders.append((scheme, decoder, states,
+                             max(1, BATCH_BYTES // block_bytes)))
         except ConfigError:
             raise
         except (ValueError, MemoryError) as exc:
@@ -470,13 +517,17 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
         n0 = ctx.eb * 10.0 ** (-ebn0 / 10.0)
         tallies = [_Tally(*d) for d in decoders]
-        block_idx = 0
-        while any(not t.done(cfg) for t in tallies):
-            info, obs = _make_block(ctx, cfg, n0, point_idx, block_idx)
-            for t in tallies:
-                if not t.done(cfg):
-                    t.decode(info, obs, n0)
-            block_idx += 1
+        # Blocks go out in rounds; every tally not yet done decodes all of
+        # a round, so each round starts at the same block for all of them.
+        block_idx, size = 0, 0
+        while live := [t for t in tallies if not t.done(cfg)]:
+            size = _round_size(cfg, live, block_idx, size)
+            info, obs = zip(*(_make_block(ctx, cfg, n0, point_idx, i)
+                              for i in range(block_idx, block_idx + size)))
+            info, obs = np.stack(info), np.stack(obs)
+            for t in live:
+                t.decode(cfg, info, obs, n0)
+            block_idx += size
         records += [t.record(cfg, ebn0) for t in tallies]
         log(f"Eb/N0 = {ebn0:g} dB: " + ", ".join(
             f"{t.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"

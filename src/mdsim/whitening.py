@@ -296,11 +296,14 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
             kv[key.strip()] = val.strip()
 
     def arr(key):
-        txt = kv.get(key, "")
+        txt = kv[key]
         return (np.array([float(v) for v in txt.split(",")])
                 if txt else np.zeros(0))
 
-    for key in ("order", "noise_variance", "calibration_ebn0_db"):
+    # An array line may be empty (no overall ISI, a zero-order predictor),
+    # but every line must be there.
+    for key in ("order", "noise_variance", "calibration_ebn0_db", "acf", "b",
+                "noise_acf", "p", "f", "reflection", "overall"):
         if key not in kv:
             raise ValueError(f"design file {path} has no {key}; "
                              "re-run `mdsim calibrate` to write it")

@@ -121,6 +121,15 @@ def test_sweep_rejects_design_file_without_order(tmp_path, capsys):
     assert "has no order" in err
 
 
+@pytest.mark.parametrize("key", ["f", "p", "noise_acf", "reflection", "acf",
+                                 "b", "overall"])
+def test_sweep_rejects_design_file_without_array(tmp_path, capsys, key):
+    assert _sweep_with_design_lacking(key, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "'whitening_file'" in err
+    assert f"has no {key};" in err
+
+
 @pytest.mark.parametrize("chain, line, key", [
     ("cpm", "L_nw = -1", "L_nw"),
     ("cpm", "wmf_len = 0", "wmf_len"),

@@ -12,6 +12,7 @@ from mdsim.conv_code import ConvCode, build_conv_trellis, conv_encode
 from mdsim.equalizers import (
     PartitionSpec,
     bcjr_equalize,
+    build_dfse_feedback,
     build_isi_trellis,
     build_std_trellis,
     compensate_edges,
@@ -220,6 +221,22 @@ class TestDfse:
             with pytest.raises(ValueError, match="window"):
                 dfse_equalize(H, M, J, obs, window=window)
 
+    def test_feedback_table(self):
+        # entry i is the feedback of the older digits reg // M^J = i
+        h = IsiResponse([1.0, 0.5, 0.25, 0.125])
+        table = build_dfse_feedback(h, 4, 1)
+        assert table.shape == (16,)
+        reg = np.arange(4**3)
+        want = sum(h.taps[l] * (2.0 * (reg // 4 ** (l - 1) % 4) - 3)
+                   for l in (2, 3))
+        np.testing.assert_array_equal(table[reg // 4], want)
+        np.testing.assert_array_equal(build_dfse_feedback(h, 4, 3), [0.0])
+        with pytest.raises(ValueError, match="cap 8"):
+            build_dfse_feedback(h, 4, 1, state_cap=8)
+        obs = np.zeros(10)
+        with pytest.raises(ValueError, match="feedback"):
+            dfse_equalize(h, 4, 1, obs, feedback=table[:4])
+
 
 class TestBcjr:
     def test_noiseless_llr_signs(self):
@@ -330,3 +347,96 @@ class TestSoftViterbi:
         other = build_conv_trellis(ConvCode([0o133, 0o171]))
         with pytest.raises(ValueError, match="trellis"):
             soft_viterbi_decode(CODE, llrs, trellis=other)
+
+
+class TestBatchedEqualsPerBlock:
+    """A (B, T) batch decodes each block exactly as a (T,) call does: bits,
+    metrics, posteriors and LLRs bit for bit.  The blocks are integer-
+    rounded observations over dyadic taps, as in the decoder golden, so
+    many candidates tie exactly; the batch sizes do not divide the block
+    count."""
+
+    H3 = IsiResponse([1.0, 0.5, 0.25, 0.25]).check_minimum_phase()
+    MT3 = build_matched_trellis(CODE, H3, 4)
+    BLOCKS = 7
+
+    @classmethod
+    def obs(cls):
+        rows = []
+        for b in range(cls.BLOCKS):
+            bits = (make_rng(40 + b).random(60) < 0.5).astype(np.int64)
+            tx = tx_block(bits, h=cls.H3)
+            rows.append(np.round(noisy_obs(tx, 1.2, 50 + b, h=cls.H3)))
+        return np.stack(rows)
+
+    @classmethod
+    def llrs(cls):
+        rows = []
+        for b in range(cls.BLOCKS):
+            bits = (make_rng(60 + b).random(60) < 0.5).astype(np.int64)
+            coded = conv_encode(CODE, tx_block(bits, h=IsiResponse([1.0])))
+            rows.append(np.round(2.0 * (1 - 2 * coded) + 1.5
+                                 * normal_from_uniform(make_rng(70 + b),
+                                                       coded.size)))
+        return np.stack(rows)
+
+    def check(self, decode, batch, inputs):
+        """``decode`` on chunks of ``batch`` blocks against block by block."""
+        single = [decode(row) for row in inputs]
+        for i in range(0, len(inputs), batch):
+            got = decode(inputs[i:i + batch])
+            for k, want in enumerate(single[i:i + batch]):
+                for g, w in zip(got, want):
+                    g, w = np.asarray(g)[k], np.asarray(w)
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
+
+    def test_ties_are_present(self):
+        obs = self.obs()
+        assert np.array_equal(obs, np.round(obs))
+        assert len(np.unique(obs)) < obs.size // 20
+
+    @pytest.mark.parametrize("batch", [2, 3, 4])
+    @pytest.mark.parametrize("end", [0, None])
+    def test_viterbi_mlse(self, batch, end):
+        std = build_std_trellis(CODE, self.H3, 4)
+        for tr in (self.MT3.trellis, std):
+            self.check(lambda x: viterbi_mlse(tr, x, end_state=end),
+                       batch, self.obs())
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_rsse(self, batch):
+        for r in range(CODE.nu + self.H3.L + 1):
+            self.check(lambda x: rsse_decode(self.MT3, PartitionSpec(r), x),
+                       batch, self.obs())
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    @pytest.mark.parametrize("end", [0, None])
+    def test_dfse(self, batch, end):
+        for J in range(self.H3.L + 1):
+            self.check(lambda x: (dfse_equalize(self.H3, 4, J, x,
+                                                end_state=end),),
+                       batch, self.obs())
+
+    @pytest.mark.parametrize("batch", [2, 3, 4])
+    @pytest.mark.parametrize("end", [0, None])
+    def test_soft_viterbi(self, batch, end):
+        self.check(lambda x: (soft_viterbi_decode(CODE, x, end_state=end),),
+                   batch, self.llrs())
+
+    @pytest.mark.parametrize("batch", [2, 3, 4])
+    @pytest.mark.parametrize("end", [0, None])
+    def test_bcjr(self, batch, end):
+        tr = build_isi_trellis(self.H3, 4, memory=2)
+        for var in (0.5, 2.0):
+            self.check(lambda x: (lambda r: (r.symbol_posteriors, r.bit_llrs))(
+                bcjr_equalize(tr, x, var, end_state=end)), batch, self.obs())
+
+    def test_one_block_shapes(self):
+        obs = self.obs()
+        res = viterbi_mlse(self.MT3.trellis, obs[0])
+        assert res.bits.shape == obs[0].shape and isinstance(res.metric, float)
+        res = viterbi_mlse(self.MT3.trellis, obs[:3])
+        assert res.bits.shape == obs[:3].shape and res.metric.shape == (3,)
+        with pytest.raises(ValueError, match="batch"):
+            viterbi_mlse(self.MT3.trellis, obs[None])

@@ -276,6 +276,42 @@ class TestSweep:
         # DFSE(2) and BCJR (bcjr_memory = 2) share theirs
         assert calls == {"build_conv_trellis": 1, "build_isi_trellis": 2}
 
+    def test_rounds_match_block_by_block(self, monkeypatch, tmp_path):
+        """Batched rounds give the CSV of one block per decoder call, also
+        where a point stops on min_errors in the middle of a round."""
+        import mdsim.harness as harness
+
+        cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2),"
+                           "DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
+                           "min_errors = 60\nmax_bits = 20000\n"
+                           "block_bits = 200\nseed = 4\n")
+        calls = []
+        build = harness._build_decoder
+
+        def counted_build(*args):
+            decoder, states, block_bytes = build(*args)
+
+            def counted(obs, n0):
+                calls.append(len(obs))
+                return decoder(obs, n0)
+            return counted, states, block_bytes
+
+        def sweep():
+            calls.clear()
+            path = tmp_path / "out.csv"
+            records = run_ber_sweep(cfg)
+            write_csv(path, records)
+            return path.read_bytes(), sum(r.bits for r in records) // 200
+
+        monkeypatch.setattr(harness, "_build_decoder", counted_build)
+        batched, counted_blocks = sweep()
+        assert max(calls) > 1
+        assert sum(calls) > counted_blocks  # blocks past a stop were discarded
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        assert sweep() == (batched, counted_blocks)
+        assert set(calls) == {1}
+        assert sum(calls) == counted_blocks
+
     def test_stop_rule_respected(self):
         recs = run_ber_sweep(PAM_CFG)
         for r in recs:

@@ -67,8 +67,8 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values * (len(values) < 2) + values, n=4,
-                                     method="inclusive")
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "runs": values}
 

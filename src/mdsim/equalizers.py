@@ -165,11 +165,9 @@ def _viterbi(trellis: TrellisSpec, blocks: int, steps: int, branch_metrics,
     return DecodeResult(bits=pu_flat.take(picked.T), metric=metric)
 
 
-def _one_or_batch(obs, res: DecodeResult) -> DecodeResult:
-    """A batch result, or block 0 of it (metric a float) for a (T,) block."""
-    if np.ndim(obs) == 2:
-        return res
-    return DecodeResult(bits=res.bits[0], metric=float(res.metric[0]))
+def _unbatch(obs, x):
+    """``x`` of a (B, T) batch ``obs``, or its block 0 for a (T,) block."""
+    return x if np.ndim(obs) == 2 else x[0]
 
 
 def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
@@ -188,7 +186,7 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     hyp = trellis.outputs[ps, pu]  # (S, P) candidate hypotheses
     res = _viterbi(trellis, *blocks.shape, lambda t, reg: (cols[t] - hyp) ** 2,
                    start_state=start_state, end_state=end_state)
-    return _one_or_batch(obs, res)
+    return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
 def _past_taps(taps, M: int, windows, lags) -> np.ndarray:
@@ -287,8 +285,8 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
         return d * d
 
     # Flushed blocks terminate in hyperstate 0.
-    return _one_or_batch(obs, _viterbi(part.window, *blocks.shape, metrics,
-                                       base=2, memory=mem))
+    res = _viterbi(part.window, *blocks.shape, metrics, base=2, memory=mem)
+    return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
 def build_dfse_feedback(h: IsiResponse, M: int, kept_symbols: int,
@@ -346,7 +344,7 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
 
     res = _viterbi(window, *blocks.shape, metrics, end_state=end_state,
                    base=M, memory=L)
-    return res.bits if np.ndim(obs) == 2 else res.bits[0]
+    return _unbatch(obs, res.bits)
 
 
 @dataclass(frozen=True)
@@ -449,9 +447,8 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
                          for bit in bits.T], axis=2)  # (T, B, n)
     post = post.transpose(1, 0, 2)
     llrs = llrs.transpose(1, 0, 2).reshape(B, -1)
-    if np.ndim(obs) == 1:
-        post, llrs = post[0], llrs[0]
-    return BcjrResult(symbol_posteriors=post, bit_llrs=llrs)
+    return BcjrResult(symbol_posteriors=_unbatch(obs, post),
+                      bit_llrs=_unbatch(obs, llrs))
 
 
 def soft_viterbi_decode(code: ConvCode, llrs, *,
@@ -473,14 +470,18 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
         raise ValueError(f"trellis outputs {tr.outputs.shape} do not fit a "
                          f"{code.num_states}-state rate-1/{n} code")
     ps, pu, _ = tr.predecessors
-    # (n, S*P) candidate signs; minimize sum((2v-1)*llr).  The products
-    # are exact, so for n = 2 any summation order gives the same metric.
+    # (n, S*P) candidate signs; minimize sum((2v-1)*llr).  The n terms
+    # are summed in bit order, so a block's metric is the same at any B.
     signs = (2.0 * tr.outputs[ps, pu] - 1.0).reshape(-1, n).T
     steps = blocks.shape[1] // n
-    cols = np.ascontiguousarray(blocks.reshape(B, steps, n).transpose(1, 0, 2))
+    cols = np.ascontiguousarray(blocks.reshape(B, steps, n).transpose(1, 2, 0)
+                                [..., None])  # (T, n, B, 1)
 
     def metrics(t, reg):
-        return cols[t] @ signs
+        acc = cols[t, 0] * signs[0]
+        for i in range(1, n):
+            acc += cols[t, i] * signs[i]
+        return acc
 
     bits = _viterbi(tr, B, steps, metrics, end_state=end_state).bits
-    return bits if np.ndim(llrs) == 2 else bits[0]
+    return _unbatch(llrs, bits)

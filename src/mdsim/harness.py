@@ -419,10 +419,12 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
 
 # Bytes a scheme may hold per batch of blocks, by the estimate of its
 # decoder build.  This is about what one block of the 1024-state STD
-# receiver of examples_cfg/pam.cfg held before blocks were batched (2 MB
-# of int16 traceback pointers), so batching leaves the peak memory of a
-# sweep where it was; that receiver itself decodes one block per call.
-BATCH_BYTES = 1 << 21
+# receiver of examples_cfg/pam.cfg held before blocks were batched (2.06
+# MB of int16 traceback pointers), so batching leaves the peak memory of
+# a sweep where it was.  It leaves room for two blocks of that receiver
+# with int8 pointers (2.11 MB with their per-step arrays), which decode
+# faster per block than one.
+BATCH_BYTES = 9 << 18  # 2.25 MiB
 
 
 @dataclass

@@ -426,6 +426,24 @@ class TestBatchedEqualsPerBlock:
 
     @pytest.mark.parametrize("batch", [2, 3, 4])
     @pytest.mark.parametrize("end", [0, None])
+    def test_soft_viterbi_rate_third(self, batch, end):
+        # Three LLRs per step on a 0.1 grid: their float sums depend on the
+        # order of the terms, and many candidates tie up to rounding.
+        code = ConvCode([0o5, 0o7, 0o3])
+        rows = []
+        for b in range(self.BLOCKS):
+            bits = (make_rng(20 + b).random(60) < 0.5).astype(np.int64)
+            coded = conv_encode(code, tx_block(bits, code, IsiResponse([1.0])))
+            rows.append(np.round(0.3 * (1 - 2 * coded) + 0.4
+                                 * normal_from_uniform(make_rng(30 + b),
+                                                       coded.size), 1))
+        llrs = np.stack(rows)
+        assert len(np.unique(llrs)) < llrs.size // 20
+        self.check(lambda x: (soft_viterbi_decode(code, x, end_state=end),),
+                   batch, llrs)
+
+    @pytest.mark.parametrize("batch", [2, 3, 4])
+    @pytest.mark.parametrize("end", [0, None])
     def test_bcjr(self, batch, end):
         tr = build_isi_trellis(self.H3, 4, memory=2)
         for var in (0.5, 2.0):

@@ -9,7 +9,8 @@ archive`` into a temporary directory, so that it holds exactly that
 commit's files; the change side is the checkout that holds this script,
 as it stands.  Each side runs its own ``bench/run.py`` in a fresh
 process.  For every workload the runs go in pairs, alternating which
-side runs first, and every pair uses the same seed and run length.
+side runs first, and every pair uses the same seed and the run length
+``run_seconds`` of BENCHMARK.json.  There are ``PAIRS`` pairs.
 
 The output holds, per workload and seed and per end-to-end metric of
 BENCHMARK.json, each side's runs, median and quartiles and the number of
@@ -30,6 +31,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -81,11 +83,10 @@ def main(argv=None) -> int:
                     help="comma-separated WORKLOAD or WORKLOAD:SEED; the "
                          "default seed is that of the workload's reference "
                          "digest in bench/reference.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     reference = json.loads((ROOT / "bench" / "reference.json")
                            .read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -96,8 +97,8 @@ def main(argv=None) -> int:
                    "uncommitted_changes": bool(git("status", "--porcelain",
                                                    "--untracked-files=no"))},
         "command": "python3 bench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g}",
-        "pairs": args.pairs,
+                   f"--seconds {seconds:g}",
+        "pairs": PAIRS,
         "seeds": {},
         "workloads": {},
     }
@@ -111,13 +112,13 @@ def main(argv=None) -> int:
             key = f"{workload} seed {seed}"
             out["seeds"][key] = seed
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     t0 = time.perf_counter()
                     runs[side].append(bench(sides[side], workload, seed,
-                                            args.seconds))
-                    print(f"{key} pair {i + 1}/{args.pairs} {side}: "
+                                            seconds))
+                    print(f"{key} pair {i + 1}/{PAIRS} {side}: "
                           f"{time.perf_counter() - t0:.0f} s, "
                           f"{json.dumps(runs[side][-1]['metrics'])}",
                           file=sys.stderr, flush=True)

@@ -470,18 +470,21 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
         raise ValueError(f"trellis outputs {tr.outputs.shape} do not fit a "
                          f"{code.num_states}-state rate-1/{n} code")
     ps, pu, _ = tr.predecessors
-    # (n, S*P) candidate signs; minimize sum((2v-1)*llr).  The n terms
-    # are summed in bit order, so a block's metric is the same at any B.
-    signs = (2.0 * tr.outputs[ps, pu] - 1.0).reshape(-1, n).T
+    # Minimize sum((2v-1)*llr) over the n code bits v of a branch.  The
+    # (T, B, 2^n) sums of every n-bit word are formed once, their terms
+    # added in bit order, so a block's metric is the same at any B; each
+    # step then picks the word of every candidate branch.
+    words = 1 << n
+    signs = 2.0 * symbol_bits(np.arange(words), words).reshape(words, n) - 1.0
     steps = blocks.shape[1] // n
-    cols = np.ascontiguousarray(blocks.reshape(B, steps, n).transpose(1, 2, 0)
-                                [..., None])  # (T, n, B, 1)
+    per_step = np.ascontiguousarray(blocks.reshape(B, steps, n).transpose(1, 0, 2))
+    sums = per_step[..., :1] * signs[:, 0]
+    for i in range(1, n):
+        sums += per_step[..., i:i + 1] * signs[:, i]
+    word = symbol_index(tr.outputs[ps, pu], words)  # (S*P,)
 
     def metrics(t, reg):
-        acc = cols[t, 0] * signs[0]
-        for i in range(1, n):
-            acc += cols[t, i] * signs[i]
-        return acc
+        return sums[t].take(word, axis=1)
 
     bits = _viterbi(tr, B, steps, metrics, end_state=end_state).bits
     return _unbatch(llrs, bits)

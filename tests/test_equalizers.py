@@ -370,14 +370,16 @@ class TestBatchedEqualsPerBlock:
         return np.stack(rows)
 
     @classmethod
-    def llrs(cls):
+    def llrs(cls, code=CODE, scale=1.0):
+        """Integer-rounded LLRs times ``scale``.  On a 0.1 grid the float
+        sum of three LLRs depends on the order of its terms."""
         rows = []
         for b in range(cls.BLOCKS):
             bits = (make_rng(60 + b).random(60) < 0.5).astype(np.int64)
-            coded = conv_encode(CODE, tx_block(bits, h=IsiResponse([1.0])))
-            rows.append(np.round(2.0 * (1 - 2 * coded) + 1.5
-                                 * normal_from_uniform(make_rng(70 + b),
-                                                       coded.size)))
+            coded = conv_encode(code, tx_block(bits, code, IsiResponse([1.0])))
+            rows.append(scale * np.round(2.0 * (1 - 2 * coded) + 1.5
+                                         * normal_from_uniform(
+                                             make_rng(70 + b), coded.size)))
         return np.stack(rows)
 
     def check(self, decode, batch, inputs):
@@ -420,27 +422,11 @@ class TestBatchedEqualsPerBlock:
 
     @pytest.mark.parametrize("batch", [2, 3, 4])
     @pytest.mark.parametrize("end", [0, None])
-    def test_soft_viterbi(self, batch, end):
-        self.check(lambda x: (soft_viterbi_decode(CODE, x, end_state=end),),
-                   batch, self.llrs())
-
-    @pytest.mark.parametrize("batch", [2, 3, 4])
-    @pytest.mark.parametrize("end", [0, None])
-    def test_soft_viterbi_rate_third(self, batch, end):
-        # Three LLRs per step on a 0.1 grid: their float sums depend on the
-        # order of the terms, and many candidates tie up to rounding.
-        code = ConvCode([0o5, 0o7, 0o3])
-        rows = []
-        for b in range(self.BLOCKS):
-            bits = (make_rng(20 + b).random(60) < 0.5).astype(np.int64)
-            coded = conv_encode(code, tx_block(bits, code, IsiResponse([1.0])))
-            rows.append(np.round(0.3 * (1 - 2 * coded) + 0.4
-                                 * normal_from_uniform(make_rng(30 + b),
-                                                       coded.size), 1))
-        llrs = np.stack(rows)
-        assert len(np.unique(llrs)) < llrs.size // 20
+    @pytest.mark.parametrize(("code", "scale"), [
+        (CODE, 1.0), (ConvCode([0o5, 0o7, 0o3]), 0.1)], ids=["5,7", "5,7,3"])
+    def test_soft_viterbi(self, batch, end, code, scale):
         self.check(lambda x: (soft_viterbi_decode(code, x, end_state=end),),
-                   batch, llrs)
+                   batch, self.llrs(code, scale))
 
     @pytest.mark.parametrize("batch", [2, 3, 4])
     @pytest.mark.parametrize("end", [0, None])

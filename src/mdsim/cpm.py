@@ -10,6 +10,7 @@ carrier phase offset at the cost of f^2-shaped (FM) noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -157,16 +158,24 @@ def add_waveform_awgn(wave: Waveform, n0: float, seed) -> Waveform:
     return Waveform(samples=samples, params=wave.params)
 
 
+@functools.lru_cache(maxsize=16)
+def _lowpass_taps(N_os: int, T: float, cutoff: float) -> np.ndarray:
+    """The read-only taps of :func:`receive_lowpass`, built once per
+    (``N_os``, ``T``, ``cutoff``) rather than for every block."""
+    taps = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os / T,
+                            window="hamming")
+    taps.setflags(write=False)
+    return taps
+
+
 def receive_lowpass(wave: Waveform, cutoff: float) -> Waveform:
     """Linear-phase windowed-sinc (Hamming) lowpass, group delay removed.
 
     ``cutoff`` is the one-sided bandwidth in cycles per unit time (127
     taps at N_os=8, scaled proportionally with the oversampling factor).
     """
-    numtaps = 16 * wave.params.N_os - 1
-    fs = wave.params.N_os / wave.params.T
-    taps = sp_signal.firwin(numtaps, cutoff, fs=fs, window="hamming")
-    delay = (numtaps - 1) // 2
+    taps = _lowpass_taps(wave.params.N_os, wave.params.T, float(cutoff))
+    delay = (taps.size - 1) // 2
     padded = np.concatenate([wave.samples, np.zeros(delay, dtype=complex)])
     filtered = sp_signal.lfilter(taps, 1.0, padded)[delay:]
     return Waveform(samples=filtered, params=wave.params)

@@ -3,14 +3,15 @@ with per-survivor decision feedback, symbol-level DFSE, log-domain BCJR,
 and soft-input Viterbi channel decoding.
 
 The four hard-decision receivers share one add-compare-select core
-(:func:`_viterbi`): a time loop over a padded predecessor table and one
-traceback.  Each receiver supplies only its branch metrics.  The reduced
-receivers search a small window trellis (the r newest state bits for
-RSSE, the J newest symbols for DFSE) and take the older digits of each
-branch hypothesis from the survivor register of the state: an integer
-holding that survivor's last decisions, newest in the least significant
-digit, zeros before the block (per-survivor processing).  Ties go to the
-lower predecessor state, then the lower input.
+(:func:`_viterbi`): a time loop over a predecessor table of the states
+that have a predecessor, and one traceback.  Each receiver supplies only
+its branch metrics.  The reduced receivers search a small window trellis
+(the r newest state bits for RSSE, the J newest symbols for DFSE) and
+take the older digits of each branch hypothesis from the survivor
+register of the state: an integer holding that survivor's last
+decisions, newest in the least significant digit, zeros before the
+block (per-survivor processing).  Ties go to the lower predecessor
+state, then the lower input.
 
 All decoders use the squared Euclidean metric on real observations and a
 shared prehistory convention: trellis tables assume the pre-block symbol
@@ -92,13 +93,59 @@ def _pointer_dtype(fan_in: int):
     return np.int8 if fan_in <= 127 else np.int32
 
 
+def _stepped(fan_in: np.ndarray, start_state: int,
+             end_state: int | None) -> np.ndarray:
+    """Mask of the states the add-compare-select steps, by each state's
+    fan-in: those with a predecessor, and the start and end states.  Any
+    other state is never entered, so its metric is +inf after step 0."""
+    step = fan_in > 0
+    step[start_state] = True
+    if end_state is not None:
+        step[end_state] = True
+    return step
+
+
 def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
-    """Bytes per block that :func:`_viterbi` holds over ``steps`` steps:
-    one traceback pointer per state and step, and three 8-byte values per
-    step (the block's observations, traceback indices and decisions)."""
-    fan_in = int(np.bincount(trellis.next_state.reshape(-1)).max())
-    pointer = np.dtype(_pointer_dtype(fan_in)).itemsize
-    return steps * (trellis.num_states * pointer + 24)
+    """Bytes per block that :func:`_viterbi` holds over ``steps`` steps
+    from state 0 to state 0: one traceback pointer per stepped state and
+    step, and three 8-byte values per step (the block's observations,
+    traceback indices and decisions)."""
+    fan_in = np.bincount(trellis.next_state.reshape(-1),
+                         minlength=trellis.num_states)
+    rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
+    pointer = np.dtype(_pointer_dtype(int(fan_in.max()))).itemsize
+    return steps * (rows * pointer + 24)
+
+
+class _Slots(NamedTuple):
+    """The add-compare-select table of one trellis and start and end
+    state: a row for each of the R states it steps, in ascending state
+    order, holding that state's predecessor slots in the order of
+    ``trellis.predecessors``.  A slot is live when
+    it is a branch from a stepped state; the others (padding, and branches
+    from never-entered states) are masked to +inf."""
+
+    ps: np.ndarray    # (R, P) predecessor state of each slot
+    pu: np.ndarray    # (R, P) input of each slot
+    pred: np.ndarray  # (R, P) row of each live slot's predecessor, else 0
+    live: np.ndarray  # (R, P) bool
+    start: int        # row of the start state
+    end: int | None   # row of the end state, None for a free end
+
+
+def _slots(trellis: TrellisSpec, start_state: int = 0,
+           end_state: int | None = 0) -> _Slots:
+    """The table :func:`_viterbi` steps; receivers read each slot's branch
+    hypothesis from its ``ps`` and ``pu``."""
+    ps, pu, valid = trellis.predecessors
+    step = _stepped(valid.sum(1), start_state, end_state)
+    rows = np.flatnonzero(step)
+    row_of = np.cumsum(step) - 1
+    ps, pu = ps[rows], pu[rows]
+    live = valid[rows] & step[ps]
+    return _Slots(ps, pu, np.where(live, row_of[ps], 0), live,
+                  int(row_of[start_state]),
+                  None if end_state is None else int(row_of[end_state]))
 
 
 def _copies(index: np.ndarray, size: int, blocks: int) -> np.ndarray:
@@ -107,36 +154,35 @@ def _copies(index: np.ndarray, size: int, blocks: int) -> np.ndarray:
     return index + size * np.arange(blocks).reshape(-1, *[1] * index.ndim)
 
 
-def _viterbi(trellis: TrellisSpec, blocks: int, steps: int, branch_metrics,
-             *, start_state: int = 0, end_state: int | None = 0,
-             base: int = 1, memory: int = 0) -> DecodeResult:
-    """Add-compare-select over ``trellis`` for ``steps`` steps on
+def _viterbi(slots: _Slots, blocks: int, steps: int, branch_metrics,
+             *, base: int = 1, memory: int = 0) -> DecodeResult:
+    """Add-compare-select over the table ``slots`` for ``steps`` steps on
     ``blocks`` independent blocks, then one traceback; returns the (B, T)
     input sequences and their (B,) metrics.
 
-    The B blocks run as one block-diagonal trellis of B*S states: block
-    b's copy of state s is row b*S + s, and its predecessors are offset by
-    b*S, so each numpy call of a step serves every block.
-    ``branch_metrics(t, prev)`` gives the (B, S, P) metrics of step t on
-    the branches into each state, in the predecessor-slot order of
-    ``trellis.predecessors``.  ``prev`` holds, in the same shape, the
-    survivor register of each branch's predecessor: its last ``memory``
-    inputs as base-``base`` digits, newest in the least significant digit
-    (None without registers).  Candidates are compared in slot order and
-    argmin keeps the first minimum, so ties go to the lower predecessor
-    state, then the lower input.  With ``end_state=None`` each block's
-    traceback starts from its best final metric.
+    Only the R stepped states have rows, so a step evaluates the trellis
+    branches and the padding of states with a smaller fan-in, not the
+    never-entered states.  The B blocks run as one block-diagonal table
+    of B*R rows: block b's copy of row i is row b*R + i, and its
+    predecessors are offset by b*R, so each numpy call of a step serves
+    every block.  ``branch_metrics(t, prev)`` gives the (B, R, P) metrics
+    of step t on the slots of ``slots``.  ``prev`` holds, in the same
+    shape, the survivor register of each slot's predecessor: its last
+    ``memory`` inputs as base-``base`` digits, newest in the least
+    significant digit (None without registers).  Candidates are compared
+    in slot order and argmin keeps the first minimum, so ties go to the
+    lower predecessor state, then the lower input.  With a free end each
+    block's traceback starts from its best final metric.
     """
-    ps, pu, valid = trellis.predecessors
-    S, P = ps.shape
-    rows = blocks * S
-    by_block = _copies(ps, S, blocks)  # (B, S, P)
+    R, P = slots.pred.shape
+    rows = blocks * R
+    by_block = _copies(slots.pred, R, blocks)  # (B, R, P)
     ps = by_block.reshape(rows, P)
-    pad = np.tile(np.where(valid, 0.0, np.inf), (blocks, 1))
-    ps_flat, pu_flat = ps.reshape(-1), np.tile(pu.reshape(-1), blocks)
+    pad = np.tile(np.where(slots.live, 0.0, np.inf), (blocks, 1))
+    ps_flat, pu_flat = ps.reshape(-1), np.tile(slots.pu.reshape(-1), blocks)
     slot0 = np.arange(rows) * P  # flat index of each row's first slot
     pm = np.full(rows, np.inf)
-    pm[start_state::S] = 0.0
+    pm[slots.start::R] = 0.0
     reg = np.zeros(rows, dtype=np.int64)
     modulus = base**memory
     back = np.empty((steps, rows), dtype=_pointer_dtype(P))
@@ -152,11 +198,11 @@ def _viterbi(trellis: TrellisSpec, blocks: int, steps: int, branch_metrics,
         if memory:
             reg = (prev.take(k) * base + pu_flat.take(k)) % modulus
 
-    pm = pm.reshape(blocks, S)
-    s = (np.argmin(pm, axis=1) if end_state is None
-         else np.full(blocks, end_state, dtype=np.int64))
+    pm = pm.reshape(blocks, R)
+    s = (np.argmin(pm, axis=1) if slots.end is None
+         else np.full(blocks, slots.end, dtype=np.int64))
     metric = pm[np.arange(blocks), s]
-    s = s + S * np.arange(blocks)
+    s = s + R * np.arange(blocks)
     picked = np.empty((steps, blocks), dtype=np.int64)
     for t in range(steps - 1, -1, -1):
         k = s * P + back[t].take(s)
@@ -182,10 +228,9 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     """
     blocks = _as_blocks(obs)
     cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
-    ps, pu, _ = trellis.predecessors
-    hyp = trellis.outputs[ps, pu]  # (S, P) candidate hypotheses
-    res = _viterbi(trellis, *blocks.shape, lambda t, reg: (cols[t] - hyp) ** 2,
-                   start_state=start_state, end_state=end_state)
+    slots = _slots(trellis, start_state, end_state)
+    hyp = trellis.outputs[slots.ps, slots.pu]  # (R, P) candidate hypotheses
+    res = _viterbi(slots, *blocks.shape, lambda t, reg: (cols[t] - hyp) ** 2)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
@@ -276,16 +321,16 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
                       "state truncation loses its distance rationale",
                       stacklevel=2)
     blocks = _as_blocks(obs)
-    pu = part.window.predecessors[1]
+    slots = _slots(part.window)
     cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
     flat = mt.trellis.outputs.reshape(-1)
 
     def metrics(t, prev):
-        d = cols[t] - flat.take((prev << 1) | pu)
+        d = cols[t] - flat.take((prev << 1) | slots.pu)
         return d * d
 
     # Flushed blocks terminate in hyperstate 0.
-    res = _viterbi(part.window, *blocks.shape, metrics, base=2, memory=mem)
+    res = _viterbi(slots, *blocks.shape, metrics, base=2, memory=mem)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
@@ -334,16 +379,15 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
     elif np.shape(feedback) != (M ** (L - J),):
         raise ValueError(f"feedback table has shape {np.shape(feedback)}, "
                          f"not (M^(L-J),) = ({M ** (L - J)},)")
-    ps, pu, _ = window.predecessors
-    hyp = window.outputs[ps, pu]  # (M^J, P) from the first J+1 taps
+    slots = _slots(window, end_state=end_state)
+    hyp = window.outputs[slots.ps, slots.pu]  # (M^J, P) from the first J+1 taps
     cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
     older = M**J
 
     def metrics(t, prev):
         return (cols[t] - (hyp + feedback.take(prev // older))) ** 2
 
-    res = _viterbi(window, *blocks.shape, metrics, end_state=end_state,
-                   base=M, memory=L)
+    res = _viterbi(slots, *blocks.shape, metrics, base=M, memory=L)
     return _unbatch(obs, res.bits)
 
 
@@ -469,7 +513,7 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     if tr.outputs.shape != (code.num_states, 2, n):
         raise ValueError(f"trellis outputs {tr.outputs.shape} do not fit a "
                          f"{code.num_states}-state rate-1/{n} code")
-    ps, pu, _ = tr.predecessors
+    slots = _slots(tr, end_state=end_state)
     # Minimize sum((2v-1)*llr) over the n code bits v of a branch.  The
     # (T, B, 2^n) sums of every n-bit word are formed once, their terms
     # added in bit order, so a block's metric is the same at any B; each
@@ -481,10 +525,10 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     sums = per_step[..., :1] * signs[:, 0]
     for i in range(1, n):
         sums += per_step[..., i:i + 1] * signs[:, i]
-    word = symbol_index(tr.outputs[ps, pu], words)  # (S*P,)
+    word = symbol_index(tr.outputs[slots.ps, slots.pu], words)  # (R*P,)
 
     def metrics(t, reg):
         return sums[t].take(word, axis=1)
 
-    bits = _viterbi(tr, B, steps, metrics, end_state=end_state).bits
+    bits = _viterbi(slots, B, steps, metrics).bits
     return _unbatch(llrs, bits)

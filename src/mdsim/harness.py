@@ -421,9 +421,9 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
 # decoder build.  This is about what one block of the 1024-state STD
 # receiver of examples_cfg/pam.cfg held before blocks were batched (2.06
 # MB of int16 traceback pointers), so batching leaves the peak memory of
-# a sweep where it was.  It leaves room for two blocks of that receiver
-# with int8 pointers (2.11 MB with their per-step arrays), which decode
-# faster per block than one.
+# a sweep where it was.  It leaves room for four blocks of that receiver
+# with int8 pointers over its 512 stepped states (2.16 MB with their
+# per-step arrays), which decode faster per block than one or two.
 BATCH_BYTES = 9 << 18  # 2.25 MiB
 
 
@@ -471,12 +471,14 @@ class _Tally:
 def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
                 last: int) -> int:
     """Blocks of the round that starts at block ``first``: twice the
-    ``last`` round (one block first), at most the largest batch of the
-    ``live`` tallies and the blocks left before ``max_bits``.  Once a tally
-    has seen errors, also at most the blocks it needs at its error rate so
-    far to reach ``min_errors``, so that points stopping on errors waste
-    little."""
-    size = min(2 * last, max(t.batch for t in live),
+    ``last`` round (one block first), or more up to block
+    ceil(min_errors / block_bits), before which no tally can stop on
+    errors; at most the largest batch of the ``live`` tallies and the
+    blocks left before ``max_bits``.  Once a tally has seen errors, also
+    at most the blocks it needs at its error rate so far to reach
+    ``min_errors``, so that points stopping on errors waste little."""
+    size = max(2 * last, -(-cfg.min_errors // cfg.block_bits) - first)
+    size = min(size, max(t.batch for t in live),
                -(-cfg.max_bits // cfg.block_bits) - first)
     for t in live:
         if t.errors:  # ceil((min_errors - errors) / (errors / first))

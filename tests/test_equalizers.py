@@ -101,6 +101,72 @@ class TestViterbi:
         np.testing.assert_array_equal(base.bits, moved.bits)
 
 
+class TestNeverEnteredStates:
+    """The add-compare-select steps only the states with a predecessor and
+    the start and end states, and masks branches out of any other state.
+    On a trellis with fan-in 0 to 3 it is still the minimum over every
+    input sequence, for start and end states without a predecessor too."""
+
+    from mdsim.trellis import TrellisSpec
+
+    # fan-in of states 0..7: 3, 0, 3, 1, 0, 3, 3, 3; the branches out of
+    # state 4 enter states 0 and 6
+    NEXT = np.array([[0, 2], [5, 6], [0, 7], [2, 5],
+                     [6, 0], [7, 3], [2, 5], [6, 7]])
+    TR = TrellisSpec(num_states=8, num_inputs=2, next_state=NEXT,
+                     outputs=normal_from_uniform(make_rng(11), 16).reshape(8, 2))
+    START = 1
+    STEPS = 9
+
+    @classmethod
+    def obs(cls):
+        return np.stack([normal_from_uniform(make_rng(20 + b), cls.STEPS)
+                         for b in range(5)])
+
+    @classmethod
+    def brute_force(cls, obs, end):
+        """Best input sequence from START to ``end`` (None: any state),
+        its metric summed in step order; (None, inf) without one."""
+        best, best_metric = None, np.inf
+        for inputs in product((0, 1), repeat=cls.STEPS):
+            s, metric = cls.START, 0.0
+            for y, u in zip(obs, inputs):
+                metric += (y - cls.TR.outputs[s, u]) ** 2
+                s = cls.NEXT[s, u]
+            if (end is None or s == end) and metric < best_metric:
+                best, best_metric = np.array(inputs), metric
+        return best, best_metric
+
+    @pytest.mark.parametrize("end", [0, 3, None, 4, START])
+    def test_brute_force_optimality(self, end):
+        obs = self.obs()
+        batch = viterbi_mlse(self.TR, obs, start_state=self.START,
+                             end_state=end)
+        for k, row in enumerate(obs):
+            want, want_metric = self.brute_force(row, end)
+            got = viterbi_mlse(self.TR, row, start_state=self.START,
+                               end_state=end)
+            assert got.metric == pytest.approx(want_metric, rel=1e-12)
+            if want is not None:
+                np.testing.assert_array_equal(got.bits, want)
+            np.testing.assert_array_equal(batch.bits[k], got.bits)
+            assert batch.metric[k] == got.metric
+
+    def test_pam_cfg_super_trellis_steps_every_branch_once(self):
+        """STD of examples_cfg/pam.cfg: 512 of its 1024 states have no
+        predecessor and 512 have 4, so the ACS steps 512 rows of 4 slots,
+        each a branch of the trellis (no padding), and the CSV still reads
+        1024 states."""
+        from mdsim.equalizers import _slots
+
+        h = IsiResponse([1, 0.6, 0.36, 0.216, 0.1296])
+        std = build_std_trellis(CODE, h, 4)
+        slots = _slots(std)
+        assert std.num_states == 1024
+        assert slots.ps.shape == (512, 4)
+        assert len(set(zip(slots.ps.flat, slots.pu.flat))) == 2048
+
+
 class TestStdTrellis:
     def test_state_counts(self):
         assert STD.num_states == 64

@@ -312,6 +312,82 @@ class TestSweep:
         assert set(calls) == {1}
         assert sum(calls) == counted_blocks
 
+    @staticmethod
+    def sweep_calls(monkeypatch, tmp_path, cfg):
+        """The sweep's CSV bytes and, per (scheme, point), the blocks of
+        each decoder call in call order."""
+        import mdsim.harness as harness
+
+        calls = {}
+        build = harness._build_decoder
+
+        def counted_build(scheme, *args):
+            decoder, states, block_bytes = build(scheme, *args)
+
+            def counted(obs, n0):
+                calls.setdefault((scheme.label(), n0), []).append(len(obs))
+                return decoder(obs, n0)
+            return counted, states, block_bytes
+
+        monkeypatch.setattr(harness, "_build_decoder", counted_build)
+        path = tmp_path / "out.csv"
+        write_csv(path, run_ber_sweep(cfg))
+        return path.read_bytes(), calls
+
+    def test_bit_capped_rounds_start_at_full_batches(self, monkeypatch,
+                                                     tmp_path):
+        """No tally can stop on errors before block ceil(min_errors /
+        block_bits), so a bit-capped point skips the 1, 2, 4 ramp: its
+        blocks go out in one round of the largest batch, each decoder is
+        called ceil(blocks / batch) times, and the CSV is that of one
+        block per call."""
+        import mdsim.harness as harness
+        from mdsim.conv_code import ConvCode
+        from mdsim.equalizers import (
+            PartitionSpec,
+            build_std_trellis,
+            viterbi_bytes,
+        )
+        from mdsim.matched_encoder import IsiResponse, build_matched_trellis
+
+        cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2)\n"
+                           "ebn0_db = 6,8\nmin_errors = 1000000\n"
+                           "max_bits = 2400\nblock_bits = 200\nseed = 4\n")
+        blocks, steps = 12, 204
+        code, isi = ConvCode(cfg.generators), IsiResponse(np.array(cfg.taps))
+        block_bytes = {
+            "MD": viterbi_bytes(build_matched_trellis(code, isi, 4).trellis,
+                                steps),
+            "STD": viterbi_bytes(build_std_trellis(code, isi, 4), steps),
+            "MD-RSSE(4)": viterbi_bytes(PartitionSpec(2).window, steps)}
+        # the smallest receiver takes all 12 blocks of a point in one call
+        monkeypatch.setattr(harness, "BATCH_BYTES",
+                            blocks * min(block_bytes.values()))
+        batch = {k: harness.BATCH_BYTES // v for k, v in block_bytes.items()}
+        assert 1 < batch["STD"] < batch["MD"] < blocks == batch["MD-RSSE(4)"]
+
+        csv, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert len(calls) == 3 * 2
+        for (label, _), sizes in calls.items():
+            b = batch[label]
+            assert sizes == [b] * (blocks // b) + [blocks % b] * (blocks % b > 0)
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        one_by_one, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert set(map(tuple, calls.values())) == {(1,) * blocks}
+        assert one_by_one == csv
+
+    def test_error_stopped_rounds_open_with_one_block(self, monkeypatch,
+                                                      tmp_path):
+        """With min_errors <= block_bits one block could stop a point, so
+        every point still opens with a one-block round, then 2, 4, ..."""
+        cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD\n"
+                           "ebn0_db = 12,14\nmin_errors = 150\n"
+                           "max_bits = 3000\nblock_bits = 200\n")
+        _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert len(calls) == 2 * 2
+        for sizes in calls.values():
+            assert sizes[:3] == [1, 2, 4]
+
     def test_stop_rule_respected(self):
         recs = run_ber_sweep(PAM_CFG)
         for r in recs:

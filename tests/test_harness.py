@@ -8,6 +8,7 @@ import pytest
 
 from mdsim.harness import (
     _CONFIG_KEYS,
+    _build_decoder,
     ConfigError,
     SchemeSpec,
     SimConfig,
@@ -285,44 +286,28 @@ class TestSweep:
                            "DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
                            "min_errors = 60\nmax_bits = 20000\n"
                            "block_bits = 200\nseed = 4\n")
-        calls = []
-        build = harness._build_decoder
-
-        def counted_build(*args):
-            decoder, states, block_bytes = build(*args)
-
-            def counted(obs, n0):
-                calls.append(len(obs))
-                return decoder(obs, n0)
-            return counted, states, block_bytes
-
-        def sweep():
-            calls.clear()
-            path = tmp_path / "out.csv"
-            records = run_ber_sweep(cfg)
-            write_csv(path, records)
-            return path.read_bytes(), sum(r.bits for r in records) // 200
-
-        monkeypatch.setattr(harness, "_build_decoder", counted_build)
-        batched, counted_blocks = sweep()
-        assert max(calls) > 1
-        assert sum(calls) > counted_blocks  # blocks past a stop were discarded
+        batched, counted_blocks, calls = self.sweep_calls(monkeypatch,
+                                                          tmp_path, cfg)
+        sizes = [n for per_point in calls.values() for n in per_point]
+        assert max(sizes) > 1
+        assert sum(sizes) > counted_blocks  # blocks past a stop were discarded
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
-        assert sweep() == (batched, counted_blocks)
-        assert set(calls) == {1}
-        assert sum(calls) == counted_blocks
+        csv, blocks, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert (csv, blocks) == (batched, counted_blocks)
+        sizes = [n for per_point in calls.values() for n in per_point]
+        assert set(sizes) == {1}
+        assert sum(sizes) == counted_blocks
 
     @staticmethod
     def sweep_calls(monkeypatch, tmp_path, cfg):
-        """The sweep's CSV bytes and, per (scheme, point), the blocks of
-        each decoder call in call order."""
+        """The sweep's CSV bytes, the blocks its records count, and per
+        (scheme, point) the blocks of each decoder call in call order."""
         import mdsim.harness as harness
 
         calls = {}
-        build = harness._build_decoder
 
         def counted_build(scheme, *args):
-            decoder, states, block_bytes = build(scheme, *args)
+            decoder, states, block_bytes = _build_decoder(scheme, *args)
 
             def counted(obs, n0):
                 calls.setdefault((scheme.label(), n0), []).append(len(obs))
@@ -331,8 +316,10 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "_build_decoder", counted_build)
         path = tmp_path / "out.csv"
-        write_csv(path, run_ber_sweep(cfg))
-        return path.read_bytes(), calls
+        records = run_ber_sweep(cfg)
+        write_csv(path, records)
+        return (path.read_bytes(), sum(r.bits for r in records) // cfg.block_bits,
+                calls)
 
     def test_bit_capped_rounds_start_at_full_batches(self, monkeypatch,
                                                      tmp_path):
@@ -366,13 +353,13 @@ class TestSweep:
         batch = {k: harness.BATCH_BYTES // v for k, v in block_bytes.items()}
         assert 1 < batch["STD"] < batch["MD"] < blocks == batch["MD-RSSE(4)"]
 
-        csv, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert len(calls) == 3 * 2
         for (label, _), sizes in calls.items():
             b = batch[label]
             assert sizes == [b] * (blocks // b) + [blocks % b] * (blocks % b > 0)
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
-        one_by_one, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        one_by_one, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert set(map(tuple, calls.values())) == {(1,) * blocks}
         assert one_by_one == csv
 
@@ -383,7 +370,7 @@ class TestSweep:
         cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD\n"
                            "ebn0_db = 12,14\nmin_errors = 150\n"
                            "max_bits = 3000\nblock_bits = 200\n")
-        _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        _, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert len(calls) == 2 * 2
         for sizes in calls.values():
             assert sizes[:3] == [1, 2, 4]

@@ -39,7 +39,6 @@ from .matched_encoder import (
     MatchedTrellis,
     build_matched_trellis,
     edge_offsets,
-    gauss_mod,
     matched_encode,
     offset_constant,
     serial_reference,

@@ -37,6 +37,8 @@ class CpmParams:
     def __post_init__(self):
         if self.M < 2 or self.M % 2:
             raise ValueError("M must be even")
+        if self.h_num <= 0 or self.h_den <= 0:
+            raise ValueError("modulation index p/q must be positive")
         if math.gcd(self.h_num, self.h_den) != 1:
             raise ValueError("modulation index p/q must be in lowest terms")
         if self.pulse not in ("LRC", "LREC"):

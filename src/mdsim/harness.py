@@ -63,7 +63,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One receiver scheme: kind plus its state parameter."""
+    """One receiver scheme: its kind, and the kept bits of RSSE or the kept
+    symbols of DFSE, which no other kind takes."""
 
     kind: str  # std | md | rsse | dfse_va | bcjr_va
     param: int | None = None
@@ -71,8 +72,10 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in ("std", "md", "rsse", "dfse_va", "bcjr_va"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind in ("rsse", "dfse_va") and self.param is None:
-            raise ValueError(f"scheme {self.kind} needs a parameter")
+        if (self.param is None) == (self.kind in ("rsse", "dfse_va")):
+            raise ValueError(f"scheme {self.kind} with parameter "
+                             f"{self.param}: rsse and dfse_va need one, "
+                             "no other kind takes one")
 
     def label(self) -> str:
         if self.kind == "std":
@@ -86,30 +89,20 @@ class SchemeSpec:
         return "BCJR+VA"
 
 
-_SCHEME_RE = re.compile(r"^([A-Za-z-]+)(?:\((\d+)\))?(\+VA)?$")
+# The README's scheme grammar, one spelling per scheme; the group that
+# matches is named after the SchemeSpec kind.
+_SCHEME_RE = re.compile(r"(?P<md>MD)|(?P<std>STD)|RSSE\((?P<rsse>\d+)\)"
+                        r"|DFSE\((?P<dfse_va>\d+)\)\+VA|(?P<bcjr_va>BCJR)\+VA",
+                        re.IGNORECASE)
 
 
 def parse_scheme(text: str) -> SchemeSpec:
-    m = _SCHEME_RE.match(text.strip())
+    m = _SCHEME_RE.fullmatch(text.strip())
     if not m:
-        raise ValueError(f"cannot parse scheme {text!r}")
-    name = m.group(1).upper().rstrip("-")
-    arg = int(m.group(2)) if m.group(2) else None
-    if name == "STD":
-        return SchemeSpec("std")
-    if name == "MD":
-        return SchemeSpec("md")
-    if name in ("RSSE", "MD-RSSE"):
-        if arg is None:
-            raise ValueError("RSSE needs kept-bit count, e.g. RSSE(4)")
-        return SchemeSpec("rsse", arg)
-    if name == "DFSE":
-        if arg is None:
-            raise ValueError("DFSE needs kept-symbol count, e.g. DFSE(2)+VA")
-        return SchemeSpec("dfse_va", arg)
-    if name == "BCJR":
-        return SchemeSpec("bcjr_va", arg)
-    raise ValueError(f"unknown scheme {text!r}")
+        raise ValueError(f"unknown scheme {text!r}; the schemes are MD, STD, "
+                         "RSSE(r), DFSE(J)+VA and BCJR+VA")
+    kind = m.lastgroup
+    return SchemeSpec(kind, int(m[kind]) if m[kind].isdigit() else None)
 
 
 @dataclass(frozen=True)
@@ -151,6 +144,9 @@ class SimConfig:
         if self.M != 1 << len(self.generators):
             raise ConfigError(f"config key 'M': {self.M} is not 2^n for the "
                               f"rate-1/n code, n = {len(self.generators)}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError("config key 'schemes': each scheme may be "
+                              "listed once")
         for key, low in (("L_nw", 0), ("wmf_len", 1), ("bcjr_memory", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"config key {key!r}: must be at least {low}")
@@ -406,8 +402,7 @@ def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
             return soft_viterbi_decode(code, llrs, end_state=0, trellis=vtr)
         return (dfse_va, window.num_states + code.num_states,
                 viterbi_bytes(window, steps) + viterbi_bytes(vtr, steps))
-    mem = scheme.param if scheme.param is not None else cfg.bcjr_memory
-    bcjr_tr = isi_trellis(min(mem, isi.L))
+    bcjr_tr = isi_trellis(min(cfg.bcjr_memory, isi.L))
 
     def bcjr_va(obs, n0):
         var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)

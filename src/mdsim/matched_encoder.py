@@ -13,20 +13,12 @@ table of per-branch real hypotheses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conv_code import ConvCode, _parity, conv_encode
 from .trellis import TrellisSpec, window_next_state
-
-
-def gauss_mod(x: int, n: int) -> int:
-    """x - n*floor(x/n), floor toward -infinity; result in [0, n)."""
-    if n <= 0:
-        raise ValueError("modulus must be positive")
-    return x - n * math.floor(x / n)
 
 
 def _msb_weights(M: int) -> np.ndarray:

@@ -85,6 +85,21 @@ def test_sweep_code_alphabet_mismatch_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schemes", ["MD,MD", "BCJR(3)+VA"])
+def test_sweep_scheme_outside_grammar_is_config_error(tmp_path, capsys,
+                                                       schemes):
+    # a scheme listed twice would write each of its rows twice, and
+    # BCJR(m)+VA would set the BCJR memory beside bcjr_memory
+    cfg = tmp_path / "bad.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text(f"chain = pam_isi\ntaps = 1,0.5\nschemes = {schemes}\n"
+                   "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
+                   f"output = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "'schemes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sweep_with_design_lacking(key, tmp_path):
     """Exit code of a cpm sweep whose design file lacks ``key``."""
     from mdsim.whitening import (
@@ -135,6 +150,8 @@ def test_sweep_rejects_design_file_without_array(tmp_path, capsys, key):
     ("cpm", "wmf_len = 0", "wmf_len"),
     ("pam_isi", "bcjr_memory = -1", "bcjr_memory"),
     ("cpm", "N_os = 4", "N_os"),
+    ("cpm", "h_index = 1/0", "h_index"),
+    ("cpm", "h_index = 0", "h_index"),
 ])
 def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys,
                                                   chain, line, key):

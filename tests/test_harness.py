@@ -32,20 +32,21 @@ class TestSchemeParsing:
         assert parse_scheme("STD") == SchemeSpec("std")
         assert parse_scheme("md") == SchemeSpec("md")
         assert parse_scheme("RSSE(4)") == SchemeSpec("rsse", 4)
-        assert parse_scheme("MD-RSSE(6)") == SchemeSpec("rsse", 6)
         assert parse_scheme("DFSE(2)+VA") == SchemeSpec("dfse_va", 2)
         assert parse_scheme("BCJR+VA") == SchemeSpec("bcjr_va", None)
-        assert parse_scheme("BCJR(3)+VA") == SchemeSpec("bcjr_va", 3)
 
     def test_labels(self):
         assert SchemeSpec("rsse", 5).label() == "MD-RSSE(32)"
         assert SchemeSpec("dfse_va", 2).label() == "DFSE(2)+VA"
 
     def test_rejects_garbage(self):
+        # only the README's spellings parse; a spec holds no other scheme
+        for text in ("turbo", "RSSE", "MD-RSSE(6)", "BCJR(3)+VA", "STD(5)",
+                     "MD+VA", "RSSE(3)+VA", "DFSE(2)"):
+            with pytest.raises(ValueError):
+                parse_scheme(text)
         with pytest.raises(ValueError):
-            parse_scheme("turbo")
-        with pytest.raises(ValueError):
-            parse_scheme("RSSE")
+            SchemeSpec("bcjr_va", 3)
 
 
 def test_states_column_counts_built_receivers():
@@ -109,7 +110,7 @@ h_index = 3/8
 L_cpm = 2
 N_os = 12
 L_nw = 2
-schemes = MD,STD,RSSE(3),DFSE(1)+VA,BCJR(3)+VA
+schemes = MD,STD,RSSE(3),DFSE(1)+VA,BCJR+VA
 ebn0_db = 4,5.5
 min_errors = 7
 max_bits = 9000
@@ -132,7 +133,7 @@ isi_trim = 0.002
             pulse="LREC", h_num=3, h_den=8, L_cpm=2, N_os=12, L_nw=2,
             schemes=(SchemeSpec("md"), SchemeSpec("std"),
                      SchemeSpec("rsse", 3), SchemeSpec("dfse_va", 1),
-                     SchemeSpec("bcjr_va", 3)),
+                     SchemeSpec("bcjr_va")),
             ebn0_db=(4.0, 5.5), min_errors=7, max_bits=9000, block_bits=300,
             seed=11, output="out.csv", whitening_file="design.txt",
             calibration_ebn0_db=4.75, calibration_symbols=1234,

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from mdsim.matched_encoder import (
     IsiResponse,
     bits_per_symbol,
     build_matched_trellis,
-    gauss_mod,
     matched_encode,
     offset_constant,
     serial_reference,
@@ -23,22 +20,6 @@ from mdsim.matched_encoder import (
 
 CODE_57 = ConvCode([0o5, 0o7])
 CODE_133_171 = ConvCode([0o133, 0o171])
-
-
-class TestGaussMod:
-    def test_examples(self):
-        assert gauss_mod(7, 2) == 1
-        assert gauss_mod(-3, 2) == 1
-        assert gauss_mod(5, 4) == 1
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            gauss_mod(3, 0)
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 1000))
-    def test_mod_floor_identity(self, x, n):
-        assert gauss_mod(x, n) + n * math.floor(x / n) == x
-        assert 0 <= gauss_mod(x, n) < n
 
 
 def natural_map(code_bits, M):

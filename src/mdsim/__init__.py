@@ -16,7 +16,6 @@ from .cpm import (
     b999_bandwidth,
     cpm_modulate,
     diff_demodulate,
-    lrc_pulse,
     matched_filter_downsample,
     receive_lowpass,
     transmit_receive,

@@ -40,12 +40,7 @@ def _parse_l_range(text: str) -> list[int]:
 
 
 def _cmd_trellis(args) -> int:
-    gens = parse_octal_generators(args.code)
-    code = ConvCode(gens)
-    if args.n != code.n:
-        print(f"error: code has n={code.n} outputs, got --n {args.n}",
-              file=sys.stderr)
-        return 1
+    code = ConvCode(parse_octal_generators(args.code))
     ls = _parse_l_range(args.L)
     for L in ls:
         z_std, z_md, gain = state_counts(code.nu, code.n, L)
@@ -148,7 +143,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("trellis", help="print super/merged trellis state counts")
     p.add_argument("--code", required=True, help="octal generators, e.g. 5,7")
-    p.add_argument("--n", type=int, default=2, help="output bits per step")
     p.add_argument("--L", required=True, help="channel memory (int or a..b)")
     p.set_defaults(func=_cmd_trellis)
 

@@ -94,6 +94,5 @@ def build_conv_trellis(code: ConvCode) -> TrellisSpec:
     # w[s, c] = (s << 1) | c: bit m is c[k-m]
     w = np.arange(S << 1, dtype=np.int64).reshape(S, 2, 1)
     g_lsb = np.array([code.taps_lsb_first(i) for i in range(code.n)])
-    return TrellisSpec(num_states=S, num_inputs=2,
-                       next_state=window_next_state(2, code.nu),
+    return TrellisSpec(next_state=window_next_state(2, code.nu),
                        outputs=_parity(w & g_lsb))

@@ -88,19 +88,6 @@ class CpmParams:
         return 1.0 / (4.0 * lt)
 
 
-def lrc_pulse(params: CpmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled frequency pulse g and its running integral q.
-
-    Both are sampled at t = i*dt for i = 0..L_cpm*N_os (endpoints
-    included); q saturates at exactly 1/2 at the end of the support.
-    """
-    n = params.L_cpm * params.N_os
-    t = np.arange(n + 1) * params.dt
-    g = params.freq_pulse(t)
-    q = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * params.dt)])
-    return g, q
-
-
 @dataclass(frozen=True)
 class Waveform:
     """Complex baseband samples at rate N_os/T."""

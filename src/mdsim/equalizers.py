@@ -65,10 +65,8 @@ class PartitionSpec:
     def window(self) -> TrellisSpec:
         """The hyperstate trellis: a binary window of the r newest bits.
         Branch labels come from the survivor registers, so it has none."""
-        H = self.num_hyperstates
-        return TrellisSpec(num_states=H, num_inputs=2,
-                           next_state=window_next_state(2, self.kept_bits),
-                           outputs=np.zeros((H, 2)))
+        return TrellisSpec(next_state=window_next_state(2, self.kept_bits),
+                           outputs=np.zeros((self.num_hyperstates, 2)))
 
 
 def compensate_edges(obs, taps, M: int) -> np.ndarray:
@@ -264,8 +262,7 @@ def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
             "reduce memory or raise the cap")
     past = _past_taps(h.taps, M, np.arange(S), range(1, mem + 1))
     outputs = h.taps[0] * symbol_value(np.arange(M), M) + past[:, None]
-    return TrellisSpec(num_states=S, num_inputs=M,
-                       next_state=window_next_state(M, mem), outputs=outputs)
+    return TrellisSpec(next_state=window_next_state(M, mem), outputs=outputs)
 
 
 def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
@@ -300,8 +297,7 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
         x = x_sym[enc, c]
         outputs[:, c] = h.taps[0] * symbol_value(x, M) + past
         next_state[:, c] = enc_next * z_cha + (win * M + x) % z_cha
-    return TrellisSpec(num_states=S, num_inputs=2,
-                       next_state=next_state, outputs=outputs)
+    return TrellisSpec(next_state=next_state, outputs=outputs)
 
 
 def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
@@ -316,8 +312,8 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
     r = part.kept_bits
     if r > mem:
         raise ValueError(f"kept_bits {r} exceeds trellis memory {mem}")
-    if mt.isi.minimum_phase is not True and r < mem:
-        warnings.warn("ISI response not verified minimum phase; "
+    if r < mem and not mt.isi.minimum_phase:
+        warnings.warn("ISI response not minimum phase; "
                       "state truncation loses its distance rationale",
                       stacklevel=2)
     blocks = _as_blocks(obs)

@@ -24,7 +24,7 @@ from .conv_code import (
     conv_encode,
     parse_octal_generators,
 )
-from .cpm import CpmParams, b999_bandwidth, transmit_receive
+from .cpm import CpmParams, _lowpass_taps, b999_bandwidth, transmit_receive
 from .equalizers import (
     PartitionSpec,
     bcjr_bytes,
@@ -136,8 +136,14 @@ class SimConfig:
     def __post_init__(self):
         if self.chain not in ("pam_isi", "cpm"):
             raise ConfigError(f"config key 'chain': unknown chain {self.chain!r}")
+        if not all(map(math.isfinite, self.ebn0_db)):
+            raise ConfigError("config key 'ebn0_db': values must be finite")
         if any(b <= a for a, b in zip(self.ebn0_db, self.ebn0_db[1:])):
             raise ConfigError("config key 'ebn0_db': grid must be strictly increasing")
+        for key in ("calibration_ebn0_db", "cutoff"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"config key {key!r}: must be finite")
         if self.min_errors <= 0 or self.max_bits <= 0 or self.block_bits <= 0:
             raise ConfigError("config key 'min_errors'/'max_bits'/'block_bits': "
                               "stop rule must be positive")
@@ -147,15 +153,27 @@ class SimConfig:
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigError("config key 'schemes': each scheme may be "
                               "listed once")
-        for key, low in (("L_nw", 0), ("wmf_len", 1), ("bcjr_memory", 0)):
+        for key, low in (("L_nw", 0), ("wmf_len", 1), ("bcjr_memory", 0),
+                         ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"config key {key!r}: must be at least {low}")
-        if self.chain == "cpm":
+        if not 0 <= self.isi_trim < 1:
+            raise ConfigError("config key 'isi_trim': must be in [0, 1)")
+        # The run-time objects that validate a value, built once here so
+        # that a bad value is a config error naming its key.
+        builds = [("'code'", lambda: ConvCode(self.generators))]
+        if self.chain == "pam_isi":
+            builds.append(("'taps'", lambda: IsiResponse(self.taps)))
+        else:
+            builds.append(("'pulse'/'h_index'/'L_cpm'/'N_os'", self.cpm_params))
+            if self.cutoff is not None:  # the receive lowpass's own rule
+                builds.append(("'cutoff'", lambda: _lowpass_taps(
+                    self.N_os, self.cpm_params().T, float(self.cutoff))))
+        for keys, build in builds:
             try:
-                self.cpm_params()
+                build()
             except ValueError as exc:
-                raise ConfigError("config key 'pulse'/'h_index'/'L_cpm'/"
-                                  f"'N_os': {exc}") from exc
+                raise ConfigError(f"config key {keys}: {exc}") from exc
 
     def cpm_params(self) -> CpmParams:
         return CpmParams(M=self.M, h_num=self.h_num, h_den=self.h_den,
@@ -291,7 +309,7 @@ def calibration_defaults(cfg: SimConfig) -> tuple[float, float]:
 def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
     code = ConvCode(cfg.generators)
     if cfg.chain == "pam_isi":
-        isi = IsiResponse(np.array(cfg.taps)).check_minimum_phase()
+        isi = IsiResponse(np.array(cfg.taps))
         e_sym = (cfg.M**2 - 1) / 3.0
         return _ChainContext(code=code, isi=isi,
                              eb=e_sym * float(np.sum(isi.taps**2)),

@@ -14,6 +14,7 @@ table of per-branch real hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,29 +61,26 @@ class IsiResponse:
     """FIR channel response h[0..L]; L is the channel memory."""
 
     taps: np.ndarray
-    minimum_phase: bool | None = None
 
-    def __init__(self, taps, minimum_phase: bool | None = None):
+    def __init__(self, taps):
         t = np.array(taps, dtype=np.float64)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("need at least one channel tap")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("channel taps must be finite")
         if t[0] == 0.0:
             raise ValueError("leading tap h[0] must be nonzero")
         t.setflags(write=False)
         object.__setattr__(self, "taps", t)
-        object.__setattr__(self, "minimum_phase", minimum_phase)
 
     @property
     def L(self) -> int:
         return self.taps.size - 1
 
-    def check_minimum_phase(self, tol: float = 1e-9) -> "IsiResponse":
-        """Return a copy with the minimum-phase flag set from the zeros of h(z)."""
-        if self.taps.size == 1:
-            return IsiResponse(self.taps, minimum_phase=True)
-        roots = np.roots(self.taps)
-        ok = bool(np.all(np.abs(roots) <= 1.0 + tol))
-        return IsiResponse(self.taps, minimum_phase=ok)
+    @cached_property
+    def minimum_phase(self) -> bool:
+        """Every zero of h(z) lies within 1 + 1e-9 of the origin."""
+        return bool(np.all(np.abs(np.roots(self.taps)) <= 1.0 + 1e-9))
 
     def trimmed(self, threshold: float) -> "IsiResponse":
         """Drop trailing taps below threshold*max|taps|.
@@ -98,7 +96,7 @@ class IsiResponse:
         n = int(keep[-1]) + 1 if keep.size else 1
         if n == self.taps.size:
             return self
-        return IsiResponse(self.taps[:n]).check_minimum_phase()
+        return IsiResponse(self.taps[:n])
 
 
 def offset_constant(h: IsiResponse, M: int) -> float:
@@ -194,8 +192,7 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
         hyp += float(1 << (n - 1 - i)) * u_i
     hyp = 2.0 * hyp + C
 
-    spec = TrellisSpec(num_states=S, num_inputs=2,
-                       next_state=window_next_state(2, mem),
+    spec = TrellisSpec(next_state=window_next_state(2, mem),
                        outputs=hyp.reshape(S, 2))
     return MatchedTrellis(trellis=spec, code=code, isi=h, M=M)
 

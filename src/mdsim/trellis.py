@@ -18,18 +18,23 @@ class TrellisSpec:
     trellises.  Immutable after construction; safe to share across workers.
     """
 
-    num_states: int
-    num_inputs: int
     next_state: np.ndarray
     outputs: np.ndarray
 
     def __post_init__(self):
-        if self.next_state.shape != (self.num_states, self.num_inputs):
-            raise ValueError("next_state shape must be (num_states, num_inputs)")
-        if self.outputs.shape[:2] != (self.num_states, self.num_inputs):
-            raise ValueError("outputs must be indexed by (state, input)")
+        if self.outputs.shape[:2] != self.next_state.shape:
+            raise ValueError("outputs must be indexed like next_state, "
+                             "by (state, input)")
         self.next_state.setflags(write=False)
         self.outputs.setflags(write=False)
+
+    @property
+    def num_states(self) -> int:
+        return self.next_state.shape[0]
+
+    @property
+    def num_inputs(self) -> int:
+        return self.next_state.shape[1]
 
     @cached_property
     def predecessors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -55,7 +55,11 @@ class SpectralFactorization:
 
     acf: np.ndarray
     b: np.ndarray
-    residual: float
+
+    @property
+    def residual(self) -> float:
+        """Largest deviation of ``b (*) reverse(b)`` from ``acf``."""
+        return float(np.max(np.abs(np.convolve(self.b, self.b[::-1]) - self.acf)))
 
 
 def spectral_factorize(acf) -> SpectralFactorization:
@@ -84,7 +88,7 @@ def spectral_factorize(acf) -> SpectralFactorization:
 
     if m == 0:
         b = np.array([math.sqrt(acf[0])])
-        return SpectralFactorization(acf=acf, b=b, residual=0.0)
+        return SpectralFactorization(acf=acf, b=b)
 
     roots = np.roots(acf)
     order = np.argsort(np.abs(roots), kind="stable")
@@ -94,8 +98,7 @@ def spectral_factorize(acf) -> SpectralFactorization:
     b = scale * b
     if b[0] < 0:
         b = -b
-    residual = float(np.max(np.abs(np.convolve(b, b[::-1]) - acf)))
-    return SpectralFactorization(acf=acf, b=b, residual=residual)
+    return SpectralFactorization(acf=acf, b=b)
 
 
 @dataclass(frozen=True)
@@ -103,19 +106,26 @@ class WhiteningDesign:
     """Noise statistics and the prediction-error whitening filter.
 
     ``f[0] = 1`` and ``f[k] = -p[k]``; ``overall`` is the combined ISI
-    the equalizers must handle once the whitening filter is in the path.
-    ``noise_variance`` is measured before that filter, at
-    ``calibration_ebn0_db``.
+    the equalizers must handle once the whitening filter is in the path,
+    set by :meth:`with_overall`.  ``noise_variance`` is measured before
+    that filter, at ``calibration_ebn0_db``.
     """
 
     noise_acf: np.ndarray
-    p: np.ndarray
     f: np.ndarray
     reflection: np.ndarray
-    order: int
     overall: IsiResponse | None = None
     noise_variance: float = float("nan")
     calibration_ebn0_db: float = float("nan")
+
+    @property
+    def p(self) -> np.ndarray:
+        """Prediction coefficients p[1..order]."""
+        return -self.f[1:]
+
+    @property
+    def order(self) -> int:
+        return self.f.size - 1
 
     @property
     def output_noise_variance(self) -> float:
@@ -161,16 +171,14 @@ def yule_walker(noise_acf, L_nw: int) -> WhiteningDesign:
         err *= 1.0 - k * k
         if err <= 0:
             raise ValueError("prediction error vanished; ACF not positive definite")
-    p = -f[1:]
-    return WhiteningDesign(noise_acf=phi[: L_nw + 1], p=p, f=f,
-                           reflection=refl, order=L_nw)
+    return WhiteningDesign(noise_acf=phi[: L_nw + 1], f=f, reflection=refl)
 
 
 def overall_isi(b, f) -> IsiResponse:
     """Combined ISI of the signal-shaping filter and the whitening filter."""
     h = np.convolve(np.asarray(b, dtype=np.float64),
                     np.asarray(f, dtype=np.float64))
-    return IsiResponse(h).check_minimum_phase()
+    return IsiResponse(h)
 
 
 def wmf_taps(fact: SpectralFactorization, n_taps: int = 20) -> tuple[np.ndarray, float]:
@@ -270,16 +278,13 @@ def save_whitening_design(path, design: WhiteningDesign,
         return ",".join(f"{v:.17g}" for v in np.asarray(arr, dtype=np.float64))
 
     lines = [
-        f"order = {design.order}",
         f"noise_variance = {design.noise_variance:.17g}",
         f"calibration_ebn0_db = {design.calibration_ebn0_db:.17g}",
         f"acf = {fmt(fact.acf)}",
         f"b = {fmt(fact.b)}",
         f"noise_acf = {fmt(design.noise_acf)}",
-        f"p = {fmt(design.p)}",
         f"f = {fmt(design.f)}",
         f"reflection = {fmt(design.reflection)}",
-        f"overall = {fmt(design.overall.taps) if design.overall else ''}",
     ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -300,23 +305,22 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
         return (np.array([float(v) for v in txt.split(",")])
                 if txt else np.zeros(0))
 
-    # An array line may be empty (no overall ISI, a zero-order predictor),
-    # but every line must be there.
-    for key in ("order", "noise_variance", "calibration_ebn0_db", "acf", "b",
-                "noise_acf", "p", "f", "reflection", "overall"):
+    # An array line may be empty (a zero-order predictor has no
+    # reflection coefficients), but every line must be there.  Lines of
+    # derived values (order, p, overall) in older files are not read.
+    for key in ("noise_variance", "calibration_ebn0_db", "acf", "b",
+                "noise_acf", "f", "reflection"):
         if key not in kv:
             raise ValueError(f"design file {path} has no {key}; "
                              "re-run `mdsim calibrate` to write it")
-    acf = arr("acf")
-    b = arr("b")
-    residual = float(np.max(np.abs(np.convolve(b, b[::-1]) - acf)))
-    fact = SpectralFactorization(acf=acf, b=b, residual=residual)
-    overall_taps = arr("overall")
+    noise_variance = float(kv["noise_variance"])
+    cal_db = float(kv["calibration_ebn0_db"])
+    if not (0 < noise_variance < math.inf and math.isfinite(cal_db)):
+        raise ValueError(f"design file {path}: noise_variance must be finite "
+                         f"and positive and calibration_ebn0_db finite, got "
+                         f"{noise_variance} and {cal_db}")
+    fact = SpectralFactorization(acf=arr("acf"), b=arr("b"))
     design = WhiteningDesign(
-        noise_acf=arr("noise_acf"), p=arr("p"), f=arr("f"),
-        reflection=arr("reflection"), order=int(kv["order"]),
-        overall=IsiResponse(overall_taps).check_minimum_phase()
-        if overall_taps.size else None,
-        noise_variance=float(kv["noise_variance"]),
-        calibration_ebn0_db=float(kv["calibration_ebn0_db"]))
-    return design, fact
+        noise_acf=arr("noise_acf"), f=arr("f"), reflection=arr("reflection"),
+        noise_variance=noise_variance, calibration_ebn0_db=cal_db)
+    return design.with_overall(fact.b), fact

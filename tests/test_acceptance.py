@@ -61,7 +61,7 @@ def report(num, name, detail):
 # --------------------------------------------------------------------------
 def test_criterion_01_state_count_table(capsys):
     t0 = time.time()
-    assert main(["trellis", "--code", "5,7", "--n", "2", "--L", "0..4"]) == 0
+    assert main(["trellis", "--code", "5,7", "--L", "0..4"]) == 0
     out57 = capsys.readouterr().out.strip().splitlines()
     assert out57 == [
         "L=0 Z_STD=4 Z_MD=4 G=1",
@@ -70,7 +70,7 @@ def test_criterion_01_state_count_table(capsys):
         "L=3 Z_STD=256 Z_MD=32 G=8",
         "L=4 Z_STD=1024 Z_MD=64 G=16",
     ]
-    assert main(["trellis", "--code", "133,171", "--n", "2", "--L", "0..4"]) == 0
+    assert main(["trellis", "--code", "133,171", "--L", "0..4"]) == 0
     out133 = capsys.readouterr().out.strip().splitlines()
     assert out133 == [
         "L=0 Z_STD=64 Z_MD=64 G=1",

@@ -5,13 +5,13 @@ from mdsim.cli import main
 
 
 def test_trellis_single_row(capsys):
-    assert main(["trellis", "--code", "5,7", "--n", "2", "--L", "4"]) == 0
+    assert main(["trellis", "--code", "5,7", "--L", "4"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "Z_STD=1024 Z_MD=64 G=16"
 
 
 def test_trellis_range(capsys):
-    assert main(["trellis", "--code", "5,7", "--n", "2", "--L", "0..4"]) == 0
+    assert main(["trellis", "--code", "5,7", "--L", "0..4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == [
         "L=0 Z_STD=4 Z_MD=4 G=1",
@@ -23,7 +23,7 @@ def test_trellis_range(capsys):
 
 
 def test_trellis_big_code(capsys):
-    assert main(["trellis", "--code", "133,171", "--n", "2", "--L", "3"]) == 0
+    assert main(["trellis", "--code", "133,171", "--L", "3"]) == 0
     assert capsys.readouterr().out.strip() == "Z_STD=4096 Z_MD=512 G=8"
 
 
@@ -100,8 +100,11 @@ def test_sweep_scheme_outside_grammar_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def _sweep_with_design_lacking(key, tmp_path):
-    """Exit code of a cpm sweep whose design file lacks ``key``."""
+def _sweep_with_design(tmp_path, edit=lambda lines: lines):
+    """Exit code of a cpm sweep reading a saved design file whose lines
+    went through ``edit``; the sweep writes ``tmp_path / "out.csv"``."""
+    from dataclasses import replace
+
     from mdsim.whitening import (
         save_whitening_design,
         spectral_factorize,
@@ -109,17 +112,39 @@ def _sweep_with_design_lacking(key, tmp_path):
     )
 
     fact = spectral_factorize([0.25, 1.0, 0.25])
-    design = yule_walker([1.0, 0.3], 1).with_overall(fact.b)
+    design = replace(yule_walker([1.0, 0.3], 1), noise_variance=0.5,
+                     calibration_ebn0_db=10.0).with_overall(fact.b)
     path = tmp_path / "design.txt"
     save_whitening_design(path, design, fact)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(ln for ln in lines
-                              if not ln.startswith(key + " ")))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     cfg = tmp_path / "cpm.cfg"
     cfg.write_text(f"chain = cpm\ncutoff = 0.75\nwhitening_file = {path}\n"
                    "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
                    f"output = {tmp_path / 'out.csv'}\n")
     return main(["sweep", "--config", str(cfg)])
+
+
+def _sweep_with_design_lacking(key, tmp_path):
+    """Exit code of a cpm sweep whose design file lacks ``key``."""
+    return _sweep_with_design(tmp_path, lambda lines: [
+        ln for ln in lines if not ln.startswith(key + " ")])
+
+
+def _older_format(lines, overall=None):
+    """Design-file lines in the older format, which also stored the order,
+    p and overall lines now derived on load; ``overall`` replaces b (*) f
+    if given."""
+    kv = {k.strip(): v.strip() for k, _, v in (ln.partition("=") for ln in lines)}
+    b, f = (np.array([float(v) for v in kv[k].split(",")]) for k in "bf")
+
+    def fmt(arr):
+        return ",".join(f"{v:.17g}" for v in arr)
+
+    kv.update(order=str(f.size - 1), p=fmt(-f[1:]),
+              overall=overall or fmt(np.convolve(b, f)))
+    return [f"{key} = {kv[key]}" for key in (
+        "order", "noise_variance", "calibration_ebn0_db", "acf", "b",
+        "noise_acf", "p", "f", "reflection", "overall")]
 
 
 def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
@@ -129,20 +154,44 @@ def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
     assert "mdsim calibrate" in err
 
 
-def test_sweep_rejects_design_file_without_order(tmp_path, capsys):
-    assert _sweep_with_design_lacking("order", tmp_path) == 1
-    err = capsys.readouterr().err
-    assert "'whitening_file'" in err
-    assert "has no order" in err
-
-
-@pytest.mark.parametrize("key", ["f", "p", "noise_acf", "reflection", "acf",
-                                 "b", "overall"])
+@pytest.mark.parametrize("key", ["f", "noise_acf", "reflection", "acf", "b"])
 def test_sweep_rejects_design_file_without_array(tmp_path, capsys, key):
     assert _sweep_with_design_lacking(key, tmp_path) == 1
     err = capsys.readouterr().err
     assert "'whitening_file'" in err
     assert f"has no {key};" in err
+
+
+@pytest.mark.parametrize("line", ["noise_variance = nan", "noise_variance = 0",
+                                  "calibration_ebn0_db = nan"])
+def test_sweep_rejects_design_file_value(tmp_path, capsys, line):
+    key = line.split()[0]
+    assert _sweep_with_design(tmp_path, lambda lines: [
+        line if ln.startswith(key + " ") else ln for ln in lines]) == 1
+    err = capsys.readouterr().err
+    assert "'whitening_file'" in err
+    assert key in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_decodes_with_derived_overall_isi(tmp_path):
+    # an overall line that disagrees with b (*) f is not read
+    assert _sweep_with_design(tmp_path) == 0
+    derived = (tmp_path / "out.csv").read_text()
+    assert _sweep_with_design(
+        tmp_path, lambda lines: _older_format(lines, overall="1,0.5")) == 0
+    assert (tmp_path / "out.csv").read_text() == derived
+
+
+def test_sweep_reads_older_format_design_file(tmp_path):
+    # files with the order, p and overall lines still load, to the same CSV
+    assert _sweep_with_design(tmp_path) == 0
+    new = (tmp_path / "out.csv").read_text()
+    keys = {ln.partition("=")[0].strip()
+            for ln in (tmp_path / "design.txt").read_text().splitlines()}
+    assert keys.isdisjoint({"order", "p", "overall"})
+    assert _sweep_with_design(tmp_path, _older_format) == 0
+    assert (tmp_path / "out.csv").read_text() == new
 
 
 @pytest.mark.parametrize("chain, line, key", [
@@ -152,15 +201,28 @@ def test_sweep_rejects_design_file_without_array(tmp_path, capsys, key):
     ("cpm", "N_os = 4", "N_os"),
     ("cpm", "h_index = 1/0", "h_index"),
     ("cpm", "h_index = 0", "h_index"),
+    ("pam_isi", "ebn0_db = nan", "ebn0_db"),
+    ("cpm", "calibration_ebn0_db = nan", "calibration_ebn0_db"),
+    ("cpm", "isi_trim = 2", "isi_trim"),
+    ("pam_isi", "isi_trim = -1", "isi_trim"),
+    ("pam_isi", "taps = 0,1", "taps"),
+    ("pam_isi", "taps = 1,nan", "taps"),
+    ("pam_isi", "code = 5,0", "code"),
+    ("pam_isi", "seed = -1", "seed"),
+    ("cpm", "cutoff = 0", "cutoff"),
+    ("cpm", "cutoff = -1", "cutoff"),
+    ("cpm", "cutoff = 100", "cutoff"),
+    ("cpm", "cutoff = nan", "cutoff"),
 ])
 def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys,
                                                   chain, line, key):
+    # the line under test comes last, so it overrides a default above
     out = tmp_path / "out.csv"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"chain = {chain}\n{line}\nschemes = MD,BCJR+VA\n"
+    cfg.write_text(f"chain = {chain}\nschemes = MD,BCJR+VA\n"
                    "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
                    "cutoff = 0.75\ncalibration_symbols = 2000\n"
-                   f"output = {out}\n")
+                   f"output = {out}\n{line}\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()

@@ -2,6 +2,7 @@
 merged-vs-super trellis decision equivalence, reduced-state behavior, and
 the MAP equalizer against exhaustive posterior enumeration."""
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,7 @@ from mdsim.matched_encoder import (
 )
 
 CODE = ConvCode([0o5, 0o7])
-H = IsiResponse([1.0, 0.5, 0.25]).check_minimum_phase()
+H = IsiResponse([1.0, 0.5, 0.25])
 MT = build_matched_trellis(CODE, H, 4)
 STD = build_std_trellis(CODE, H, 4)
 
@@ -94,8 +95,7 @@ class TestViterbi:
         shifted_tr = build_matched_trellis(
             CODE, IsiResponse(H.taps), 4)
         from mdsim.trellis import TrellisSpec
-        tr = TrellisSpec(num_states=MT.trellis.num_states, num_inputs=2,
-                         next_state=MT.trellis.next_state.copy(),
+        tr = TrellisSpec(next_state=MT.trellis.next_state.copy(),
                          outputs=MT.trellis.outputs + 5.0)
         moved = viterbi_mlse(tr, obs + 5.0, end_state=0)
         np.testing.assert_array_equal(base.bits, moved.bits)
@@ -113,7 +113,7 @@ class TestNeverEnteredStates:
     # state 4 enter states 0 and 6
     NEXT = np.array([[0, 2], [5, 6], [0, 7], [2, 5],
                      [6, 0], [7, 3], [2, 5], [6, 7]])
-    TR = TrellisSpec(num_states=8, num_inputs=2, next_state=NEXT,
+    TR = TrellisSpec(next_state=NEXT,
                      outputs=normal_from_uniform(make_rng(11), 16).reshape(8, 2))
     START = 1
     STEPS = 9
@@ -236,9 +236,14 @@ class TestRsse:
             assert lo <= hi + max(3, int(0.15 * hi))  # slack for MC noise
 
     def test_warns_without_minimum_phase_flag(self):
-        mt = build_matched_trellis(CODE, IsiResponse([1.0, 0.5]), 4)
+        # warns for a maximum-phase response, not for a minimum-phase one
         obs = np.zeros(8)
+        mt = build_matched_trellis(CODE, IsiResponse([0.3, 1.0]), 4)
         with pytest.warns(UserWarning, match="minimum phase"):
+            rsse_decode(mt, PartitionSpec(1), obs)
+        mt = build_matched_trellis(CODE, IsiResponse([1.0, 0.5]), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rsse_decode(mt, PartitionSpec(1), obs)
 
     def test_rejects_oversized_partition(self):
@@ -354,8 +359,7 @@ class TestBcjr:
     def test_rejects_uneven_fan_in(self):
         from mdsim.trellis import TrellisSpec
         # state 0 has three incoming branches, state 1 one
-        tr = TrellisSpec(num_states=2, num_inputs=2,
-                         next_state=np.array([[0, 0], [0, 1]]),
+        tr = TrellisSpec(next_state=np.array([[0, 0], [0, 1]]),
                          outputs=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="predecessors"):
             bcjr_equalize(tr, np.zeros(3), 1.0)
@@ -422,7 +426,7 @@ class TestBatchedEqualsPerBlock:
     many candidates tie exactly; the batch sizes do not divide the block
     count."""
 
-    H3 = IsiResponse([1.0, 0.5, 0.25, 0.25]).check_minimum_phase()
+    H3 = IsiResponse([1.0, 0.5, 0.25, 0.25])
     MT3 = build_matched_trellis(CODE, H3, 4)
     BLOCKS = 7
 

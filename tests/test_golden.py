@@ -38,7 +38,7 @@ DECODERS = GOLDEN / "decoders_57_ties_l3.json"
 SWEEP = GOLDEN / "sweep_pam_all_schemes.csv"
 
 CODE = ConvCode([0o5, 0o7])
-H = IsiResponse([1.0, 0.5, 0.25, 0.25]).check_minimum_phase()
+H = IsiResponse([1.0, 0.5, 0.25, 0.25])
 M = 4
 
 SWEEP_CFG = """\

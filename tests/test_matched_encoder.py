@@ -199,8 +199,11 @@ def test_isi_response_validation():
         IsiResponse([])
     with pytest.raises(ValueError):
         IsiResponse([0.0, 1.0])
-    assert IsiResponse([1.0, 0.3]).check_minimum_phase().minimum_phase is True
-    assert IsiResponse([0.3, 1.0]).check_minimum_phase().minimum_phase is False
+    with pytest.raises(ValueError):
+        IsiResponse([1.0, np.nan])
+    assert IsiResponse([1.0, 0.3]).minimum_phase is True
+    assert IsiResponse([0.3, 1.0]).minimum_phase is False
+    assert IsiResponse([2.0]).minimum_phase is True
 
 
 def test_isi_tail_trimming():

@@ -1,6 +1,7 @@
 """Pulse ACF, spectral factorization, Levinson prediction, and the
 whitening filters, including the Monte-Carlo noise-measurement path."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,10 +282,13 @@ def test_design_save_load_roundtrip(tmp_path):
     from mdsim.whitening import spectral_factorize as sf
 
     fact = sf(sampled_pulse_acf(P3RC))
+    # the loader rejects the NaN calibration values yule_walker leaves
+    design = replace(design, noise_variance=0.3, calibration_ebn0_db=12.5)
     design = design.with_overall(fact.b)
     path = tmp_path / "design.txt"
     save_whitening_design(path, design, fact)
     loaded, fact2 = load_whitening_design(path)
+    assert (loaded.noise_variance, loaded.calibration_ebn0_db) == (0.3, 12.5)
     np.testing.assert_allclose(loaded.f, design.f, atol=1e-15)
     np.testing.assert_allclose(loaded.p, design.p, atol=1e-15)
     np.testing.assert_allclose(fact2.b, fact.b, atol=1e-15)

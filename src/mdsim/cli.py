@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,8 +18,8 @@ from .equalizers import build_std_trellis, compensate_edges, viterbi_mlse
 from .harness import (
     ConfigError,
     SimConfig,
-    calibration_defaults,
     parse_config,
+    resolve_chain,
     run_ber_sweep,
     write_csv,
 )
@@ -29,22 +30,24 @@ from .matched_encoder import (
     serial_reference,
     state_counts,
 )
-from .whitening import design_whitening, save_whitening_design, wmf_taps
-
-
-def _parse_l_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+from .whitening import save_whitening_design
 
 
 def _cmd_trellis(args) -> int:
-    code = ConvCode(parse_octal_generators(args.code))
-    ls = _parse_l_range(args.L)
-    for L in ls:
-        z_std, z_md, gain = state_counts(code.nu, code.n, L)
-        prefix = f"L={L} " if len(ls) > 1 else ""
+    try:
+        code = ConvCode(parse_octal_generators(args.code))
+    except ValueError as exc:
+        raise ConfigError(f"--code: {exc}") from exc
+    try:
+        lo, sep, hi = args.L.partition("..")
+        ls = range(int(lo), int(hi if sep else lo) + 1)
+        if not ls:
+            raise ValueError(f"empty range {args.L}")
+        rows = [(L, *state_counts(code.nu, code.n, L)) for L in ls]
+    except ValueError as exc:
+        raise ConfigError(f"--L: {exc}") from exc
+    for L, z_std, z_md, gain in rows:
+        prefix = f"L={L} " if len(rows) > 1 else ""
         print(f"{prefix}Z_STD={z_std} Z_MD={z_md} G={gain}")
     return 0
 
@@ -57,39 +60,28 @@ def _load_config(path) -> SimConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
 
 
+def _log(msg: str) -> None:
+    print(msg, file=sys.stderr)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        records = run_ber_sweep(cfg, log=lambda m: print(m, file=sys.stderr))
-        out = args.output or cfg.output
-        write_csv(out, records, with_timing=args.timing)
-        print(f"wrote {len(records)} records to {out}", file=sys.stderr)
-    except ConfigError:
-        raise  # reported by main() with exit code 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = run_ber_sweep(cfg, log=_log)
+    out = args.output or cfg.output
+    write_csv(out, records, with_timing=args.timing)
+    _log(f"wrote {len(records)} records to {out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    """Calibrate as a sweep of the config does when it has no
+    ``whitening_file``, and save the noise measurement."""
     cfg = _load_config(args.config)
     if cfg.chain != "cpm":
         raise ConfigError("config key 'chain': calibration needs chain = cpm")
-    try:
-        cutoff, cal_db = calibration_defaults(cfg)
-        design, fact = design_whitening(
-            cfg.cpm_params(), cal_db, cfg.L_nw, cutoff=cutoff,
-            n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
-        save_whitening_design(args.output, design, fact)
-        _, trunc = wmf_taps(fact, cfg.wmf_len)
-        print(f"cutoff = {cutoff:.6g}", file=sys.stderr)
-        print(f"wmf truncation tail magnitude = {trunc:.2e}", file=sys.stderr)
-        print("f =", np.array2string(design.f, precision=4), file=sys.stderr)
-        print(f"wrote whitening design to {args.output}", file=sys.stderr)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ctx = resolve_chain(replace(cfg, whitening_file=None), _log)
+    save_whitening_design(args.output, ctx.whitening)
+    _log(f"wrote whitening design to {args.output}")
     return 0
 
 
@@ -169,6 +161,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -293,20 +293,9 @@ class _ChainContext:
     cutoff: float | None = None
 
 
-def calibration_defaults(cfg: SimConfig) -> tuple[float, float]:
-    """Receive-lowpass cutoff and whitening calibration Eb/N0 of a CPM
-    config: the configured values, else the 99.9% power bandwidth and the
-    middle of the Eb/N0 grid."""
-    cutoff = cfg.cutoff
-    if cutoff is None:
-        cutoff = b999_bandwidth(cfg.cpm_params())
-    cal_db = cfg.calibration_ebn0_db
-    if cal_db is None:
-        cal_db = 0.5 * (cfg.ebn0_db[0] + cfg.ebn0_db[-1])
-    return cutoff, cal_db
-
-
-def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
+def resolve_chain(cfg: SimConfig, log) -> _ChainContext:
+    """The code, effective ISI and front end of a config; a CPM chain
+    loads its noise measurement from ``whitening_file`` or measures it."""
     code = ConvCode(cfg.generators)
     if cfg.chain == "pam_isi":
         isi = IsiResponse(np.array(cfg.taps))
@@ -316,19 +305,28 @@ def _resolve_chain(cfg: SimConfig, log) -> _ChainContext:
                              noise_var_cal=0.5, n0_cal=1.0)
 
     params = cfg.cpm_params()
-    cutoff, cal_db = calibration_defaults(cfg)
-    if cfg.cutoff is None:
+    cutoff = cfg.cutoff
+    if cutoff is None:
+        cutoff = b999_bandwidth(params)
         log(f"receive lowpass cutoff (99.9% power): {cutoff:.6g}")
     if cfg.whitening_file:
         try:
-            design, fact = load_whitening_design(cfg.whitening_file)
+            design, fact = load_whitening_design(cfg.whitening_file, params,
+                                                 cfg.L_nw)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config key 'whitening_file': {exc}") from exc
         log(f"loaded whitening design from {cfg.whitening_file}")
     else:
-        design, fact = design_whitening(
-            params, cal_db, cfg.L_nw, cutoff=cutoff,
-            n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
+        cal_db = cfg.calibration_ebn0_db
+        if cal_db is None:
+            cal_db = 0.5 * (cfg.ebn0_db[0] + cfg.ebn0_db[-1])
+        try:
+            design, fact = design_whitening(
+                params, cal_db, cfg.L_nw, cutoff=cutoff,
+                n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
+        except ValueError as exc:  # too few symbols, or an order they cannot fit
+            raise ConfigError(
+                f"config key 'calibration_symbols'/'L_nw': {exc}") from exc
         log(f"whitening calibrated at Eb/N0 = {cal_db:g} dB; "
             f"f = {np.array2string(design.f, precision=4)}")
     _, trunc = wmf_taps(fact, cfg.wmf_len)
@@ -507,7 +505,7 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     a scheme parameter beyond the chain's memory, or a sweep with no
     scheme left, is a config error.
     """
-    ctx = _resolve_chain(cfg, log)
+    ctx = resolve_chain(cfg, log)
     # MD and every RSSE scheme share one merged trellis; the serial
     # schemes share one code trellis and one ISI trellis per window depth.
     matched = functools.cache(lambda: build_matched_trellis(

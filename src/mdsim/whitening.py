@@ -226,8 +226,14 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
     noise, subtracts, and estimates the sample autocorrelation of the
     residual at lags 0..L_max.  Returns (acf normalized to lag 0, raw
     lag-0 variance).  Eb = Es for one information bit per modulation
-    interval.
+    interval.  Raises ValueError for too few symbols to fill the lags
+    between the transient guards at both ends.
     """
+    guard = 4 * params.L_cpm + wmf_len
+    if n_symbols <= 2 * guard + L_max:
+        raise ValueError(f"need more than {2 * guard + L_max} calibration "
+                         f"symbols (two {guard}-symbol guards and lags "
+                         f"0..{L_max}), got {n_symbols}")
     if n_symbols < 10 * L_max * L_max:
         warnings.warn(f"only {n_symbols} samples for {L_max} lags; "
                       "autocorrelation estimate may be unreliable", stacklevel=2)
@@ -244,7 +250,6 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
                                theta0=theta0, cutoff=cutoff)
     m = min(d_ref.size, d_noisy.size)
     resid = apply_wmf(d_noisy[:m], fact, wmf_len) - apply_wmf(d_ref[:m], fact, wmf_len)
-    guard = 4 * params.L_cpm + wmf_len
     resid = resid[guard: resid.size - guard]
 
     n = resid.size
@@ -264,33 +269,35 @@ def design_whitening(params: CpmParams, eb_n0_db: float, L_nw: int, *,
     phi, var = estimate_noise_acf(params, eb_n0_db, L_nw, n_symbols,
                                   cutoff=cutoff, fact=fact, wmf_len=wmf_len,
                                   seed=seed)
-    design = yule_walker(phi, L_nw)
-    design = replace(design, noise_variance=var, noise_acf=phi,
+    return _from_measurement(fact, phi, L_nw, var, eb_n0_db), fact
+
+
+def _from_measurement(fact: SpectralFactorization, noise_acf, L_nw: int,
+                      noise_variance: float, eb_n0_db: float) -> WhiteningDesign:
+    """Whitening of order ``L_nw`` on the first ``L_nw + 1`` lags of a
+    noise measurement, with the overall ISI ``fact.b (*) f``."""
+    design = replace(yule_walker(noise_acf, L_nw), noise_variance=noise_variance,
                      calibration_ebn0_db=eb_n0_db)
-    design = design.with_overall(fact.b)
-    return design, fact
+    return design.with_overall(fact.b)
 
 
-def save_whitening_design(path, design: WhiteningDesign,
-                          fact: SpectralFactorization) -> None:
-    """Plain-text key-value serialization so sweeps can reuse calibrations."""
-    def fmt(arr):
-        return ",".join(f"{v:.17g}" for v in np.asarray(arr, dtype=np.float64))
-
+def save_whitening_design(path, design: WhiteningDesign) -> None:
+    """Plain-text key-value file of the noise measurement, so sweeps can
+    reuse a calibration; everything else follows from the config."""
     lines = [
         f"noise_variance = {design.noise_variance:.17g}",
         f"calibration_ebn0_db = {design.calibration_ebn0_db:.17g}",
-        f"acf = {fmt(fact.acf)}",
-        f"b = {fmt(fact.b)}",
-        f"noise_acf = {fmt(design.noise_acf)}",
-        f"f = {fmt(design.f)}",
-        f"reflection = {fmt(design.reflection)}",
+        "noise_acf = " + ",".join(f"{v:.17g}" for v in design.noise_acf),
     ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]:
+def load_whitening_design(path, params: CpmParams,
+                          L_nw: int) -> tuple[WhiteningDesign, SpectralFactorization]:
+    """``design_whitening``'s result for the CPM format ``params`` and
+    order ``L_nw``, on a saved noise measurement instead of a new one.
+    Other lines (the derived arrays of older files) are not read."""
     kv = {}
     with open(path, encoding="ascii") as fh:
         for line in fh:
@@ -299,17 +306,7 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
                 continue
             key, _, val = line.partition("=")
             kv[key.strip()] = val.strip()
-
-    def arr(key):
-        txt = kv[key]
-        return (np.array([float(v) for v in txt.split(",")])
-                if txt else np.zeros(0))
-
-    # An array line may be empty (a zero-order predictor has no
-    # reflection coefficients), but every line must be there.  Lines of
-    # derived values (order, p, overall) in older files are not read.
-    for key in ("noise_variance", "calibration_ebn0_db", "acf", "b",
-                "noise_acf", "f", "reflection"):
+    for key in ("noise_variance", "calibration_ebn0_db", "noise_acf"):
         if key not in kv:
             raise ValueError(f"design file {path} has no {key}; "
                              "re-run `mdsim calibrate` to write it")
@@ -319,8 +316,7 @@ def load_whitening_design(path) -> tuple[WhiteningDesign, SpectralFactorization]
         raise ValueError(f"design file {path}: noise_variance must be finite "
                          f"and positive and calibration_ebn0_db finite, got "
                          f"{noise_variance} and {cal_db}")
-    fact = SpectralFactorization(acf=arr("acf"), b=arr("b"))
-    design = WhiteningDesign(
-        noise_acf=arr("noise_acf"), f=arr("f"), reflection=arr("reflection"),
-        noise_variance=noise_variance, calibration_ebn0_db=cal_db)
-    return design.with_overall(fact.b), fact
+    txt = kv["noise_acf"]
+    phi = [float(v) for v in txt.split(",")] if txt else []
+    fact = spectral_factorize(sampled_pulse_acf(params))
+    return _from_measurement(fact, phi, L_nw, noise_variance, cal_db), fact

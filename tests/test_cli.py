@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdsim.cli import main
+from mdsim.harness import SimConfig, parse_config
 
 
 def test_trellis_single_row(capsys):
@@ -25,6 +26,17 @@ def test_trellis_range(capsys):
 def test_trellis_big_code(capsys):
     assert main(["trellis", "--code", "133,171", "--L", "3"]) == 0
     assert capsys.readouterr().out.strip() == "Z_STD=4096 Z_MD=512 G=8"
+
+
+@pytest.mark.parametrize("code, L, flag", [
+    ("5,0", "2", "--code"), ("9", "2", "--code"), ("5,7", "x", "--L"),
+    ("5,7", "-1", "--L"), ("5,7", "3..1", "--L"), ("5,7", "1..", "--L"),
+])
+def test_trellis_bad_flag_is_error(capsys, code, L, flag):
+    assert main(["trellis", "--code", code, "--L", L]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag}:")
 
 
 def test_sweep_missing_config_fails():
@@ -100,25 +112,22 @@ def test_sweep_scheme_outside_grammar_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def _sweep_with_design(tmp_path, edit=lambda lines: lines):
-    """Exit code of a cpm sweep reading a saved design file whose lines
-    went through ``edit``; the sweep writes ``tmp_path / "out.csv"``."""
+def _sweep_with_design(tmp_path, edit=lambda lines: lines, L_nw=1):
+    """Exit code of a cpm sweep at ``L_nw`` reading a saved two-lag noise
+    measurement whose lines went through ``edit``; the sweep writes
+    ``tmp_path / "out.csv"``."""
     from dataclasses import replace
 
-    from mdsim.whitening import (
-        save_whitening_design,
-        spectral_factorize,
-        yule_walker,
-    )
+    from mdsim.whitening import save_whitening_design, yule_walker
 
-    fact = spectral_factorize([0.25, 1.0, 0.25])
-    design = replace(yule_walker([1.0, 0.3], 1), noise_variance=0.5,
-                     calibration_ebn0_db=10.0).with_overall(fact.b)
     path = tmp_path / "design.txt"
-    save_whitening_design(path, design, fact)
+    save_whitening_design(path, replace(yule_walker([1.0, 0.3], 1),
+                                        noise_variance=0.5,
+                                        calibration_ebn0_db=10.0))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     cfg = tmp_path / "cpm.cfg"
-    cfg.write_text(f"chain = cpm\ncutoff = 0.75\nwhitening_file = {path}\n"
+    cfg.write_text(f"chain = cpm\ncutoff = 0.75\nL_nw = {L_nw}\n"
+                   f"whitening_file = {path}\n"
                    "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n"
                    f"output = {tmp_path / 'out.csv'}\n")
     return main(["sweep", "--config", str(cfg)])
@@ -130,18 +139,24 @@ def _sweep_with_design_lacking(key, tmp_path):
         ln for ln in lines if not ln.startswith(key + " ")])
 
 
-def _older_format(lines, overall=None):
-    """Design-file lines in the older format, which also stored the order,
-    p and overall lines now derived on load; ``overall`` replaces b (*) f
-    if given."""
-    kv = {k.strip(): v.strip() for k, _, v in (ln.partition("=") for ln in lines)}
-    b, f = (np.array([float(v) for v in kv[k].split(",")]) for k in "bf")
+def _older_format(lines, **edits):
+    """Design-file lines in the older formats, which also stored the arrays
+    now derived from the config: the pulse autocorrelation ``acf`` and its
+    factor ``b``, the whitening filter ``f`` and its ``reflection``
+    coefficients, ``order``, ``p`` and ``overall``.  Their values are the
+    ones derived for the default 3RC config at order 1, or ``edits``."""
+    from mdsim.whitening import sampled_pulse_acf, spectral_factorize, yule_walker
 
     def fmt(arr):
         return ",".join(f"{v:.17g}" for v in arr)
 
-    kv.update(order=str(f.size - 1), p=fmt(-f[1:]),
-              overall=overall or fmt(np.convolve(b, f)))
+    kv = dict(ln.split(" = ") for ln in lines)
+    fact = spectral_factorize(sampled_pulse_acf(SimConfig(chain="cpm").cpm_params()))
+    design = yule_walker([float(v) for v in kv["noise_acf"].split(",")], 1)
+    kv.update(order="1", acf=fmt(fact.acf), b=fmt(fact.b), p=fmt(design.p),
+              f=fmt(design.f), reflection=fmt(design.reflection),
+              overall=fmt(np.convolve(fact.b, design.f)))
+    kv.update(edits)
     return [f"{key} = {kv[key]}" for key in (
         "order", "noise_variance", "calibration_ebn0_db", "acf", "b",
         "noise_acf", "p", "f", "reflection", "overall")]
@@ -154,7 +169,7 @@ def test_sweep_rejects_design_file_without_calibration_point(tmp_path, capsys):
     assert "mdsim calibrate" in err
 
 
-@pytest.mark.parametrize("key", ["f", "noise_acf", "reflection", "acf", "b"])
+@pytest.mark.parametrize("key", ["noise_acf"])
 def test_sweep_rejects_design_file_without_array(tmp_path, capsys, key):
     assert _sweep_with_design_lacking(key, tmp_path) == 1
     err = capsys.readouterr().err
@@ -175,23 +190,68 @@ def test_sweep_rejects_design_file_value(tmp_path, capsys, line):
 
 
 def test_sweep_decodes_with_derived_overall_isi(tmp_path):
-    # an overall line that disagrees with b (*) f is not read
+    # edited acf, b, f and overall lines of an older file are not read
     assert _sweep_with_design(tmp_path) == 0
     derived = (tmp_path / "out.csv").read_text()
-    assert _sweep_with_design(
-        tmp_path, lambda lines: _older_format(lines, overall="1,0.5")) == 0
+    assert _sweep_with_design(tmp_path, lambda lines: _older_format(
+        lines, acf="0.5,1,0.5", b="1,0.5", f="1,-0.9",
+        overall="1,0.5")) == 0
     assert (tmp_path / "out.csv").read_text() == derived
 
 
 def test_sweep_reads_older_format_design_file(tmp_path):
-    # files with the order, p and overall lines still load, to the same CSV
+    # a file holds the measurement alone; files with the derived arrays
+    # still load, to the same CSV
     assert _sweep_with_design(tmp_path) == 0
     new = (tmp_path / "out.csv").read_text()
-    keys = {ln.partition("=")[0].strip()
-            for ln in (tmp_path / "design.txt").read_text().splitlines()}
-    assert keys.isdisjoint({"order", "p", "overall"})
+    keys = [ln.partition("=")[0].strip()
+            for ln in (tmp_path / "design.txt").read_text().splitlines()]
+    assert keys == ["noise_variance", "calibration_ebn0_db", "noise_acf"]
     assert _sweep_with_design(tmp_path, _older_format) == 0
     assert (tmp_path / "out.csv").read_text() == new
+
+
+def test_sweep_rejects_design_file_with_too_few_lags(tmp_path, capsys):
+    # the file's two noise lags cannot make a whitening filter of order 2
+    assert _sweep_with_design(tmp_path, L_nw=2) == 1
+    err = capsys.readouterr().err
+    assert "'whitening_file'" in err
+    assert "need 3 autocorrelation lags, got 2" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_design_file_sweeps_at_config_order(tmp_path):
+    """A file calibrated at L_nw = 3 sweeps an L_nw = 1 config to the CSV
+    of an inline calibration at L_nw = 1; at order 3 the row differs."""
+    base = ("chain = cpm\ncutoff = 0.75\ncalibration_symbols = 3000\n"
+            "schemes = MD\nebn0_db = 12\nmax_bits = 1000\nblock_bits = 1000\n")
+    cfg, out, design = (tmp_path / n for n in ("c.cfg", "out.csv", "d.txt"))
+
+    def sweep(lines):
+        cfg.write_text(base + lines)
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        return out.read_text()
+
+    cfg.write_text(base + "L_nw = 3\n")
+    assert main(["calibrate", "--config", str(cfg), "--output", str(design)]) == 0
+    inline = sweep("L_nw = 1\n")
+    assert sweep(f"L_nw = 1\nwhitening_file = {design}\n") == inline
+    assert sweep(f"L_nw = 3\nwhitening_file = {design}\n") != inline
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize("symbols", [0, -5, 60])
+def test_too_few_calibration_symbols_is_config_error(tmp_path, capsys,
+                                                     command, symbols):
+    # two 32-symbol guards at L_cpm = 3, wmf_len = 20 leave no noise lag
+    out = tmp_path / "out.txt"
+    cfg = tmp_path / "cpm.cfg"
+    cfg.write_text("chain = cpm\nL_cpm = 3\nwmf_len = 20\ncutoff = 0.75\n"
+                   f"calibration_symbols = {symbols}\nschemes = MD\n"
+                   "ebn0_db = 12\nmax_bits = 500\nblock_bits = 500\n")
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    assert "'calibration_symbols'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("chain, line, key", [
@@ -251,7 +311,11 @@ def test_calibrate_writes_design(tmp_path):
                  "--output", str(design_path)]) == 0
     from mdsim.whitening import load_whitening_design
 
-    design, fact = load_whitening_design(design_path)
+    keys = [ln.partition("=")[0].strip()
+            for ln in design_path.read_text().splitlines()]
+    assert keys == ["noise_variance", "calibration_ebn0_db", "noise_acf"]
+    params = parse_config(cfg.read_text()).cpm_params()
+    design, fact = load_whitening_design(design_path, params, 2)
     assert design.f.size == 3
     assert design.overall is not None
     np.testing.assert_allclose(design.f[0], 1.0)

@@ -14,6 +14,7 @@ from mdsim.harness import (
     SimConfig,
     parse_config,
     parse_scheme,
+    resolve_chain,
     run_ber_sweep,
     wilson_interval,
     write_csv,
@@ -198,7 +199,7 @@ class TestSweep:
         """Recompute errors with an independent comparator: re-run the
         decoder on re-generated blocks and diff transmitted vs decoded."""
         from mdsim.equalizers import viterbi_mlse
-        from mdsim.harness import _make_block, _resolve_chain
+        from mdsim.harness import _make_block
         from mdsim.matched_encoder import build_matched_trellis
 
         cfg = SimConfig(chain="pam_isi", taps=(1.0, 0.5, 0.25),
@@ -206,7 +207,7 @@ class TestSweep:
                         ebn0_db=(8.0,), min_errors=25, max_bits=20_000,
                         block_bits=500, seed=3)
         recs = run_ber_sweep(cfg)
-        ctx = _resolve_chain(cfg, log=lambda msg: None)
+        ctx = resolve_chain(cfg, log=lambda msg: None)
         mt = build_matched_trellis(ctx.code, ctx.isi, 4)
         # Eb = mean symbol energy (M^2 - 1)/3 times the ISI energy
         n0 = 5.0 * (1.0 + 0.25 + 0.0625) * 10.0 ** (-8.0 / 10.0)
@@ -436,10 +437,32 @@ def test_whitening_file_reuse_reproduces_inline_calibration(tmp_path):
     design, fact = design_whitening(params, 11.5, 1, cutoff=cutoff,
                                     n_symbols=50_000)
     path = tmp_path / "design.txt"
-    save_whitening_design(path, design, fact)
+    save_whitening_design(path, design)
     cfg_file = SimConfig(**base, whitening_file=str(path))
 
     rec_inline = run_ber_sweep(cfg_inline)
     rec_file = run_ber_sweep(cfg_file)
     assert [(r.scheme, r.ebn0_db, r.bits, r.errors) for r in rec_inline] == \
            [(r.scheme, r.ebn0_db, r.bits, r.errors) for r in rec_file]
+
+
+def test_inline_calibration_runs_each_stage_once(monkeypatch):
+    import mdsim.harness
+    import mdsim.whitening
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((mdsim.harness, "b999_bandwidth"),
+                      (mdsim.whitening, "spectral_factorize"),
+                      (mdsim.whitening, "estimate_noise_acf")):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    resolve_chain(SimConfig(chain="cpm", calibration_symbols=3000),
+                  log=lambda msg: None)
+    assert sorted(calls) == ["b999_bandwidth", "estimate_noise_acf",
+                             "spectral_factorize"]

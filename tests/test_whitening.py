@@ -279,22 +279,24 @@ class TestNoiseMeasurement:
 
 def test_design_save_load_roundtrip(tmp_path):
     phi, design = _measured_design()
-    from mdsim.whitening import spectral_factorize as sf
-
-    fact = sf(sampled_pulse_acf(P3RC))
+    fact = spectral_factorize(sampled_pulse_acf(P3RC))
     # the loader rejects the NaN calibration values yule_walker leaves
     design = replace(design, noise_variance=0.3, calibration_ebn0_db=12.5)
     design = design.with_overall(fact.b)
     path = tmp_path / "design.txt"
-    save_whitening_design(path, design, fact)
-    loaded, fact2 = load_whitening_design(path)
+    save_whitening_design(path, design)
+    loaded, fact2 = load_whitening_design(path, P3RC, 10)
     assert (loaded.noise_variance, loaded.calibration_ebn0_db) == (0.3, 12.5)
-    np.testing.assert_allclose(loaded.f, design.f, atol=1e-15)
-    np.testing.assert_allclose(loaded.p, design.p, atol=1e-15)
-    np.testing.assert_allclose(fact2.b, fact.b, atol=1e-15)
-    np.testing.assert_allclose(loaded.overall.taps, design.overall.taps,
-                               atol=1e-15)
+    np.testing.assert_array_equal(loaded.noise_acf, design.noise_acf)
+    np.testing.assert_array_equal(loaded.f, design.f)
+    np.testing.assert_array_equal(loaded.reflection, design.reflection)
+    np.testing.assert_array_equal(fact2.b, fact.b)
+    np.testing.assert_array_equal(loaded.overall.taps, design.overall.taps)
+    assert loaded.output_noise_variance == design.output_noise_variance
     assert loaded.overall.minimum_phase is True
+    # a lower order uses the first lags of the file
+    low, _ = load_whitening_design(path, P3RC, 3)
+    np.testing.assert_array_equal(low.f, yule_walker(phi, 3).f)
 
 
 @pytest.mark.slow

@@ -88,6 +88,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_selftest(args) -> int:
     """Decoder-equivalence suite: merged-trellis encoder vs the serial
     chain, and identical decisions of the merged and super trellises."""
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds: need at least 1 trial, got {args.seeds}")
     rng = make_rng(123)
     code = ConvCode(parse_octal_generators("5,7"))
     failures = 0
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,6 +86,12 @@ def _as_blocks(obs) -> np.ndarray:
     return obs.reshape(-1, obs.shape[-1])
 
 
+def _columns(obs) -> np.ndarray:
+    """The (T, B, 1, 1) columns of a (T,) block or (B, T) batch ``obs``:
+    step t's observations of every block, against hypotheses of a step."""
+    return np.ascontiguousarray(_as_blocks(obs).T)[:, :, None, None]
+
+
 def _pointer_dtype(fan_in: int):
     """Smallest signed dtype of a traceback pointer (a predecessor slot)."""
     return np.int8 if fan_in <= 127 else np.int32
@@ -107,7 +113,8 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     """Bytes per block that :func:`_viterbi` holds over ``steps`` steps
     from state 0 to state 0: one traceback pointer per stepped state and
     step, and three 8-byte values per step (the block's observations,
-    traceback indices and decisions)."""
+    traceback indices and decisions).  It counts the fan-in from
+    ``next_state``: a sweep builds no predecessor table before a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
@@ -152,7 +159,7 @@ def _copies(index: np.ndarray, size: int, blocks: int) -> np.ndarray:
     return index + size * np.arange(blocks).reshape(-1, *[1] * index.ndim)
 
 
-def _viterbi(slots: _Slots, blocks: int, steps: int, branch_metrics,
+def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
              *, base: int = 1, memory: int = 0) -> DecodeResult:
     """Add-compare-select over the table ``slots`` for ``steps`` steps on
     ``blocks`` independent blocks, then one traceback; returns the (B, T)
@@ -224,11 +231,10 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     ``obs`` is one (T,) block, or a (B, T) batch decoded at once; a batch
     gives (B, T) bits and (B,) metrics.
     """
-    blocks = _as_blocks(obs)
-    cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
+    cols = _columns(obs)
     slots = _slots(trellis, start_state, end_state)
     hyp = trellis.outputs[slots.ps, slots.pu]  # (R, P) candidate hypotheses
-    res = _viterbi(slots, *blocks.shape, lambda t, reg: (cols[t] - hyp) ** 2)
+    res = _viterbi(slots, *cols.shape[:2], lambda t, reg: (cols[t] - hyp) ** 2)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
@@ -316,9 +322,8 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
         warnings.warn("ISI response not minimum phase; "
                       "state truncation loses its distance rationale",
                       stacklevel=2)
-    blocks = _as_blocks(obs)
+    cols = _columns(obs)
     slots = _slots(part.window)
-    cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
     flat = mt.trellis.outputs.reshape(-1)
 
     def metrics(t, prev):
@@ -326,7 +331,7 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
         return d * d
 
     # Flushed blocks terminate in hyperstate 0.
-    res = _viterbi(slots, *blocks.shape, metrics, base=2, memory=mem)
+    res = _viterbi(slots, *cols.shape[:2], metrics, base=2, memory=mem)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
@@ -363,7 +368,7 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
     J = kept_symbols
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
-    blocks = _as_blocks(obs)
+    cols = _columns(obs)
     if window is None:
         window = build_isi_trellis(h, M, memory=J)
     elif window.num_inputs != M or window.num_states != M**J:
@@ -377,13 +382,12 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
                          f"not (M^(L-J),) = ({M ** (L - J)},)")
     slots = _slots(window, end_state=end_state)
     hyp = window.outputs[slots.ps, slots.pu]  # (M^J, P) from the first J+1 taps
-    cols = np.ascontiguousarray(blocks.T)[:, :, None, None]  # (T, B, 1, 1)
     older = M**J
 
     def metrics(t, prev):
         return (cols[t] - (hyp + feedback.take(prev // older))) ** 2
 
-    res = _viterbi(slots, *blocks.shape, metrics, base=M, memory=L)
+    res = _viterbi(slots, *cols.shape[:2], metrics, base=M, memory=L)
     return _unbatch(obs, res.bits)
 
 
@@ -432,8 +436,8 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     Symbol posteriors are marginalized to bit LLRs through the natural map
     (MSB first), one LLR per coded bit.
     """
-    blocks = _as_blocks(obs)
-    B, T = blocks.shape
+    cols = _columns(obs)
+    T, B = cols.shape[:2]
     S, M = isi_trellis.num_states, isi_trellis.num_inputs
     hyp = isi_trellis.outputs
     nxt = isi_trellis.next_state
@@ -444,7 +448,7 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     inv2v = -0.5 / float(noise_variance)
 
     # (T, B, S, M), C-ordered and built in place
-    gammas = np.ascontiguousarray(blocks.T)[:, :, None, None] - hyp
+    gammas = cols - hyp
     gammas **= 2
     gammas *= inv2v
     flat = gammas.reshape(T, B * S * M)
@@ -526,5 +530,5 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     def metrics(t, reg):
         return sums[t].take(word, axis=1)
 
-    bits = _viterbi(slots, B, steps, metrics).bits
+    bits = _viterbi(slots, steps, B, metrics).bits
     return _unbatch(llrs, bits)

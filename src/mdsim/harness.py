@@ -324,9 +324,10 @@ def resolve_chain(cfg: SimConfig, log) -> _ChainContext:
             design, fact = design_whitening(
                 params, cal_db, cfg.L_nw, cutoff=cutoff,
                 n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
-        except ValueError as exc:  # too few symbols, or an order they cannot fit
-            raise ConfigError(
-                f"config key 'calibration_symbols'/'L_nw': {exc}") from exc
+        except ValueError as exc:
+            # too few symbols, an order they cannot fit, or an N0 of 0
+            raise ConfigError("config key 'calibration_ebn0_db'/"
+                              f"'calibration_symbols'/'L_nw': {exc}") from exc
         log(f"whitening calibrated at Eb/N0 = {cal_db:g} dB; "
             f"f = {np.array2string(design.f, precision=4)}")
     _, trunc = wmf_taps(fact, cfg.wmf_len)
@@ -372,80 +373,107 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
     return info, compensate_edges(obs, ctx.isi.taps, cfg.M)
 
 
-def _build_decoder(scheme: SchemeSpec, ctx: _ChainContext, cfg: SimConfig,
-                   matched, code_trellis, isi_trellis):
-    """One scheme's receiver, built once per sweep: a function
-    ``(obs, n0) -> decoded bits`` of a (B, T) batch of blocks, the states
-    of the trellises it searches, summed over the stages of a serial
-    receiver, and the bytes it holds per block of the batch.
-    ``matched()``, ``code_trellis()`` and ``isi_trellis(memory)`` return
-    the merged, code and ISI window trellises, shared by every scheme of
-    the sweep.  Raises ConfigError for an RSSE or DFSE parameter beyond
-    the chain's memory, and ValueError if it cannot run."""
-    code, isi, M = ctx.code, ctx.isi, cfg.M
-    steps = cfg.block_bits + code.nu + isi.L
-    if scheme.kind in ("md", "rsse"):
-        mt = matched()
-    if scheme.kind == "md":
-        return (lambda obs, n0: viterbi_mlse(mt.trellis, obs, end_state=0).bits,
-                mt.trellis.num_states, viterbi_bytes(mt.trellis, steps))
-    if scheme.kind == "std":
-        std = build_std_trellis(code, isi, M, state_cap=cfg.state_cap)
-        return (lambda obs, n0: viterbi_mlse(std, obs, end_state=0).bits,
-                std.num_states, viterbi_bytes(std, steps))
-    if scheme.kind == "rsse":
-        if scheme.param > code.nu + isi.L:
-            raise ConfigError(
-                f"config key 'schemes': RSSE kept bits {scheme.param} exceed "
-                f"the merged-trellis memory nu+L = {code.nu + isi.L}")
-        part = PartitionSpec(scheme.param)
-        return (lambda obs, n0: rsse_decode(mt, part, obs).bits,
-                part.num_hyperstates, viterbi_bytes(part.window, steps))
-    vtr = code_trellis()
-    if scheme.kind == "dfse_va":
-        if scheme.param > isi.L:
-            raise ConfigError(
-                f"config key 'schemes': DFSE kept symbols {scheme.param} "
-                f"exceed the channel memory L = {isi.L}")
-        window = isi_trellis(scheme.param)
-        feedback = build_dfse_feedback(isi, M, scheme.param,
-                                       state_cap=cfg.state_cap)
-
-        def dfse_va(obs, n0):
-            sym = dfse_equalize(isi, M, scheme.param, obs, window=window,
-                                feedback=feedback)
-            llrs = 1.0 - 2.0 * symbol_bits(sym, M).reshape(sym.shape[0], -1)
-            return soft_viterbi_decode(code, llrs, end_state=0, trellis=vtr)
-        return (dfse_va, window.num_states + code.num_states,
-                viterbi_bytes(window, steps) + viterbi_bytes(vtr, steps))
-    bcjr_tr = isi_trellis(min(cfg.bcjr_memory, isi.L))
-
-    def bcjr_va(obs, n0):
-        var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
-        res = bcjr_equalize(bcjr_tr, obs, var)
-        return soft_viterbi_decode(code, res.bit_llrs, end_state=0, trellis=vtr)
-    return (bcjr_va, bcjr_tr.num_states + code.num_states,
-            bcjr_bytes(bcjr_tr, steps) + viterbi_bytes(vtr, steps))
-
-
-# Bytes a scheme may hold per batch of blocks, by the estimate of its
-# decoder build.  This is about what one block of the 1024-state STD
-# receiver of examples_cfg/pam.cfg held before blocks were batched (2.06
-# MB of int16 traceback pointers), so batching leaves the peak memory of
-# a sweep where it was.  It leaves room for four blocks of that receiver
-# with int8 pointers over its 512 stepped states (2.16 MB with their
-# per-step arrays), which decode faster per block than one or two.
+# Bytes a receiver may hold per batch of blocks, by the estimates of the
+# trellises it searches.  This is about what one block of the 1024-state
+# STD receiver of examples_cfg/pam.cfg held before blocks were batched
+# (2.06 MB of int16 traceback pointers), so batching leaves the peak
+# memory of a sweep where it was.  It leaves room for four blocks of that
+# receiver with int8 pointers over its 512 stepped states (2.16 MB with
+# their per-step arrays), which decode faster per block than one or two.
 BATCH_BYTES = 9 << 18  # 2.25 MiB
+
+
+@dataclass(frozen=True)
+class _Receiver:
+    """One scheme's receiver, built once per sweep, and the one place its
+    states and batch come from.  ``decode(obs, n0)`` decodes a (B, T)
+    batch of blocks sent at noise density ``n0``; ``states`` sums the
+    states of the trellises it searches, and ``batch`` is the blocks per
+    call that their byte estimates fit in BATCH_BYTES (at least one)."""
+
+    scheme: SchemeSpec
+    decode: Callable[[np.ndarray, float], np.ndarray]
+    states: int
+    batch: int
+
+
+def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
+                     log) -> list[_Receiver]:
+    """The receivers of the schemes of ``cfg``.  MD and every RSSE share
+    one merged trellis, the serial schemes one code trellis and one ISI
+    trellis per window depth.  A scheme that cannot be built (over the
+    state cap, say) is disabled with a message; an RSSE or DFSE parameter
+    beyond the chain's memory, or no scheme left, is a ConfigError."""
+    code, isi, M, cap = ctx.code, ctx.isi, cfg.M, cfg.state_cap
+    steps = cfg.block_bits + code.nu + isi.L
+    matched = functools.cache(
+        lambda: build_matched_trellis(code, isi, M, state_cap=cap))
+    code_trellis = functools.cache(lambda: build_conv_trellis(code))
+    isi_trellis = functools.cache(lambda memory: build_isi_trellis(
+        isi, M, memory=memory, state_cap=cap))
+
+    def build(scheme: SchemeSpec) -> _Receiver:
+        def receiver(decode, states, block_bytes):
+            return _Receiver(scheme, decode, states,
+                             max(1, BATCH_BYTES // block_bytes))
+
+        if scheme.kind in ("md", "std"):
+            tr = (matched().trellis if scheme.kind == "md"
+                  else build_std_trellis(code, isi, M, state_cap=cap))
+            return receiver(
+                lambda obs, n0: viterbi_mlse(tr, obs, end_state=0).bits,
+                tr.num_states, viterbi_bytes(tr, steps))
+        if scheme.kind == "rsse":
+            mt = matched()
+            part = PartitionSpec(scheme.param)
+            return receiver(lambda obs, n0: rsse_decode(mt, part, obs).bits,
+                            part.num_hyperstates,
+                            viterbi_bytes(part.window, steps))
+        # The serial receivers equalize to coded-bit LLRs, then soft-VA them.
+        if scheme.kind == "dfse_va":
+            window = isi_trellis(scheme.param)
+            feedback = build_dfse_feedback(isi, M, scheme.param, state_cap=cap)
+            window_bytes = viterbi_bytes(window, steps)
+
+            def equalize(obs, n0):
+                sym = dfse_equalize(isi, M, scheme.param, obs, window=window,
+                                    feedback=feedback)
+                return 1.0 - 2.0 * symbol_bits(sym, M).reshape(len(sym), -1)
+        else:
+            window = isi_trellis(min(cfg.bcjr_memory, isi.L))
+            window_bytes = bcjr_bytes(window, steps)
+
+            def equalize(obs, n0):
+                var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
+                return bcjr_equalize(window, obs, var).bit_llrs
+        vtr = code_trellis()
+        return receiver(lambda obs, n0: soft_viterbi_decode(
+            code, equalize(obs, n0), end_state=0, trellis=vtr),
+            window.num_states + code.num_states,
+            window_bytes + viterbi_bytes(vtr, steps))
+
+    receivers = []
+    for scheme in cfg.schemes:
+        # RSSE keeps bits of the merged state, DFSE symbols of the channel
+        memory = code.nu + isi.L if scheme.kind == "rsse" else isi.L
+        if scheme.param is not None and scheme.param > memory:
+            raise ConfigError(f"config key 'schemes': {scheme.label()} would "
+                              f"keep {scheme.param} of {memory} state digits")
+        try:
+            receivers.append(build(scheme))
+        except (ValueError, MemoryError) as exc:
+            log(f"scheme {scheme.label()} disabled: {exc}")
+    if not receivers:
+        raise ConfigError("config key 'schemes': no scheme can run on this "
+                          "chain (see the messages above)")
+    return receivers
 
 
 @dataclass
 class _Tally:
-    """Errors, bits and decode seconds of one scheme at one Eb/N0 point."""
+    """Errors, bits and decode seconds of one receiver at one Eb/N0 point."""
 
-    scheme: SchemeSpec
-    decoder: Callable[[np.ndarray, float], np.ndarray]
-    states: int
-    batch: int  # blocks per decoder call
+    receiver: _Receiver
     errors: int = 0
     bits: int = 0
     seconds: float = 0.0
@@ -455,15 +483,16 @@ class _Tally:
 
     def decode(self, cfg: SimConfig, info: np.ndarray, obs: np.ndarray,
                n0: float) -> None:
-        """Decode a round of blocks, ``batch`` at a time, and count them in
-        order until the stop rule holds.  Blocks decoded past that one are
-        discarded; ``seconds`` includes them."""
+        """Decode a round of blocks, the receiver's batch at a time, and
+        count them in order until the stop rule holds.  Blocks decoded past
+        that one are discarded; ``seconds`` includes them."""
+        batch = self.receiver.batch
         t0 = time.perf_counter()
-        for i in range(0, len(info), self.batch):
+        for i in range(0, len(info), batch):
             if self.done(cfg):
                 break
-            decoded = self.decoder(obs[i:i + self.batch], n0)
-            for row, sent in zip(decoded, info[i:i + self.batch]):
+            decoded = self.receiver.decode(obs[i:i + batch], n0)
+            for row, sent in zip(decoded, info[i:i + batch]):
                 if self.done(cfg):
                     break
                 self.errors += int(np.count_nonzero(row[:sent.size] != sent))
@@ -473,10 +502,10 @@ class _Tally:
     def record(self, cfg: SimConfig, ebn0_db: float) -> BerRecord:
         ber = self.errors / self.bits if self.bits else 0.0
         lo, hi = wilson_interval(self.errors, self.bits)
-        return BerRecord(scheme=self.scheme.label(), states=self.states,
-                         ebn0_db=ebn0_db, bits=self.bits, errors=self.errors,
-                         ber=ber, ci_lo=lo, ci_hi=hi, seed=cfg.seed,
-                         seconds=self.seconds)
+        return BerRecord(scheme=self.receiver.scheme.label(),
+                         states=self.receiver.states, ebn0_db=ebn0_db,
+                         bits=self.bits, errors=self.errors, ber=ber, ci_lo=lo,
+                         ci_hi=hi, seed=cfg.seed, seconds=self.seconds)
 
 
 def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
@@ -489,7 +518,7 @@ def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
     at most the blocks it needs at its error rate so far to reach
     ``min_errors``, so that points stopping on errors waste little."""
     size = max(2 * last, -(-cfg.min_errors // cfg.block_bits) - first)
-    size = min(size, max(t.batch for t in live),
+    size = min(size, max(t.receiver.batch for t in live),
                -(-cfg.max_bits // cfg.block_bits) - first)
     for t in live:
         if t.errors:  # ceil((min_errors - errors) / (errors / first))
@@ -498,40 +527,15 @@ def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
 
 
 def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
-    """Simulate every (scheme, Eb/N0) point to its stop rule.
-
-    Decoder construction failures (for example the super-trellis state
-    cap) disable that scheme with a message and leave the others running;
-    a scheme parameter beyond the chain's memory, or a sweep with no
-    scheme left, is a config error.
-    """
+    """Simulate every (scheme, Eb/N0) point to its stop rule, each point
+    decoding the same blocks with the receivers of
+    :func:`_build_receivers`."""
     ctx = resolve_chain(cfg, log)
-    # MD and every RSSE scheme share one merged trellis; the serial
-    # schemes share one code trellis and one ISI trellis per window depth.
-    matched = functools.cache(lambda: build_matched_trellis(
-        ctx.code, ctx.isi, cfg.M, state_cap=cfg.state_cap))
-    code_trellis = functools.cache(lambda: build_conv_trellis(ctx.code))
-    isi_trellis = functools.cache(lambda memory: build_isi_trellis(
-        ctx.isi, cfg.M, memory=memory, state_cap=cfg.state_cap))
-    decoders = []
-    for scheme in cfg.schemes:
-        try:
-            decoder, states, block_bytes = _build_decoder(
-                scheme, ctx, cfg, matched, code_trellis, isi_trellis)
-            decoders.append((scheme, decoder, states,
-                             max(1, BATCH_BYTES // block_bytes)))
-        except ConfigError:
-            raise
-        except (ValueError, MemoryError) as exc:
-            log(f"scheme {scheme.label()} disabled: {exc}")
-    if not decoders:
-        raise ConfigError("config key 'schemes': no scheme can run on this "
-                          "chain (see the messages above)")
-
+    receivers = _build_receivers(ctx, cfg, log)
     records: list[BerRecord] = []
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
         n0 = ctx.eb * 10.0 ** (-ebn0 / 10.0)
-        tallies = [_Tally(*d) for d in decoders]
+        tallies = [_Tally(r) for r in receivers]
         # Blocks go out in rounds; every tally not yet done decodes all of
         # a round, so each round starts at the same block for all of them.
         block_idx, size = 0, 0
@@ -545,7 +549,7 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
             block_idx += size
         records += [t.record(cfg, ebn0) for t in tallies]
         log(f"Eb/N0 = {ebn0:g} dB: " + ", ".join(
-            f"{t.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"
+            f"{t.receiver.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"
             for t in tallies))
     records.sort(key=lambda r: (r.scheme, r.ebn0_db))
     return records

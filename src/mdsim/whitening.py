@@ -153,8 +153,8 @@ def yule_walker(noise_acf, L_nw: int) -> WhiteningDesign:
         raise ValueError("whitening order must be >= 0")
     if phi.size < L_nw + 1:
         raise ValueError(f"need {L_nw + 1} autocorrelation lags, got {phi.size}")
-    if phi[0] <= 0:
-        raise ValueError("lag-0 autocorrelation must be positive")
+    if not (np.isfinite(phi).all() and phi[0] > 0):
+        raise ValueError(f"noise_acf lags must be finite, lag 0 positive: {phi}")
     if L_nw > 0:
         cond = np.linalg.cond(sp_linalg.toeplitz(phi[:L_nw]))
         if not np.isfinite(cond) or cond > 1e12:
@@ -276,6 +276,12 @@ def _from_measurement(fact: SpectralFactorization, noise_acf, L_nw: int,
                       noise_variance: float, eb_n0_db: float) -> WhiteningDesign:
     """Whitening of order ``L_nw`` on the first ``L_nw + 1`` lags of a
     noise measurement, with the overall ISI ``fact.b (*) f``."""
+    with np.errstate(all="ignore"):  # the noise variance per unit N0
+        per_n0 = noise_variance / np.power(10.0, -eb_n0_db / 10.0)
+    if not 0 < per_n0 < math.inf:
+        raise ValueError(f"noise_variance = {noise_variance:g} at "
+                         f"calibration_ebn0_db = {eb_n0_db:g} is {per_n0:g} N0,"
+                         " not finite and positive")
     design = replace(yule_walker(noise_acf, L_nw), noise_variance=noise_variance,
                      calibration_ebn0_db=eb_n0_db)
     return design.with_overall(fact.b)
@@ -310,13 +316,8 @@ def load_whitening_design(path, params: CpmParams,
         if key not in kv:
             raise ValueError(f"design file {path} has no {key}; "
                              "re-run `mdsim calibrate` to write it")
-    noise_variance = float(kv["noise_variance"])
-    cal_db = float(kv["calibration_ebn0_db"])
-    if not (0 < noise_variance < math.inf and math.isfinite(cal_db)):
-        raise ValueError(f"design file {path}: noise_variance must be finite "
-                         f"and positive and calibration_ebn0_db finite, got "
-                         f"{noise_variance} and {cal_db}")
     txt = kv["noise_acf"]
     phi = [float(v) for v in txt.split(",")] if txt else []
     fact = spectral_factorize(sampled_pulse_acf(params))
-    return _from_measurement(fact, phi, L_nw, noise_variance, cal_db), fact
+    return _from_measurement(fact, phi, L_nw, float(kv["noise_variance"]),
+                             float(kv["calibration_ebn0_db"])), fact

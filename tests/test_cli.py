@@ -178,7 +178,8 @@ def test_sweep_rejects_design_file_without_array(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("line", ["noise_variance = nan", "noise_variance = 0",
-                                  "calibration_ebn0_db = nan"])
+                                  "calibration_ebn0_db = nan",
+                                  "noise_acf = 1,nan"])
 def test_sweep_rejects_design_file_value(tmp_path, capsys, line):
     key = line.split()[0]
     assert _sweep_with_design(tmp_path, lambda lines: [
@@ -263,6 +264,7 @@ def test_too_few_calibration_symbols_is_config_error(tmp_path, capsys,
     ("cpm", "h_index = 0", "h_index"),
     ("pam_isi", "ebn0_db = nan", "ebn0_db"),
     ("cpm", "calibration_ebn0_db = nan", "calibration_ebn0_db"),
+    ("cpm", "calibration_ebn0_db = 4000", "calibration_ebn0_db"),  # N0 = 0
     ("cpm", "isi_trim = 2", "isi_trim"),
     ("pam_isi", "isi_trim = -1", "isi_trim"),
     ("pam_isi", "taps = 0,1", "taps"),
@@ -291,6 +293,26 @@ def test_sweep_out_of_range_value_is_config_error(tmp_path, capsys,
 def test_selftest(capsys):
     assert main(["selftest", "--seeds", "6"]) == 0
     assert "passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_selftest_without_trials_is_error(capsys, seeds):
+    assert main(["selftest", "--seeds", seeds]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --seeds:")
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+def test_unwritable_output_is_runtime_error(tmp_path, capsys, command):
+    # the output is opened after the sweep or calibration has run
+    cfg = tmp_path / "cpm.cfg"
+    cfg.write_text("chain = cpm\ncutoff = 0.75\ncalibration_symbols = 2000\n"
+                   "schemes = MD\nebn0_db = 12\nmax_bits = 500\n"
+                   "block_bits = 500\n")
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_calibrate_requires_cpm_chain(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from mdsim.harness import (
     _CONFIG_KEYS,
-    _build_decoder,
+    _build_receivers,
     ConfigError,
     SchemeSpec,
     SimConfig,
@@ -304,19 +304,21 @@ class TestSweep:
     def sweep_calls(monkeypatch, tmp_path, cfg):
         """The sweep's CSV bytes, the blocks its records count, and per
         (scheme, point) the blocks of each decoder call in call order."""
+        from dataclasses import replace
+
         import mdsim.harness as harness
 
         calls = {}
 
-        def counted_build(scheme, *args):
-            decoder, states, block_bytes = _build_decoder(scheme, *args)
+        def counted(receiver):
+            def decode(obs, n0):
+                calls.setdefault((receiver.scheme.label(), n0),
+                                 []).append(len(obs))
+                return receiver.decode(obs, n0)
+            return replace(receiver, decode=decode)
 
-            def counted(obs, n0):
-                calls.setdefault((scheme.label(), n0), []).append(len(obs))
-                return decoder(obs, n0)
-            return counted, states, block_bytes
-
-        monkeypatch.setattr(harness, "_build_decoder", counted_build)
+        monkeypatch.setattr(harness, "_build_receivers", lambda *args: [
+            counted(r) for r in _build_receivers(*args)])
         path = tmp_path / "out.csv"
         records = run_ber_sweep(cfg)
         write_csv(path, records)

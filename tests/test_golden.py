@@ -3,8 +3,11 @@
 The decoder golden is a fixed, integer-rounded observation block over a
 channel with dyadic taps, so many add-compare-select candidates tie
 exactly; a change of the tie rule or of the branch-metric arithmetic
-changes the stored bits or metrics.  The sweep golden is the CSV of a
-short pam_isi sweep with every receiver kind.
+changes the stored bits or metrics.  The sweep goldens are the CSVs of a
+short pam_isi sweep with every receiver kind and of a short cpm sweep
+whose whitening is calibrated inline, so that the CPM front end, the
+WMF, the whitening filter and the calibrated noise variance (through
+the BCJR LLRs) all reach the stored rows.
 
 Regenerate (only when a decision change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -36,6 +39,7 @@ from mdsim.matched_encoder import (
 GOLDEN = Path(__file__).parent / "golden"
 DECODERS = GOLDEN / "decoders_57_ties_l3.json"
 SWEEP = GOLDEN / "sweep_pam_all_schemes.csv"
+CPM_SWEEP = GOLDEN / "sweep_cpm_3rc_inline.csv"
 
 CODE = ConvCode([0o5, 0o7])
 H = IsiResponse([1.0, 0.5, 0.25, 0.25])
@@ -52,6 +56,25 @@ min_errors = 40
 max_bits = 3000
 block_bits = 500
 seed = 11
+"""
+
+CPM_SWEEP_CFG = """\
+chain = cpm
+code = 5,7
+M = 4
+pulse = LRC
+h_index = 1/4
+L_cpm = 3
+N_os = 8
+L_nw = 2
+calibration_ebn0_db = 12
+calibration_symbols = 20000
+schemes = MD,RSSE(3),DFSE(1)+VA,BCJR+VA
+ebn0_db = 10,14
+min_errors = 30
+max_bits = 4000
+block_bits = 500
+seed = 5
 """
 
 
@@ -93,9 +116,9 @@ def decode_all(obs: np.ndarray, llrs: np.ndarray) -> dict:
     return out
 
 
-def run_sweep_csv(tmp_dir: Path) -> str:
+def run_sweep_csv(tmp_dir: Path, cfg: str = SWEEP_CFG) -> str:
     path = tmp_dir / "sweep.csv"
-    write_csv(path, run_ber_sweep(parse_config(SWEEP_CFG)))
+    write_csv(path, run_ber_sweep(parse_config(cfg)))
     return path.read_text()
 
 
@@ -122,6 +145,10 @@ def test_sweep_csv_matches_golden(tmp_path):
     assert run_sweep_csv(tmp_path) == SWEEP.read_text()
 
 
+def test_cpm_sweep_csv_matches_golden(tmp_path):
+    assert run_sweep_csv(tmp_path, CPM_SWEEP_CFG) == CPM_SWEEP.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -132,3 +159,4 @@ if __name__ == "__main__":
         "decisions": decode_all(obs, llrs)}, indent=1) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         SWEEP.write_text(run_sweep_csv(Path(tmp)))
+        CPM_SWEEP.write_text(run_sweep_csv(Path(tmp), CPM_SWEEP_CFG))

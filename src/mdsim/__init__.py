@@ -11,7 +11,6 @@ from .channel import NoiseModel, fir_awgn_channel, make_rng, normal_from_uniform
 from .conv_code import ConvCode, build_conv_trellis, conv_encode, parse_octal_generators
 from .cpm import (
     CpmParams,
-    Waveform,
     add_waveform_awgn,
     b999_bandwidth,
     cpm_modulate,
@@ -45,7 +44,6 @@ from .matched_encoder import (
 )
 from .trellis import TrellisSpec
 from .whitening import (
-    SpectralFactorization,
     WhiteningDesign,
     apply_whitening,
     apply_wmf,

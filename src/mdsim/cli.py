@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -64,10 +65,20 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _check_writable(path) -> None:
+    """Raise OSError if ``path`` cannot be written, before the work whose
+    result goes there; no file is left where there was none."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="ascii").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    records = run_ber_sweep(cfg, log=_log)
     out = args.output or cfg.output
+    _check_writable(out)
+    records = run_ber_sweep(cfg, log=_log)
     write_csv(out, records, with_timing=args.timing)
     _log(f"wrote {len(records)} records to {out}")
     return 0
@@ -79,6 +90,7 @@ def _cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
     if cfg.chain != "cpm":
         raise ConfigError("config key 'chain': calibration needs chain = cpm")
+    _check_writable(args.output)
     ctx = resolve_chain(replace(cfg, whitening_file=None), _log)
     save_whitening_design(args.output, ctx.whitening)
     _log(f"wrote whitening design to {args.output}")

@@ -5,7 +5,8 @@ band-limiting, phase extraction with continuation (unwrap), a first
 difference over one sample period scaled by 1/(2*pi*h*Td), and a matched
 filter for the frequency pulse followed by symbol-rate sampling.
 Differential detection makes the receiver invariant to the unknown
-carrier phase offset at the cost of f^2-shaped (FM) noise.
+carrier phase offset at the cost of f^2-shaped (FM) noise.  Time is in
+symbol periods and the symbol energy is 1.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ class CpmParams:
     h_den: int = 4
     L_cpm: int = 3
     pulse: str = "LRC"
-    T: float = 1.0
     N_os: int = 8
-    Es: float = 1.0
 
     def __post_init__(self):
         if self.M < 2 or self.M % 2:
@@ -54,15 +53,15 @@ class CpmParams:
 
     @property
     def dt(self) -> float:
-        return self.T / self.N_os
+        return 1.0 / self.N_os
 
     @property
     def alphabet(self) -> np.ndarray:
         return np.arange(-(self.M - 1), self.M, 2)
 
     def freq_pulse(self, t: np.ndarray) -> np.ndarray:
-        """g(t) on arbitrary time points; zero outside [0, L_cpm*T]."""
-        lt = self.L_cpm * self.T
+        """g(t) on arbitrary time points; zero outside [0, L_cpm]."""
+        lt = self.L_cpm
         inside = (t >= 0) & (t <= lt)
         if self.pulse == "LRC":
             g = (1.0 - np.cos(2.0 * np.pi * t / lt)) / (2.0 * lt)
@@ -72,7 +71,7 @@ class CpmParams:
 
     def phase_pulse(self, t: np.ndarray) -> np.ndarray:
         """Closed-form q(t): running integral of g, saturating at 1/2."""
-        lt = self.L_cpm * self.T
+        lt = self.L_cpm
         tc = np.clip(t, 0.0, lt)
         if self.pulse == "LRC":
             q = tc / (2.0 * lt) - np.sin(2.0 * np.pi * tc / lt) / (4.0 * np.pi)
@@ -82,25 +81,17 @@ class CpmParams:
 
     def pulse_energy(self) -> float:
         """Closed-form integral of g(t)^2 over its support."""
-        lt = self.L_cpm * self.T
+        lt = self.L_cpm
         if self.pulse == "LRC":
             return 3.0 / (8.0 * lt)
         return 1.0 / (4.0 * lt)
 
 
-@dataclass(frozen=True)
-class Waveform:
-    """Complex baseband samples at rate N_os/T."""
-
-    samples: np.ndarray
-    params: CpmParams
-
-
-def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> Waveform:
-    """Constant-envelope phase modulation of a bipolar M-ary symbol sequence.
+def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> np.ndarray:
+    """Unit-envelope phase modulation of a bipolar M-ary symbol sequence.
 
     The phase at every sample is the exact superposition of closed-form
-    phase pulses: each symbol contributes a[k]*q(t - kT), with q
+    phase pulses: each symbol contributes a[k]*q(t - k), with q
     saturating at 1/2 once its pulse has passed.
     """
     symbols = np.asarray(symbols, dtype=np.float64)
@@ -131,60 +122,55 @@ def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> Waveform:
         phase = active + np.cumsum(hold)
 
     phase = 2.0 * np.pi * params.h_index * phase + theta0
-    amp = math.sqrt(params.Es / params.T)
-    return Waveform(samples=amp * np.exp(1j * phase), params=params)
+    return np.exp(1j * phase)
 
 
-def add_waveform_awgn(wave: Waveform, n0: float, seed) -> Waveform:
-    """Complex AWGN with per-real-dimension variance N0*N_os/(2T)."""
+def add_waveform_awgn(samples: np.ndarray, params: CpmParams, n0: float,
+                      seed) -> np.ndarray:
+    """Complex AWGN with per-real-dimension variance N0*N_os/2."""
     if n0 <= 0:
-        return wave
-    sigma = math.sqrt(n0 * wave.params.N_os / (2.0 * wave.params.T))
+        return samples
+    sigma = math.sqrt(n0 * params.N_os / 2.0)
     rng = make_rng(*np.atleast_1d(seed))
-    n = wave.samples.size
+    n = samples.size
     noise = normal_from_uniform(rng, 2 * n)
-    samples = wave.samples + sigma * (noise[:n] + 1j * noise[n:])
-    return Waveform(samples=samples, params=wave.params)
+    return samples + sigma * (noise[:n] + 1j * noise[n:])
 
 
 @functools.lru_cache(maxsize=16)
-def _lowpass_taps(N_os: int, T: float, cutoff: float) -> np.ndarray:
+def _lowpass_taps(N_os: int, cutoff: float) -> np.ndarray:
     """The read-only taps of :func:`receive_lowpass`, built once per
-    (``N_os``, ``T``, ``cutoff``) rather than for every block."""
-    taps = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os / T,
-                            window="hamming")
+    (``N_os``, ``cutoff``) rather than for every block."""
+    taps = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os, window="hamming")
     taps.setflags(write=False)
     return taps
 
 
-def receive_lowpass(wave: Waveform, cutoff: float) -> Waveform:
+def receive_lowpass(samples: np.ndarray, params: CpmParams,
+                    cutoff: float) -> np.ndarray:
     """Linear-phase windowed-sinc (Hamming) lowpass, group delay removed.
 
-    ``cutoff`` is the one-sided bandwidth in cycles per unit time (127
-    taps at N_os=8, scaled proportionally with the oversampling factor).
+    ``cutoff`` is the one-sided bandwidth in cycles per symbol (127 taps
+    at N_os=8, scaled proportionally with the oversampling factor).
     """
-    taps = _lowpass_taps(wave.params.N_os, wave.params.T, float(cutoff))
+    taps = _lowpass_taps(params.N_os, float(cutoff))
     delay = (taps.size - 1) // 2
-    padded = np.concatenate([wave.samples, np.zeros(delay, dtype=complex)])
-    filtered = sp_signal.lfilter(taps, 1.0, padded)[delay:]
-    return Waveform(samples=filtered, params=wave.params)
+    padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
+    return sp_signal.lfilter(taps, 1.0, padded)[delay:]
 
 
-def b999_bandwidth(params: CpmParams, fraction: float = 0.999,
-                   n_symbols: int = 100_000, seed: int = 20_999) -> float:
+def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:
     """One-sided bandwidth containing ``fraction`` of the signal power.
 
-    Welch estimate over a long random-symbol waveform; deterministic for
-    a given seed.
+    Welch estimate over a seeded waveform of 100 000 random symbols.
     """
-    rng = make_rng(seed)
-    idx = (rng.random(n_symbols) * params.M).astype(np.int64)
+    rng = make_rng(20_999)
+    idx = (rng.random(100_000) * params.M).astype(np.int64)
     symbols = params.alphabet[idx]
-    wave = cpm_modulate(params, symbols)
-    fs = params.N_os / params.T
     nper = 64 * params.N_os
-    f, pxx = sp_signal.welch(wave.samples, fs=fs, nperseg=nper,
-                             return_onesided=False, detrend=False)
+    f, pxx = sp_signal.welch(cpm_modulate(params, symbols), fs=params.N_os,
+                             nperseg=nper, return_onesided=False,
+                             detrend=False)
     f = np.fft.fftshift(f)
     pxx = np.fft.fftshift(pxx)
     order = np.argsort(np.abs(f), kind="stable")
@@ -194,14 +180,14 @@ def b999_bandwidth(params: CpmParams, fraction: float = 0.999,
     return float(np.abs(f[order][min(k, f.size - 1)]))
 
 
-def diff_demodulate(rx: Waveform, params: CpmParams) -> np.ndarray:
+def diff_demodulate(rx: np.ndarray, params: CpmParams) -> np.ndarray:
     """Phase extraction, continuation, and scaled first difference.
 
     Output sample i sits at t = (i + 1/2)*dt and approximates the
-    instantaneous superposition sum_k a[k] g(t - kT).  Warns when any
+    instantaneous superposition sum_k a[k] g(t - k).  Warns when any
     wrapped phase step exceeds pi/2 (undersampling or heavy noise).
     """
-    ang = np.angle(rx.samples)
+    ang = np.angle(rx)
     steps = np.diff(ang)
     wrapped = np.mod(steps + np.pi, 2.0 * np.pi) - np.pi
     if wrapped.size and np.max(np.abs(wrapped)) > np.pi / 2:
@@ -218,14 +204,14 @@ def _mf_taps(params: CpmParams) -> np.ndarray:
     Midpoint sampling absorbs the half-sample group delay of the first
     difference, so the cascade lands back on the integer sample grid.
     """
-    gamma = 1.0 / math.sqrt(params.pulse_energy() * params.T)
+    gamma = 1.0 / math.sqrt(params.pulse_energy())
     j = np.arange(params.L_cpm * params.N_os)
     t = (j + 0.5) * params.dt
     return gamma * params.freq_pulse(t) * params.dt
 
 
 def matched_filter_downsample(sig, params: CpmParams) -> np.ndarray:
-    """Filter the demodulated sequence with gamma*g(-t) and sample at rate 1/T.
+    """Filter the demodulated sequence with gamma*g(-t), sample per symbol.
 
     The noiseless output equals the symbol sequence convolved with the
     sampled, gamma-scaled pulse autocorrelation (see
@@ -235,7 +221,7 @@ def matched_filter_downsample(sig, params: CpmParams) -> np.ndarray:
     sig = np.asarray(sig, dtype=np.float64)
     taps = _mf_taps(params)
     z = np.convolve(sig, taps)
-    # Symbol k peaks at t = kT + L*T, i.e. z index (k+L)*N_os - 1.
+    # Symbol k peaks at t = k + L, i.e. z index (k+L)*N_os - 1.
     first = params.L_cpm * params.N_os - 1
     d = z[first:: params.N_os]
     return d
@@ -244,11 +230,12 @@ def matched_filter_downsample(sig, params: CpmParams) -> np.ndarray:
 def transmit_receive(params: CpmParams, symbols, *, n0: float = 0.0,
                      noise_seed=0, theta0: float = 0.0,
                      cutoff: float | None = None) -> np.ndarray:
-    """Full noiseless-or-noisy front end to T-spaced matched-filter samples."""
+    """Full noiseless-or-noisy front end to symbol-spaced matched-filter
+    samples."""
     wave = cpm_modulate(params, symbols, theta0)
     if n0 > 0:
-        wave = add_waveform_awgn(wave, n0, noise_seed)
+        wave = add_waveform_awgn(wave, params, n0, noise_seed)
     if cutoff is not None:
-        wave = receive_lowpass(wave, cutoff)
+        wave = receive_lowpass(wave, params, cutoff)
     y = diff_demodulate(wave, params)
     return matched_filter_downsample(y, params)

@@ -47,11 +47,11 @@ from .matched_encoder import (
     symbol_value,
 )
 from .whitening import (
+    WhiteningDesign,
     apply_whitening,
     apply_wmf,
     design_whitening,
     load_whitening_design,
-    wmf_taps,
 )
 
 CSV_HEADER = "scheme,states,ebn0_db,bits,errors,ber,ci_lo,ci_hi,seed,seconds"
@@ -136,14 +136,16 @@ class SimConfig:
     def __post_init__(self):
         if self.chain not in ("pam_isi", "cpm"):
             raise ConfigError(f"config key 'chain': unknown chain {self.chain!r}")
-        if not all(map(math.isfinite, self.ebn0_db)):
-            raise ConfigError("config key 'ebn0_db': values must be finite")
+        cal = () if self.calibration_ebn0_db is None else (self.calibration_ebn0_db,)
+        for key, dbs in (("ebn0_db", self.ebn0_db), ("calibration_ebn0_db", cal)):
+            # N0 = 10^(-Eb/N0 / 10) per unit Eb leaves the float range near -3080 dB
+            if not all(-3000.0 <= db < math.inf for db in dbs):
+                raise ConfigError(f"config key {key!r}: values must be finite "
+                                  "and at least -3000 dB")
         if any(b <= a for a, b in zip(self.ebn0_db, self.ebn0_db[1:])):
             raise ConfigError("config key 'ebn0_db': grid must be strictly increasing")
-        for key in ("calibration_ebn0_db", "cutoff"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"config key {key!r}: must be finite")
+        if self.cutoff is not None and not math.isfinite(self.cutoff):
+            raise ConfigError("config key 'cutoff': must be finite")
         if self.min_errors <= 0 or self.max_bits <= 0 or self.block_bits <= 0:
             raise ConfigError("config key 'min_errors'/'max_bits'/'block_bits': "
                               "stop rule must be positive")
@@ -168,7 +170,7 @@ class SimConfig:
             builds.append(("'pulse'/'h_index'/'L_cpm'/'N_os'", self.cpm_params))
             if self.cutoff is not None:  # the receive lowpass's own rule
                 builds.append(("'cutoff'", lambda: _lowpass_taps(
-                    self.N_os, self.cpm_params().T, float(self.cutoff))))
+                    self.N_os, float(self.cutoff))))
         for keys, build in builds:
             try:
                 build()
@@ -288,8 +290,7 @@ class _ChainContext:
     noise_var_cal: float
     n0_cal: float
     params: CpmParams | None = None
-    fact: object = None
-    whitening: object = None
+    whitening: WhiteningDesign | None = None
     cutoff: float | None = None
 
 
@@ -311,8 +312,8 @@ def resolve_chain(cfg: SimConfig, log) -> _ChainContext:
         log(f"receive lowpass cutoff (99.9% power): {cutoff:.6g}")
     if cfg.whitening_file:
         try:
-            design, fact = load_whitening_design(cfg.whitening_file, params,
-                                                 cfg.L_nw)
+            design = load_whitening_design(cfg.whitening_file, params,
+                                           cfg.L_nw, cfg.wmf_len)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config key 'whitening_file': {exc}") from exc
         log(f"loaded whitening design from {cfg.whitening_file}")
@@ -321,7 +322,7 @@ def resolve_chain(cfg: SimConfig, log) -> _ChainContext:
         if cal_db is None:
             cal_db = 0.5 * (cfg.ebn0_db[0] + cfg.ebn0_db[-1])
         try:
-            design, fact = design_whitening(
+            design = design_whitening(
                 params, cal_db, cfg.L_nw, cutoff=cutoff,
                 n_symbols=cfg.calibration_symbols, wmf_len=cfg.wmf_len)
         except ValueError as exc:
@@ -330,9 +331,8 @@ def resolve_chain(cfg: SimConfig, log) -> _ChainContext:
                               f"'calibration_symbols'/'L_nw': {exc}") from exc
         log(f"whitening calibrated at Eb/N0 = {cal_db:g} dB; "
             f"f = {np.array2string(design.f, precision=4)}")
-    _, trunc = wmf_taps(fact, cfg.wmf_len)
     log(f"wmf anti-causal recursion truncated to {cfg.wmf_len} taps "
-        f"(neglected tail magnitude {trunc:.2e})")
+        f"(neglected tail magnitude {design.wmf_tail:.2e})")
     isi = design.overall.trimmed(cfg.isi_trim)
     if isi.L < design.overall.L:
         log(f"overall ISI trimmed from {design.overall.taps.size} to "
@@ -341,7 +341,7 @@ def resolve_chain(cfg: SimConfig, log) -> _ChainContext:
         code=code, isi=isi, eb=1.0,
         noise_var_cal=design.output_noise_variance,
         n0_cal=10.0 ** (-design.calibration_ebn0_db / 10.0),
-        params=params, fact=fact, whitening=design, cutoff=cutoff)
+        params=params, whitening=design, cutoff=cutoff)
 
 
 def _block_words(seed: int, point_idx: int, block_idx: int) -> np.ndarray:
@@ -367,7 +367,7 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
         d = transmit_receive(ctx.params, symbols, n0=n0,
                              noise_seed=int(w[1]), theta0=theta0,
                              cutoff=ctx.cutoff)
-        d = apply_wmf(d, ctx.fact, cfg.wmf_len)
+        d = apply_wmf(d, ctx.whitening.wmf)
         d = apply_whitening(d, ctx.whitening.f)
         obs = d[: bits.size]  # n_sym + L_cpm - 1 samples come back
     return info, compensate_edges(obs, ctx.isi.taps, cfg.M)

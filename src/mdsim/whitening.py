@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sp_linalg
@@ -30,16 +30,15 @@ def sampled_pulse_acf(params: CpmParams) -> np.ndarray:
     with.  Full-response pulses (L=1) give a single nonzero lag.
     """
     L = params.L_cpm
-    lt = L * params.T
     n = L * _FINE
-    dt = lt / n
+    dt = L / n
     t = (np.arange(n) + 0.5) * dt
     g = params.freq_pulse(t)
-    gamma = 1.0 / math.sqrt(params.pulse_energy() * params.T)
+    gamma = 1.0 / math.sqrt(params.pulse_energy())
     lags = np.arange(-(L - 1), L)
     acf = np.empty(lags.size)
     for i, lag in enumerate(lags):
-        shift = int(round(lag * params.T / dt))
+        shift = int(round(lag / dt))
         if shift >= 0:
             acf[i] = np.sum(g[: n - shift] * g[shift:]) * dt
         else:
@@ -49,22 +48,10 @@ def sampled_pulse_acf(params: CpmParams) -> np.ndarray:
     return 0.5 * (acf + acf[::-1])
 
 
-@dataclass(frozen=True)
-class SpectralFactorization:
-    """acf = b (*) reverse(b) with b causal, real, minimum phase, b[0] > 0."""
-
-    acf: np.ndarray
-    b: np.ndarray
-
-    @property
-    def residual(self) -> float:
-        """Largest deviation of ``b (*) reverse(b)`` from ``acf``."""
-        return float(np.max(np.abs(np.convolve(self.b, self.b[::-1]) - self.acf)))
-
-
-def spectral_factorize(acf) -> SpectralFactorization:
+def spectral_factorize(acf) -> np.ndarray:
     """Factor a symmetric nonnegative-spectrum sequence into its
-    minimum-phase root.
+    minimum-phase root: the causal, real ``b`` with ``b[0] > 0`` and
+    ``acf = b (*) reverse(b)``.
 
     Roots the Laurent polynomial of the autocorrelation, keeps the zeros
     inside (or on) the unit circle, and rescales so the roundtrip
@@ -87,8 +74,7 @@ def spectral_factorize(acf) -> SpectralFactorization:
         raise ValueError("sampled spectrum dips below zero; not factorizable")
 
     if m == 0:
-        b = np.array([math.sqrt(acf[0])])
-        return SpectralFactorization(acf=acf, b=b)
+        return np.array([math.sqrt(acf[0])])
 
     roots = np.roots(acf)
     order = np.argsort(np.abs(roots), kind="stable")
@@ -98,34 +84,26 @@ def spectral_factorize(acf) -> SpectralFactorization:
     b = scale * b
     if b[0] < 0:
         b = -b
-    return SpectralFactorization(acf=acf, b=b)
+    return b
 
 
 @dataclass(frozen=True)
 class WhiteningDesign:
-    """Noise statistics and the prediction-error whitening filter.
+    """The calibration of the CPM chain: the spectral factor ``b``, the
+    WMF taps (:func:`wmf_taps`) and their neglected tail, the noise behind
+    the WMF at ``calibration_ebn0_db`` (lags 0..L_nw of its ACF over the
+    lag-0 ``noise_variance``), the whitening filter ``f`` (``f[0] = 1``)
+    with its reflection coefficients, and the overall ISI ``b (*) f``."""
 
-    ``f[0] = 1`` and ``f[k] = -p[k]``; ``overall`` is the combined ISI
-    the equalizers must handle once the whitening filter is in the path,
-    set by :meth:`with_overall`.  ``noise_variance`` is measured before
-    that filter, at ``calibration_ebn0_db``.
-    """
-
+    b: np.ndarray
+    wmf: np.ndarray
+    wmf_tail: float
     noise_acf: np.ndarray
+    noise_variance: float
+    calibration_ebn0_db: float
     f: np.ndarray
     reflection: np.ndarray
-    overall: IsiResponse | None = None
-    noise_variance: float = float("nan")
-    calibration_ebn0_db: float = float("nan")
-
-    @property
-    def p(self) -> np.ndarray:
-        """Prediction coefficients p[1..order]."""
-        return -self.f[1:]
-
-    @property
-    def order(self) -> int:
-        return self.f.size - 1
+    overall: IsiResponse
 
     @property
     def output_noise_variance(self) -> float:
@@ -140,14 +118,11 @@ class WhiteningDesign:
                     gain += f[j] * f[k] * phi[lag]
         return self.noise_variance * gain
 
-    def with_overall(self, b) -> "WhiteningDesign":
-        return replace(self, overall=overall_isi(b, self.f))
 
-
-def yule_walker(noise_acf, L_nw: int) -> WhiteningDesign:
-    """Prediction coefficients from the noise autocorrelation via
-    Levinson-Durbin; the whitening filter is the prediction-error filter.
-    """
+def yule_walker(noise_acf, L_nw: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prediction-error (whitening) filter ``f``, ``f[k] = -p[k]`` for
+    the prediction coefficients p of order ``L_nw`` by Levinson-Durbin,
+    and the reflection coefficients."""
     phi = np.asarray(noise_acf, dtype=np.float64)
     if L_nw < 0:
         raise ValueError("whitening order must be >= 0")
@@ -171,7 +146,7 @@ def yule_walker(noise_acf, L_nw: int) -> WhiteningDesign:
         err *= 1.0 - k * k
         if err <= 0:
             raise ValueError("prediction error vanished; ACF not positive definite")
-    return WhiteningDesign(noise_acf=phi[: L_nw + 1], f=f, reflection=refl)
+    return f, refl
 
 
 def overall_isi(b, f) -> IsiResponse:
@@ -181,7 +156,7 @@ def overall_isi(b, f) -> IsiResponse:
     return IsiResponse(h)
 
 
-def wmf_taps(fact: SpectralFactorization, n_taps: int = 20) -> tuple[np.ndarray, float]:
+def wmf_taps(b, n_taps: int = 20) -> tuple[np.ndarray, float]:
     """Anti-causal realization of 1/B*(1/z*) truncated to ``n_taps``.
 
     Returns the taps and the neglected-tail magnitude (sum of the next
@@ -189,20 +164,18 @@ def wmf_taps(fact: SpectralFactorization, n_taps: int = 20) -> tuple[np.ndarray,
     """
     impulse = np.zeros(n_taps + 100)
     impulse[0] = 1.0
-    w_full = sp_signal.lfilter([1.0], fact.b, impulse)
+    w_full = sp_signal.lfilter([1.0], b, impulse)
     trunc = float(np.sum(np.abs(w_full[n_taps:])))
     return w_full[:n_taps], trunc
 
 
-def apply_wmf(d, fact: SpectralFactorization, n_taps: int = 20) -> np.ndarray:
+def apply_wmf(d, w) -> np.ndarray:
     """Whiten the matched-filter output with respect to additive white noise.
 
-    Realized as a stable anti-causal recursion (truncated to ``n_taps``),
-    so the cascade of matched filter and this stage has the causal
-    minimum-phase signal response ``fact.b``.
+    ``w`` are the :func:`wmf_taps` of ``b``, so the cascade of matched
+    filter and this stage has the causal minimum-phase signal response b.
     """
     d = np.asarray(d, dtype=np.float64)
-    w, _ = wmf_taps(fact, n_taps)
     c = np.convolve(d, w[::-1])
     return c[w.size - 1: w.size - 1 + d.size]
 
@@ -215,12 +188,11 @@ def apply_whitening(d, f) -> np.ndarray:
 
 
 def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
-                       n_symbols: int, *, cutoff: float | None,
-                       fact: SpectralFactorization | None = None,
-                       wmf_len: int = 20,
+                       n_symbols: int, wmf: np.ndarray, *,
+                       cutoff: float | None,
                        seed: int = 77_001) -> tuple[np.ndarray, float]:
     """Measure the residual-noise autocorrelation after the matched filter
-    and its white-noise whitening stage.
+    and its white-noise whitening stage, the WMF taps ``wmf``.
 
     Runs the front end on known pilot symbols with and without channel
     noise, subtracts, and estimates the sample autocorrelation of the
@@ -229,7 +201,7 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
     interval.  Raises ValueError for too few symbols to fill the lags
     between the transient guards at both ends.
     """
-    guard = 4 * params.L_cpm + wmf_len
+    guard = 4 * params.L_cpm + wmf.size
     if n_symbols <= 2 * guard + L_max:
         raise ValueError(f"need more than {2 * guard + L_max} calibration "
                          f"symbols (two {guard}-symbol guards and lags "
@@ -237,8 +209,6 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
     if n_symbols < 10 * L_max * L_max:
         warnings.warn(f"only {n_symbols} samples for {L_max} lags; "
                       "autocorrelation estimate may be unreliable", stacklevel=2)
-    if fact is None:
-        fact = spectral_factorize(sampled_pulse_acf(params))
     n0 = 10.0 ** (-eb_n0_db / 10.0)
     rng = make_rng(seed)
     idx = (rng.random(n_symbols) * params.M).astype(np.int64)
@@ -249,7 +219,7 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
     d_noisy = transmit_receive(params, symbols, n0=n0, noise_seed=(seed, 1),
                                theta0=theta0, cutoff=cutoff)
     m = min(d_ref.size, d_noisy.size)
-    resid = apply_wmf(d_noisy[:m], fact, wmf_len) - apply_wmf(d_ref[:m], fact, wmf_len)
+    resid = apply_wmf(d_noisy[:m], wmf) - apply_wmf(d_ref[:m], wmf)
     resid = resid[guard: resid.size - guard]
 
     n = resid.size
@@ -261,30 +231,34 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
 
 def design_whitening(params: CpmParams, eb_n0_db: float, L_nw: int, *,
                      cutoff: float | None, n_symbols: int = 200_000,
-                     wmf_len: int = 20,
-                     seed: int = 77_001) -> tuple[WhiteningDesign, SpectralFactorization]:
-    """One-stop calibration: pulse ACF, factorization, noise measurement,
-    prediction filter, and the combined ISI for the equalizers."""
-    fact = spectral_factorize(sampled_pulse_acf(params))
-    phi, var = estimate_noise_acf(params, eb_n0_db, L_nw, n_symbols,
-                                  cutoff=cutoff, fact=fact, wmf_len=wmf_len,
-                                  seed=seed)
-    return _from_measurement(fact, phi, L_nw, var, eb_n0_db), fact
+                     wmf_len: int = 20) -> WhiteningDesign:
+    """One-stop calibration: pulse ACF, factorization, WMF, noise
+    measurement, prediction filter, and the combined ISI for the
+    equalizers."""
+    b = spectral_factorize(sampled_pulse_acf(params))
+    wmf, tail = wmf_taps(b, wmf_len)
+    phi, var = estimate_noise_acf(params, eb_n0_db, L_nw, n_symbols, wmf,
+                                  cutoff=cutoff)
+    return _from_measurement(b, wmf, tail, phi, L_nw, var, eb_n0_db)
 
 
-def _from_measurement(fact: SpectralFactorization, noise_acf, L_nw: int,
+def _from_measurement(b, wmf, wmf_tail: float, noise_acf, L_nw: int,
                       noise_variance: float, eb_n0_db: float) -> WhiteningDesign:
-    """Whitening of order ``L_nw`` on the first ``L_nw + 1`` lags of a
-    noise measurement, with the overall ISI ``fact.b (*) f``."""
+    """The design of spectral factor ``b`` and WMF taps ``wmf``, with the
+    whitening of order ``L_nw`` on the first ``L_nw + 1`` lags of a noise
+    measurement."""
     with np.errstate(all="ignore"):  # the noise variance per unit N0
         per_n0 = noise_variance / np.power(10.0, -eb_n0_db / 10.0)
     if not 0 < per_n0 < math.inf:
         raise ValueError(f"noise_variance = {noise_variance:g} at "
                          f"calibration_ebn0_db = {eb_n0_db:g} is {per_n0:g} N0,"
                          " not finite and positive")
-    design = replace(yule_walker(noise_acf, L_nw), noise_variance=noise_variance,
-                     calibration_ebn0_db=eb_n0_db)
-    return design.with_overall(fact.b)
+    f, reflection = yule_walker(noise_acf, L_nw)
+    return WhiteningDesign(
+        b=b, wmf=wmf, wmf_tail=wmf_tail,
+        noise_acf=np.asarray(noise_acf, dtype=np.float64)[: L_nw + 1],
+        noise_variance=noise_variance, calibration_ebn0_db=eb_n0_db, f=f,
+        reflection=reflection, overall=overall_isi(b, f))
 
 
 def save_whitening_design(path, design: WhiteningDesign) -> None:
@@ -299,11 +273,12 @@ def save_whitening_design(path, design: WhiteningDesign) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_whitening_design(path, params: CpmParams,
-                          L_nw: int) -> tuple[WhiteningDesign, SpectralFactorization]:
-    """``design_whitening``'s result for the CPM format ``params`` and
-    order ``L_nw``, on a saved noise measurement instead of a new one.
-    Other lines (the derived arrays of older files) are not read."""
+def load_whitening_design(path, params: CpmParams, L_nw: int,
+                          wmf_len: int) -> WhiteningDesign:
+    """``design_whitening``'s result for the CPM format ``params``, order
+    ``L_nw`` and ``wmf_len`` WMF taps, on a saved noise measurement
+    instead of a new one.  Other lines (the derived arrays of older
+    files) are not read."""
     kv = {}
     with open(path, encoding="ascii") as fh:
         for line in fh:
@@ -318,6 +293,7 @@ def load_whitening_design(path, params: CpmParams,
                              "re-run `mdsim calibrate` to write it")
     txt = kv["noise_acf"]
     phi = [float(v) for v in txt.split(",")] if txt else []
-    fact = spectral_factorize(sampled_pulse_acf(params))
-    return _from_measurement(fact, phi, L_nw, float(kv["noise_variance"]),
-                             float(kv["calibration_ebn0_db"])), fact
+    b = spectral_factorize(sampled_pulse_acf(params))
+    return _from_measurement(b, *wmf_taps(b, wmf_len), phi, L_nw,
+                             float(kv["noise_variance"]),
+                             float(kv["calibration_ebn0_db"]))

@@ -116,14 +116,14 @@ def _sweep_with_design(tmp_path, edit=lambda lines: lines, L_nw=1):
     """Exit code of a cpm sweep at ``L_nw`` reading a saved two-lag noise
     measurement whose lines went through ``edit``; the sweep writes
     ``tmp_path / "out.csv"``."""
-    from dataclasses import replace
+    from types import SimpleNamespace
 
-    from mdsim.whitening import save_whitening_design, yule_walker
+    from mdsim.whitening import save_whitening_design
 
     path = tmp_path / "design.txt"
-    save_whitening_design(path, replace(yule_walker([1.0, 0.3], 1),
-                                        noise_variance=0.5,
-                                        calibration_ebn0_db=10.0))
+    save_whitening_design(path, SimpleNamespace(noise_acf=[1.0, 0.3],
+                                                noise_variance=0.5,
+                                                calibration_ebn0_db=10.0))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     cfg = tmp_path / "cpm.cfg"
     cfg.write_text(f"chain = cpm\ncutoff = 0.75\nL_nw = {L_nw}\n"
@@ -151,11 +151,11 @@ def _older_format(lines, **edits):
         return ",".join(f"{v:.17g}" for v in arr)
 
     kv = dict(ln.split(" = ") for ln in lines)
-    fact = spectral_factorize(sampled_pulse_acf(SimConfig(chain="cpm").cpm_params()))
-    design = yule_walker([float(v) for v in kv["noise_acf"].split(",")], 1)
-    kv.update(order="1", acf=fmt(fact.acf), b=fmt(fact.b), p=fmt(design.p),
-              f=fmt(design.f), reflection=fmt(design.reflection),
-              overall=fmt(np.convolve(fact.b, design.f)))
+    acf = sampled_pulse_acf(SimConfig(chain="cpm").cpm_params())
+    b = spectral_factorize(acf)
+    f, reflection = yule_walker([float(v) for v in kv["noise_acf"].split(",")], 1)
+    kv.update(order="1", acf=fmt(acf), b=fmt(b), p=fmt(-f[1:]), f=fmt(f),
+              reflection=fmt(reflection), overall=fmt(np.convolve(b, f)))
     kv.update(edits)
     return [f"{key} = {kv[key]}" for key in (
         "order", "noise_variance", "calibration_ebn0_db", "acf", "b",
@@ -263,8 +263,10 @@ def test_too_few_calibration_symbols_is_config_error(tmp_path, capsys,
     ("cpm", "h_index = 1/0", "h_index"),
     ("cpm", "h_index = 0", "h_index"),
     ("pam_isi", "ebn0_db = nan", "ebn0_db"),
+    ("pam_isi", "ebn0_db = -4000", "ebn0_db"),  # N0 beyond float range
     ("cpm", "calibration_ebn0_db = nan", "calibration_ebn0_db"),
     ("cpm", "calibration_ebn0_db = 4000", "calibration_ebn0_db"),  # N0 = 0
+    ("cpm", "calibration_ebn0_db = -4000", "calibration_ebn0_db"),
     ("cpm", "isi_trim = 2", "isi_trim"),
     ("pam_isi", "isi_trim = -1", "isi_trim"),
     ("pam_isi", "taps = 0,1", "taps"),
@@ -304,8 +306,23 @@ def test_selftest_without_trials_is_error(capsys, seeds):
 
 
 @pytest.mark.parametrize("command", ["sweep", "calibrate"])
-def test_unwritable_output_is_runtime_error(tmp_path, capsys, command):
-    # the output is opened after the sweep or calibration has run
+def test_unwritable_output_is_runtime_error(tmp_path, capsys, monkeypatch,
+                                            command):
+    # the output is checked before any calibration or decoding runs
+    import mdsim.harness
+    import mdsim.whitening
+
+    ran = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            ran.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((mdsim.whitening, "estimate_noise_acf"),
+                      (mdsim.harness, "viterbi_mlse")):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     cfg = tmp_path / "cpm.cfg"
     cfg.write_text("chain = cpm\ncutoff = 0.75\ncalibration_symbols = 2000\n"
                    "schemes = MD\nebn0_db = 12\nmax_bits = 500\n"
@@ -313,6 +330,17 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys, command):
     out = tmp_path / "missing" / "out.txt"
     assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert ran == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+def test_output_check_leaves_no_file_behind(tmp_path, command):
+    # a config error after the output check leaves no output file
+    cfg = tmp_path / "cpm.cfg"
+    cfg.write_text("chain = cpm\ncutoff = 0.75\ncalibration_symbols = 20\n")
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_calibrate_requires_cpm_chain(tmp_path):
@@ -337,7 +365,7 @@ def test_calibrate_writes_design(tmp_path):
             for ln in design_path.read_text().splitlines()]
     assert keys == ["noise_variance", "calibration_ebn0_db", "noise_acf"]
     params = parse_config(cfg.read_text()).cpm_params()
-    design, fact = load_whitening_design(design_path, params, 2)
+    design = load_whitening_design(design_path, params, 2, 20)
     assert design.f.size == 3
     assert design.overall is not None
     np.testing.assert_allclose(design.f[0], 1.0)

@@ -9,7 +9,6 @@ from scipy import stats
 from mdsim.channel import make_rng
 from mdsim.cpm import (
     CpmParams,
-    Waveform,
     add_waveform_awgn,
     b999_bandwidth,
     cpm_modulate,
@@ -40,7 +39,7 @@ def random_symbols(params, n, seed):
 
 class TestPulse:
     def test_q_saturates_at_half(self):
-        lt = P3RC.L_cpm * P3RC.T
+        lt = P3RC.L_cpm
         q = P3RC.phase_pulse(np.array([lt, 2 * lt]))
         assert np.all(np.abs(q - 0.5) < 1e-9)
 
@@ -70,12 +69,12 @@ class TestPulse:
 class TestModulator:
     def test_constant_envelope(self):
         w = cpm_modulate(P3RC, random_symbols(P3RC, 200, 1), theta0=0.37)
-        dev = np.abs(np.abs(w.samples) - np.sqrt(P3RC.Es / P3RC.T))
+        dev = np.abs(np.abs(w) - 1.0)
         assert dev.max() < 1e-12
 
     def test_phase_continuity(self):
         w = cpm_modulate(P3RC, random_symbols(P3RC, 100, 2))
-        steps = np.abs(np.diff(np.unwrap(np.angle(w.samples))))
+        steps = np.abs(np.diff(np.unwrap(np.angle(w))))
         # overlapping pulses stack: sum_k g(t-kT) = 1/(2T), so the
         # instantaneous frequency never exceeds h*(M-1)/2
         bound = 2 * np.pi * P3RC.h_index * (P3RC.M - 1) * 0.5 * P3RC.dt
@@ -84,13 +83,13 @@ class TestModulator:
     def test_msk_phase_ramp(self):
         msk = CpmParams(M=2, h_num=1, h_den=2, L_cpm=1, pulse="LREC", N_os=8)
         w = cpm_modulate(msk, [1])
-        phase = np.unwrap(np.angle(w.samples))
+        phase = np.unwrap(np.angle(w))
         assert abs((phase[msk.N_os] - phase[0]) - np.pi / 2) < 1e-12
 
     def test_final_phase_tracks_symbol_sum(self):
         sym = random_symbols(P3RC, 30, 3)
         w = cpm_modulate(P3RC, sym, theta0=0.0)
-        phase_end = np.angle(w.samples[-1])
+        phase_end = np.angle(w[-1])
         want = 2 * np.pi * P3RC.h_index * 0.5 * sym.sum()
         diff = (phase_end - want + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 1e-9
@@ -107,7 +106,7 @@ class TestBandwidth:
     def test_power_fraction_at_b(self):
         B = b999_bandwidth(P3RC)
         w = cpm_modulate(P3RC, random_symbols(P3RC, 100_000, 999))
-        f, pxx = sp_signal.welch(w.samples, fs=P3RC.N_os / P3RC.T,
+        f, pxx = sp_signal.welch(w, fs=P3RC.N_os,
                                  nperseg=64 * P3RC.N_os,
                                  return_onesided=False, detrend=False)
         frac = pxx[np.abs(f) <= B].sum() / pxx.sum()
@@ -119,7 +118,7 @@ class TestBandwidth:
 
 class TestDemodulator:
     def test_constant_phase_gives_zero(self):
-        w = Waveform(samples=np.exp(1j * 0.8) * np.ones(256), params=P3RC)
+        w = np.exp(1j * 0.8) * np.ones(256)
         np.testing.assert_allclose(diff_demodulate(w, P3RC), 0.0, atol=1e-12)
 
     def test_inverts_modulator(self):
@@ -148,7 +147,7 @@ class TestDemodulator:
         # modulate the sum through phase addition: multiply waveforms
         w1 = cpm_modulate(P3RC, s1, 0.3)
         w2 = cpm_modulate(P3RC, s2, 1.1)
-        w12 = Waveform(samples=w1.samples * w2.samples, params=P3RC)
+        w12 = w1 * w2
         y12 = diff_demodulate(w12, P3RC)
         scale = (P3RC.M - 1) * (1.0 / 3.0)
         assert np.abs(y12 - (y1 + y2)).max() < 0.01 * 2 * scale
@@ -163,14 +162,13 @@ class TestDemodulator:
         # phase crossing +-pi repeatedly: unwrap must not leave spikes
         t = np.arange(4000) * P3RC.dt
         phase = 2.4 * np.pi * np.sin(0.05 * t) + 3.0 * t
-        w = Waveform(samples=np.exp(1j * phase), params=P3RC)
+        w = np.exp(1j * phase)
         y = diff_demodulate(w, P3RC)
         ref = np.diff(phase) / (2 * np.pi * P3RC.h_index * P3RC.dt)
         np.testing.assert_allclose(y, ref, atol=1e-9)
 
     def test_undersampling_warning(self):
-        w = Waveform(samples=np.exp(1j * np.pi * 0.8 * np.arange(64)),
-                     params=P3RC)
+        w = np.exp(1j * np.pi * 0.8 * np.arange(64))
         with pytest.warns(UserWarning, match="phase step"):
             diff_demodulate(w, P3RC)
 
@@ -183,7 +181,7 @@ class TestMatchedFilter:
         k0, L = 4, P3RC.L_cpm
         n = 12 * P3RC.N_os
         t = (np.arange(n) + 0.5) * P3RC.dt
-        y = P3RC.freq_pulse(t - k0 * P3RC.T)
+        y = P3RC.freq_pulse(t - k0)
         d = matched_filter_downsample(y, P3RC)
         acf = sampled_pulse_acf(P3RC)
         got = d[k0 - (L - 1): k0 + L]
@@ -210,18 +208,18 @@ class TestMatchedFilter:
 class TestNoise:
     def test_awgn_seed_reproducible(self):
         w = cpm_modulate(P3RC, random_symbols(P3RC, 50, 9))
-        a = add_waveform_awgn(w, 0.1, seed=5)
-        b = add_waveform_awgn(w, 0.1, seed=5)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = add_waveform_awgn(w, P3RC, 0.1, seed=5)
+        b = add_waveform_awgn(w, P3RC, 0.1, seed=5)
+        np.testing.assert_array_equal(a, b)
 
     def test_fm_noise_psd_rises_with_frequency(self):
         """Differential detection of a noisy carrier: noise PSD grows with
         |f| up to the lowpass edge (the f^2 shape)."""
         B = b999_bandwidth(P3RC)
-        carrier = Waveform(samples=np.ones(200_000, dtype=complex), params=P3RC)
-        noisy = add_waveform_awgn(carrier, 10 ** (-1.2), seed=33)
-        y = diff_demodulate(receive_lowpass(noisy, B), P3RC)
-        f, pxx = sp_signal.welch(y, fs=P3RC.N_os / P3RC.T, nperseg=1024)
+        carrier = np.ones(200_000, dtype=complex)
+        noisy = add_waveform_awgn(carrier, P3RC, 10 ** (-1.2), seed=33)
+        y = diff_demodulate(receive_lowpass(noisy, P3RC, B), P3RC)
+        f, pxx = sp_signal.welch(y, fs=P3RC.N_os, nperseg=1024)
         keep = (f > 0) & (f <= B)
         rho, pval = stats.spearmanr(f[keep], pxx[keep])
         assert rho > 0.8
@@ -231,11 +229,11 @@ class TestNoise:
 def test_lowpass_group_delay_compensated():
     sym = random_symbols(P3RC, 120, 10).astype(float)
     w = cpm_modulate(P3RC, sym, theta0=0.5)
-    lp = receive_lowpass(w, b999_bandwidth(P3RC))
-    assert lp.samples.size == w.samples.size
+    lp = receive_lowpass(w, P3RC, b999_bandwidth(P3RC))
+    assert lp.size == w.size
     skip = 16 * P3RC.N_os
-    a = w.samples[skip:-skip]
-    b = lp.samples[skip:-skip]
+    a = w[skip:-skip]
+    b = lp[skip:-skip]
     # delay compensation: cross-correlation peaks at zero lag
     lags = range(-3, 4)
     corr = [np.abs(np.vdot(a[3 + lag: -3 + lag or None], b[3:-3]))

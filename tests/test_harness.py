@@ -436,8 +436,8 @@ def test_whitening_file_reuse_reproduces_inline_calibration(tmp_path):
 
     params = cfg_inline.cpm_params()
     cutoff = b999_bandwidth(params)
-    design, fact = design_whitening(params, 11.5, 1, cutoff=cutoff,
-                                    n_symbols=50_000)
+    design = design_whitening(params, 11.5, 1, cutoff=cutoff,
+                              n_symbols=50_000)
     path = tmp_path / "design.txt"
     save_whitening_design(path, design)
     cfg_file = SimConfig(**base, whitening_file=str(path))
@@ -468,3 +468,21 @@ def test_inline_calibration_runs_each_stage_once(monkeypatch):
                   log=lambda msg: None)
     assert sorted(calls) == ["b999_bandwidth", "estimate_noise_acf",
                              "spectral_factorize"]
+
+
+def test_sweep_builds_wmf_taps_once(monkeypatch):
+    # calibration and every block use the taps of the one design record
+    import mdsim.whitening
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wmf_taps(*args, **kwargs)
+
+    wmf_taps = mdsim.whitening.wmf_taps
+    monkeypatch.setattr(mdsim.whitening, "wmf_taps", counted)
+    run_ber_sweep(SimConfig(chain="cpm", cutoff=0.75, calibration_symbols=3000,
+                            schemes=(SchemeSpec("md"),), ebn0_db=(12.0,),
+                            max_bits=2000, block_bits=500))
+    assert len(calls) == 1

@@ -475,12 +475,12 @@ def test_sweep_builds_wmf_taps_once(monkeypatch):
     import mdsim.whitening
 
     calls = []
+    wmf_taps = mdsim.whitening.wmf_taps
 
     def counted(*args, **kwargs):
         calls.append(args)
         return wmf_taps(*args, **kwargs)
 
-    wmf_taps = mdsim.whitening.wmf_taps
     monkeypatch.setattr(mdsim.whitening, "wmf_taps", counted)
     run_ber_sweep(SimConfig(chain="cpm", cutoff=0.75, calibration_symbols=3000,
                             schemes=(SchemeSpec("md"),), ebn0_db=(12.0,),

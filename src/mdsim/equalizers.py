@@ -420,9 +420,10 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def bcjr_bytes(isi_trellis: TrellisSpec, steps: int) -> int:
     """Bytes per block of the largest arrays :func:`bcjr_equalize` holds:
-    the (T, S, M) branch metrics and the forward and backward metrics."""
-    S, M = isi_trellis.num_states, isi_trellis.num_inputs
-    return 8 * (steps * S * M + 2 * (steps + 1) * S)
+    the (T + 1, S) forward and backward metrics.  It forms the branch
+    metrics a step or a posterior chunk at a time, so they do not grow
+    with the block."""
+    return 16 * (steps + 1) * isi_trellis.num_states
 
 
 def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
@@ -447,11 +448,13 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     into = ps * M + pu  # flat (state, input) index of each incoming branch
     inv2v = -0.5 / float(noise_variance)
 
-    # (T, B, S, M), C-ordered and built in place
-    gammas = cols - hyp
-    gammas **= 2
-    gammas *= inv2v
-    flat = gammas.reshape(T, B * S * M)
+    def branch_metrics(t0, t1):
+        """The (t1 - t0, B, S, M) branch metrics of steps t0 .. t1 - 1."""
+        g = cols[t0:t1] - hyp
+        g **= 2
+        g *= inv2v
+        return g
+
     # The tables for the B copies of the trellis in a flat (B, S) row.
     ps, nxt, into = _copies(ps, S, B), _copies(nxt, S, B), _copies(into, S * M, B)
 
@@ -463,14 +466,20 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     else:
         beta[T, :, end_state] = 0.0
     step = np.empty((2, B, S, M))
-    # The posteriors go through T in chunks of about 4096 branches, so that
-    # gammas stays the only full (T, B, S, M) array.
+    # The branch metrics are formed in chunks of steps of about 4096
+    # branches as the recursions reach them, the forward from the start
+    # and the backward from the end, then again for the posteriors, so
+    # that alpha and beta stay the only arrays that grow with T.
     chunk = max(1, 4096 // (B * S * M))
     with np.errstate(invalid="ignore"):
         for t in range(T):
             b = T - 1 - t
-            np.add(alpha[t].take(ps), flat[t].take(into), out=step[0])
-            np.add(gammas[b], beta[b + 1].take(nxt), out=step[1])
+            k = t % chunk
+            if k == 0:
+                fwd = branch_metrics(t, min(t + chunk, T))
+                bwd = branch_metrics(max(b + 1 - chunk, 0), b + 1)
+            np.add(alpha[t].take(ps), fwd[k].take(into), out=step[0])
+            np.add(bwd[-1 - k], beta[b + 1].take(nxt), out=step[1])
             both = _logsumexp(step, 3)
             both -= both.max(2)[..., None]
             alpha[t + 1], beta[b] = both
@@ -478,7 +487,7 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
         post = np.empty((T, B, M))
         for t0 in range(0, T, chunk):
             t1 = min(t0 + chunk, T)
-            joint = alpha[t0:t1, :, :, None] + gammas[t0:t1]
+            joint = alpha[t0:t1, :, :, None] + branch_metrics(t0, t1)
             joint += beta[t0 + 1:t1 + 1].reshape(t1 - t0, -1)[:, nxt]
             log_pu = _logsumexp(joint, 2)
             log_pu -= _logsumexp(log_pu, 2)[..., None]

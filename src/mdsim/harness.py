@@ -510,14 +510,18 @@ class _Tally:
 
 def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
                 last: int) -> int:
-    """Blocks of the round that starts at block ``first``: twice the
-    ``last`` round (one block first), or more up to block
-    ceil(min_errors / block_bits), before which no tally can stop on
-    errors; at most the largest batch of the ``live`` tallies and the
-    blocks left before ``max_bits``.  Once a tally has seen errors, also
-    at most the blocks it needs at its error rate so far to reach
-    ``min_errors``, so that points stopping on errors waste little."""
-    size = max(2 * last, -(-cfg.min_errors // cfg.block_bits) - first)
+    """Blocks of the round that starts at block ``first``.  A point's first
+    round (``first`` = 0) opens at ``last``, the fewest blocks that any
+    tally counted at the previous point (0 at the first point: one
+    block), since BER falls as Eb/N0 rises; a later round is twice the
+    ``last`` one.  Either is raised up to block ceil(min_errors /
+    block_bits), before which no tally can stop on errors, and held to
+    at most the largest batch of the ``live`` tallies and the blocks left
+    before ``max_bits``.  Once a tally has seen errors, also at most the
+    blocks it needs at its error rate so far to reach ``min_errors``, so
+    that points stopping on errors waste little."""
+    size = last if first == 0 else 2 * last
+    size = max(size, -(-cfg.min_errors // cfg.block_bits) - first)
     size = min(size, max(t.receiver.batch for t in live),
                -(-cfg.max_bits // cfg.block_bits) - first)
     for t in live:
@@ -533,12 +537,13 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     ctx = resolve_chain(cfg, log)
     receivers = _build_receivers(ctx, cfg, log)
     records: list[BerRecord] = []
+    counted = 0  # the fewest blocks a tally counted at the last point
     for point_idx, ebn0 in enumerate(cfg.ebn0_db):
         n0 = ctx.eb * 10.0 ** (-ebn0 / 10.0)
         tallies = [_Tally(r) for r in receivers]
         # Blocks go out in rounds; every tally not yet done decodes all of
         # a round, so each round starts at the same block for all of them.
-        block_idx, size = 0, 0
+        block_idx, size = 0, counted
         while live := [t for t in tallies if not t.done(cfg)]:
             size = _round_size(cfg, live, block_idx, size)
             info, obs = zip(*(_make_block(ctx, cfg, n0, point_idx, i)
@@ -547,6 +552,7 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
             for t in live:
                 t.decode(cfg, info, obs, n0)
             block_idx += size
+        counted = min(t.bits for t in tallies) // cfg.block_bits
         records += [t.record(cfg, ebn0) for t in tallies]
         log(f"Eb/N0 = {ebn0:g} dB: " + ", ".join(
             f"{t.receiver.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"

@@ -431,9 +431,9 @@ class TestBatchedEqualsPerBlock:
     BLOCKS = 7
 
     @classmethod
-    def obs(cls):
+    def obs(cls, blocks=BLOCKS):
         rows = []
-        for b in range(cls.BLOCKS):
+        for b in range(blocks):
             bits = (make_rng(40 + b).random(60) < 0.5).astype(np.int64)
             tx = tx_block(bits, h=cls.H3)
             rows.append(np.round(noisy_obs(tx, 1.2, 50 + b, h=cls.H3)))
@@ -498,13 +498,16 @@ class TestBatchedEqualsPerBlock:
         self.check(lambda x: (soft_viterbi_decode(code, x, end_state=end),),
                    batch, self.llrs(code, scale))
 
-    @pytest.mark.parametrize("batch", [2, 3, 4])
+    @pytest.mark.parametrize("batch", [2, 3, 4, 8])
     @pytest.mark.parametrize("end", [0, None])
     def test_bcjr(self, batch, end):
+        """At batch 8 (S = 16, M = 4) the posteriors go in chunks of 8 steps,
+        the last one partial, each forming its branch metrics anew."""
         tr = build_isi_trellis(self.H3, 4, memory=2)
+        obs = self.obs(max(self.BLOCKS, batch + 1))
         for var in (0.5, 2.0):
             self.check(lambda x: (lambda r: (r.symbol_posteriors, r.bit_llrs))(
-                bcjr_equalize(tr, x, var, end_state=end)), batch, self.obs())
+                bcjr_equalize(tr, x, var, end_state=end)), batch, obs)
 
     def test_one_block_shapes(self):
         obs = self.obs()

@@ -61,6 +61,24 @@ def test_states_column_counts_built_receivers():
                       "DFSE(1)+VA": 4 + 4, "BCJR+VA": 4 + 4}
 
 
+def test_bcjr_batch_counts_only_its_recursions():
+    """BCJR forms its branch metrics as it steps, so its bytes per block are
+    the (T + 1, S) forward and backward metrics alone, and BCJR+VA on
+    examples_cfg/pam.cfg decodes 8 blocks per call."""
+    from mdsim.equalizers import bcjr_bytes, build_isi_trellis
+    from mdsim.matched_encoder import IsiResponse
+
+    for memory, steps in ((1, 10), (2, 1006), (3, 1006)):
+        window = build_isi_trellis(IsiResponse([1, 0.6, 0.36, 0.216]), 4,
+                                   memory=memory)
+        assert bcjr_bytes(window, steps) == 16 * (steps + 1) * 4**memory
+    cfg = parse_config((Path(__file__).parents[1] / "examples_cfg"
+                        / "pam.cfg").read_text())
+    batch = {r.scheme.label(): r.batch for r in _build_receivers(
+        resolve_chain(cfg, print), cfg, print)}
+    assert batch["BCJR+VA"] == 8
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)
@@ -370,14 +388,63 @@ class TestSweep:
     def test_error_stopped_rounds_open_with_one_block(self, monkeypatch,
                                                       tmp_path):
         """With min_errors <= block_bits one block could stop a point, so
-        every point still opens with a one-block round, then 2, 4, ..."""
+        the first point opens with a one-block round, then 2, 4, ...  A
+        later point opens at the fewest blocks any scheme counted at the
+        point before, each decoder's first call at most its batch."""
         cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD\n"
                            "ebn0_db = 12,14\nmin_errors = 150\n"
                            "max_bits = 3000\nblock_bits = 200\n")
-        _, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert len(calls) == 2 * 2
-        for sizes in calls.values():
-            assert sizes[:3] == [1, 2, 4]
+        counted = self.counted_blocks(csv, cfg)
+        batch = {r.scheme.label(): r.batch for r in _build_receivers(
+            resolve_chain(cfg, print), cfg, print)}
+        for (label, n0), sizes in calls.items():
+            point = self.point_of(calls, label, n0)
+            if point == 0:
+                assert sizes[:3] == [1, 2, 4]
+            else:
+                last = min(counted[cfg.ebn0_db[point - 1]].values())
+                assert sizes[0] == min(last, batch[label])
+
+    @staticmethod
+    def counted_blocks(csv, cfg):
+        """Per Eb/N0 and scheme, the blocks that the CSV ``csv`` counts."""
+        blocks = {}
+        for row in csv.decode().splitlines()[1:]:
+            scheme, _, ebn0, bits = row.split(",")[:4]
+            blocks.setdefault(float(ebn0), {})[scheme] = (
+                int(bits) // cfg.block_bits)
+        return blocks
+
+    @staticmethod
+    def point_of(calls, label, n0):
+        """The index of the point sent at noise density ``n0``: N0 falls as
+        Eb/N0 rises."""
+        return sorted((n for lab, n in calls if lab == label),
+                      reverse=True).index(n0)
+
+    def test_serial_points_open_at_the_last_points_blocks(self, monkeypatch,
+                                                          tmp_path):
+        """The serial receivers are called per round, so a point that
+        needs several blocks should not ramp 1, 2, 4 again: its first
+        round carries the fewest blocks counted at the point before, and
+        the CSV is that of one block per call."""
+        import mdsim.harness as harness
+
+        cfg = parse_config("taps = 1,0.5,0.25\n"
+                           "schemes = DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
+                           "min_errors = 60\nmax_bits = 20000\n"
+                           "block_bits = 200\nseed = 4\n")
+        csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        last = min(self.counted_blocks(csv, cfg)[6.0].values())
+        assert last == 3
+        opened = {label: sizes[0] for (label, n0), sizes in calls.items()
+                  if self.point_of(calls, label, n0) == 1}
+        assert opened == {"DFSE(1)+VA": last, "BCJR+VA": last}
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert one_by_one == csv
 
     def test_stop_rule_respected(self):
         recs = run_ber_sweep(PAM_CFG)

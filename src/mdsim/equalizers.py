@@ -93,8 +93,9 @@ def _columns(obs) -> np.ndarray:
 
 
 def _pointer_dtype(fan_in: int):
-    """Smallest signed dtype of a traceback pointer (a predecessor slot)."""
-    return np.int8 if fan_in <= 127 else np.int32
+    """Smallest dtype of a traceback pointer (a predecessor slot): bool
+    for a fan-in of 2, else signed."""
+    return bool if fan_in <= 2 else np.int8 if fan_in <= 127 else np.int32
 
 
 def _stepped(fan_in: np.ndarray, start_state: int,
@@ -159,6 +160,40 @@ def _copies(index: np.ndarray, size: int, blocks: int) -> np.ndarray:
     return index + size * np.arange(blocks).reshape(-1, *[1] * index.ndim)
 
 
+# Rows from which a fan-in of 4 selects by a pairwise tournament: below
+# it one argmin (one numpy call) costs less than the tournament's seven.
+TOURNAMENT_ROWS = 2048
+
+
+def _select(cand: np.ndarray, out: np.ndarray,
+            slot0: np.ndarray) -> np.ndarray:
+    """The first minimum of each row of the (rows, P) candidates ``cand``:
+    writes its slot into the pointer row ``out`` and returns its value.
+    ``slot0`` is the flat index of each row's first slot.
+
+    A fan-in of 2 compares the two slots with a strict ``<`` and keeps
+    their ``np.minimum``; a fan-in of 4 on ``TOURNAMENT_ROWS`` rows or more
+    plays the pairs (0, 1) and (2, 3) that way, then the pair winners with
+    ``m23 < m01``.  Any other table takes ``argmin``.  Each gives argmin's
+    slot: the earlier of two equal candidates wins, +inf ones included.
+    """
+    rows, P = cand.shape
+    if P == 2:
+        c0, c1 = cand[:, 0], cand[:, 1]
+        np.less(c1, c0, out=out)
+        return np.minimum(c0, c1)
+    if P == 4 and rows >= TOURNAMENT_ROWS:
+        c0, c1, c2, c3 = (cand[:, i] for i in range(4))
+        np.less(c1, c0, out=out.view(bool))
+        m01 = np.minimum(c0, c1)
+        j23 = c3 < c2
+        m23 = np.minimum(c2, c3)
+        np.add(j23, 2, out=out, where=m23 < m01)
+        return np.minimum(m01, m23, out=m01)
+    out[:] = j = cand.argmin(1)
+    return cand.take(slot0 + j)
+
+
 def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
              *, base: int = 1, memory: int = 0) -> DecodeResult:
     """Add-compare-select over the table ``slots`` for ``steps`` steps on
@@ -171,19 +206,19 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     of B*R rows: block b's copy of row i is row b*R + i, and its
     predecessors are offset by b*R, so each numpy call of a step serves
     every block.  ``branch_metrics(t, prev)`` gives the (B, R, P) metrics
-    of step t on the slots of ``slots``.  ``prev`` holds, in the same
-    shape, the survivor register of each slot's predecessor: its last
-    ``memory`` inputs as base-``base`` digits, newest in the least
-    significant digit (None without registers).  Candidates are compared
-    in slot order and argmin keeps the first minimum, so ties go to the
-    lower predecessor state, then the lower input.  With a free end each
-    block's traceback starts from its best final metric.
+    of step t on the slots of ``slots``, +inf on a slot that is not live.
+    ``prev`` holds, in the same shape, the survivor register of each
+    slot's predecessor: its last ``memory`` inputs as base-``base``
+    digits, newest in the least significant digit (None without
+    registers).  :func:`_select` compares the candidates in slot order
+    and keeps the first minimum, so ties go to the lower predecessor
+    state, then the lower input.  With a free end each block's traceback
+    starts from its best final metric.
     """
     R, P = slots.pred.shape
     rows = blocks * R
     by_block = _copies(slots.pred, R, blocks)  # (B, R, P)
     ps = by_block.reshape(rows, P)
-    pad = np.tile(np.where(slots.live, 0.0, np.inf), (blocks, 1))
     ps_flat, pu_flat = ps.reshape(-1), np.tile(slots.pu.reshape(-1), blocks)
     slot0 = np.arange(rows) * P  # flat index of each row's first slot
     pm = np.full(rows, np.inf)
@@ -195,12 +230,9 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
         prev = reg.take(by_block) if memory else None
         cand = pm.take(ps)
         cand += branch_metrics(t, prev).reshape(rows, P)
-        cand += pad
-        j = cand.argmin(1)
-        back[t] = j
-        k = slot0 + j
-        pm = cand.take(k)
+        pm = _select(cand, back[t], slot0)
         if memory:
+            k = slot0 + back[t]
             reg = (prev.take(k) * base + pu_flat.take(k)) % modulus
 
     pm = pm.reshape(blocks, R)
@@ -233,7 +265,9 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     """
     cols = _columns(obs)
     slots = _slots(trellis, start_state, end_state)
-    hyp = trellis.outputs[slots.ps, slots.pu]  # (R, P) candidate hypotheses
+    # (R, P) candidate hypotheses; +inf on a slot that is not live gives
+    # its candidate +inf
+    hyp = np.where(slots.live, trellis.outputs[slots.ps, slots.pu], np.inf)
     res = _viterbi(slots, *cols.shape[:2], lambda t, reg: (cols[t] - hyp) ** 2)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 

@@ -517,16 +517,19 @@ def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
     ``last`` one.  Either is raised up to block ceil(min_errors /
     block_bits), before which no tally can stop on errors, and held to
     at most the largest batch of the ``live`` tallies and the blocks left
-    before ``max_bits``.  Once a tally has seen errors, also at most the
-    blocks it needs at its error rate so far to reach ``min_errors``, so
-    that points stopping on errors waste little."""
+    before ``max_bits``.  Once every live tally has seen errors, also at
+    most the largest number of blocks that one of them needs at its error
+    rate so far to reach ``min_errors``, so that points stopping on errors
+    waste little; a tally close to its stop does not shrink the round of
+    the others, since blocks past a tally's stop cost little to discard."""
     size = last if first == 0 else 2 * last
     size = max(size, -(-cfg.min_errors // cfg.block_bits) - first)
     size = min(size, max(t.receiver.batch for t in live),
                -(-cfg.max_bits // cfg.block_bits) - first)
-    for t in live:
-        if t.errors:  # ceil((min_errors - errors) / (errors / first))
-            size = min(size, -(-(cfg.min_errors - t.errors) * first // t.errors))
+    if all(t.errors for t in live):
+        # ceil((min_errors - errors) / (errors / first))
+        size = min(size, max(-(-(cfg.min_errors - t.errors) * first // t.errors)
+                             for t in live))
     return max(size, 1)
 
 

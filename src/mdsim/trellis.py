@@ -43,8 +43,9 @@ class TrellisSpec:
         Returns ``(pred_state, pred_input, valid)``, each (num_states, fan);
         callers mask invalid slots to +inf (min-sum) or -inf (sum-product).
         The slots of a state hold its branches in ascending (state, input)
-        order, so argmin ties resolve to the lower predecessor state, then
-        the lower input.
+        order.  Add-compare-select compares them in slot order and keeps
+        the first minimum, so ties resolve to the lower predecessor state,
+        then the lower input.
         """
         S, U = self.num_states, self.num_inputs
         nxt = self.next_state.reshape(-1)

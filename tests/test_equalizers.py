@@ -167,6 +167,99 @@ class TestNeverEnteredStates:
         assert len(set(zip(slots.ps.flat, slots.pu.flat))) == 2048
 
 
+class TestCompareSelect:
+    """The ACS picks each row's first minimum by comparisons in slot order
+    (fan-in 2 always, fan-in 4 from TOURNAMENT_ROWS rows), or by argmin:
+    both give argmin's slot and value, with ties, +inf slots and rows of
+    +inf."""
+
+    @staticmethod
+    def candidates(rows, P, seed):
+        """Small integers, so many candidates tie; every 7th row +inf, and
+        about one slot in five +inf."""
+        rng = make_rng(seed)
+        cand = np.floor(rng.random((rows, P)) * 4)
+        cand[rng.random((rows, P)) < 0.2] = np.inf
+        cand[::7] = np.inf
+        return cand
+
+    @pytest.mark.parametrize("P", [2, 3, 4])
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_first_minimum(self, P, side):
+        from mdsim.equalizers import TOURNAMENT_ROWS, _pointer_dtype, _select
+
+        rows = TOURNAMENT_ROWS + side
+        cand = self.candidates(rows, P, 90 + P)
+        want = cand.argmin(1)
+        assert np.count_nonzero(cand == cand.min(1, keepdims=True)) > rows
+        out = np.empty(rows, dtype=_pointer_dtype(P))
+        pm = _select(cand.copy(), out, np.arange(0, rows * P, P))
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(pm, cand[np.arange(rows), want])
+
+    @pytest.mark.parametrize("tournament", [False, True])
+    def test_tournament_decodes_as_argmin(self, monkeypatch, tournament):
+        """Fan-in 4 without registers (STD) and with them (DFSE(2)) gives
+        the same bits and metrics on either side of the crossover."""
+        import mdsim.equalizers as eq
+
+        obs = TestBatchedEqualsPerBlock.obs()
+        h = TestBatchedEqualsPerBlock.H3
+        std = build_std_trellis(CODE, h, 4)
+        assert eq._slots(std).pred.shape[1] == 4
+        decode = {
+            "STD": lambda: tuple(viterbi_mlse(std, obs, end_state=None)),
+            "DFSE(2)": lambda: (dfse_equalize(h, 4, 2, obs),)}
+        want = {k: f() for k, f in decode.items()}
+        monkeypatch.setattr(eq, "TOURNAMENT_ROWS",
+                            1 if tournament else 1 << 30)
+        for k, f in decode.items():
+            for got, w in zip(f(), want[k]):
+                np.testing.assert_array_equal(got, w)
+
+    def test_only_super_trellis_tables_mask_slots(self, monkeypatch):
+        """The ACS adds no padding: a slot that is not live must get a +inf
+        branch metric.  The RSSE, DFSE and code-trellis tables are fully
+        live; viterbi_mlse on a trellis with masked slots gives them +inf
+        hypotheses, so +inf metrics."""
+        import mdsim.equalizers as eq
+
+        seen = {}
+        core = eq._viterbi
+
+        def spy(slots, steps, blocks, branch_metrics, *, base=1, memory=0):
+            R, P = slots.pred.shape
+            prev = np.zeros((blocks, R, P), dtype=np.int64) if memory else None
+            metrics = np.reshape(branch_metrics(0, prev), (blocks, R, P))
+            seen[caller] = (slots.live, metrics)
+            return core(slots, steps, blocks, branch_metrics, base=base,
+                        memory=memory)
+
+        monkeypatch.setattr(eq, "_viterbi", spy)
+        batched, never = TestBatchedEqualsPerBlock, TestNeverEnteredStates
+        obs, h = batched.obs()[:2], batched.H3
+        decoders = {
+            "RSSE": [lambda r=r: rsse_decode(batched.MT3, PartitionSpec(r), obs)
+                     for r in range(CODE.nu + h.L + 1)],
+            "DFSE": [lambda J=J, end=end: dfse_equalize(h, 4, J, obs,
+                                                        end_state=end)
+                     for J in range(h.L + 1) for end in (0, None)],
+            "soft VA": [lambda code=code, end=end: soft_viterbi_decode(
+                            code, batched.llrs(code), end_state=end)
+                        for code in (CODE, ConvCode([0o5, 0o7, 0o3]))
+                        for end in (0, None)],
+            "MD": [lambda: viterbi_mlse(batched.MT3.trellis, obs)],
+            "masked": [lambda: viterbi_mlse(never.TR, never.obs(),
+                                            start_state=never.START)]}
+        for caller, calls in decoders.items():
+            for decode in calls:
+                decode()
+                live, metrics = seen.pop(caller)
+                assert live.all() == (caller != "masked"), caller
+                np.testing.assert_array_equal(
+                    np.isposinf(metrics), np.broadcast_to(~live, metrics.shape))
+
+
 class TestStdTrellis:
     def test_state_counts(self):
         assert STD.num_states == 64

@@ -446,6 +446,28 @@ class TestSweep:
         one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert one_by_one == csv
 
+    def test_a_scheme_near_its_stop_does_not_shrink_the_round(
+            self, monkeypatch, tmp_path):
+        """The error-rate cap of a round is the largest need of the live
+        schemes.  At 8 dB DFSE(1)+VA needs one block after the opening 3;
+        with the smallest need as the cap, BCJR+VA was called with 3, 1,
+        2, 4 and 5 blocks.  The counts are those of one block per call."""
+        import mdsim.harness as harness
+
+        cfg = parse_config("taps = 1,0.5,0.25\n"
+                           "schemes = DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
+                           "min_errors = 60\nmax_bits = 20000\n"
+                           "block_bits = 200\nseed = 4\n")
+        csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        at_8db = {label: sizes for (label, n0), sizes in calls.items()
+                  if self.point_of(calls, label, n0) == 1}
+        assert at_8db == {"DFSE(1)+VA": [3, 6], "BCJR+VA": [3, 6, 8]}
+        assert self.counted_blocks(csv, cfg)[8.0] == {"DFSE(1)+VA": 4,
+                                                      "BCJR+VA": 15}
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert one_by_one == csv
+
     def test_stop_rule_respected(self):
         recs = run_ber_sweep(PAM_CFG)
         for r in recs:

@@ -139,10 +139,21 @@ class _Slots(NamedTuple):
     end: int | None   # row of the end state, None for a free end
 
 
+def _check_states(num_states: int, start_state: int,
+                  end_state: int | None) -> None:
+    """Raise a ValueError naming a start or end state that is not one of
+    the ``num_states`` states (``end_state`` None is a free end)."""
+    for name, state in (("start_state", start_state), ("end_state", end_state)):
+        if state is not None and not 0 <= state < num_states:
+            raise ValueError(f"{name} must be a state in 0..{num_states - 1}, "
+                             f"not {state}")
+
+
 def _slots(trellis: TrellisSpec, start_state: int = 0,
            end_state: int | None = 0) -> _Slots:
     """The table :func:`_viterbi` steps; receivers read each slot's branch
     hypothesis from its ``ps`` and ``pu``."""
+    _check_states(trellis.num_states, start_state, end_state)
     ps, pu, valid = trellis.predecessors
     step = _stepped(valid.sum(1), start_state, end_state)
     rows = np.flatnonzero(step)
@@ -431,32 +442,74 @@ class BcjrResult:
     bit_llrs: np.ndarray           # (T * n,) log P(bit=0) - log P(bit=1); (B, T * n)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def _contiguous_sum(t: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``t`` over ``axis`` in the order in which numpy sums a
+    contiguous axis of n terms: in order for n < 8; else 8 running sums
+    over every 8th term, added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest in order; for n > 128, the two halves apart, the first
+    a multiple of 8.  Over an outer axis numpy adds the slices in order,
+    which rounds differently from n = 8 on."""
+    n = t.shape[axis]
+    if n < 8 or axis in (-1, t.ndim - 1):
+        return t.sum(axis)
+    if axis:
+        return _contiguous_sum(np.moveaxis(t, axis, 0), 0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _contiguous_sum(t[:half], 0) + _contiguous_sum(t[half:], 0)
+    r = t[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        r += t[i:i + 8]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(n - n % 8, n):
+        out += t[i]
+    return out
+
+
+def _logsumexp(a: np.ndarray, axis: int, *, in_order: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, rounded as scipy.special.logsumexp
     (1.17) rounds it: the m tied maxima leave the sum, which becomes
-    log1p(rest / m) + log(m) + max.  An all -inf slice gives -inf; its
-    terms are -inf - -inf = NaN until the maximum mask zeroes them, so
-    callers hold ``np.errstate(invalid="ignore")``.
+    log1p(rest / m) + log(m) + max.  The terms are added in the order
+    in which numpy adds them over a contiguous axis
+    (:func:`_contiguous_sum`) or, with ``in_order``, over an outer one
+    (slice by slice), wherever ``axis`` lies in ``a``.  Without a tied
+    maximum m is 1, and the division and log(m) are skipped: they change
+    no bit.  An all
+    -inf slice gives -inf; its terms are -inf - -inf = NaN until the
+    maximum mask zeroes them, so callers hold
+    ``np.errstate(invalid="ignore")``.
     """
-    amax = a.max(axis)
-    col = np.expand_dims(amax, axis)
-    top = a == col
-    terms = np.exp(a - col)
-    terms[top] = 0.0
-    out = terms.sum(axis)
-    m = top.sum(axis)
-    out /= m
-    out = np.log1p(out)
-    out += np.log(m)
-    out += amax
+    amax = a.max(axis, keepdims=True)
+    top = a == amax
+    terms = np.subtract(a, amax)
+    np.exp(terms, out=terms)
+    np.copyto(terms, 0.0, where=top)
+    out = terms.sum(axis) if in_order else _contiguous_sum(terms, axis)
+    if np.count_nonzero(top) > out.size:
+        m = top.sum(axis)
+        out /= m
+        np.log1p(out, out=out)
+        out += np.log(m)
+    else:
+        np.log1p(out, out=out)
+    out += amax.reshape(out.shape)
     return out
+
+
+# Branches of a chunk of steps, over every block of a batch (at least one
+# step): the recursions form the forward and the backward branch metrics
+# of a chunk as they reach it, and the posteriors the joint metrics of a
+# chunk, so that no array but the forward and backward metrics grows with
+# the block.
+BCJR_CHUNK = 1 << 14
 
 
 def bcjr_bytes(isi_trellis: TrellisSpec, steps: int) -> int:
     """Bytes per block of the largest arrays :func:`bcjr_equalize` holds:
     the (T + 1, S) forward and backward metrics.  It forms the branch
-    metrics a step or a posterior chunk at a time, so they do not grow
-    with the block."""
+    and posterior metrics in chunks of ``BCJR_CHUNK`` branches over the
+    whole batch (at least one step), so they add a constant to a call,
+    not bytes per block."""
     return 16 * (steps + 1) * isi_trellis.num_states
 
 
@@ -466,31 +519,41 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     """Symbol-by-symbol MAP over an ISI trellis, log domain, exact log-sum-exp.
 
     The forward and backward recursions are independent, so one time loop
-    runs both, for every block of a (B, T) batch, on a stacked (2, B, S, M)
-    array; this needs M predecessors per state, as in every window trellis.
-    Symbol posteriors are marginalized to bit LLRs through the natural map
-    (MSB first), one LLR per coded bit.
+    runs both, for every block of a (B, T) batch, on a stacked (2, M, B, S)
+    array: slot j of state s holds the branch from its j-th predecessor
+    (forward) or on input j (backward), so a step's log-sum-exp reduces M
+    contiguous (B, S) slices.  This needs M predecessors per state, as in
+    every window trellis.  The posterior joint metrics are (S, T, B, M),
+    reduced over the states.  Symbol posteriors are marginalized to bit
+    LLRs through the natural map (MSB first), one LLR per coded bit.
     """
-    cols = _columns(obs)
-    T, B = cols.shape[:2]
+    cols = np.ascontiguousarray(_as_blocks(obs).T)  # (T, B)
+    T, B = cols.shape
     S, M = isi_trellis.num_states, isi_trellis.num_inputs
+    _check_states(S, start_state, end_state)
+    if not (np.isfinite(noise_variance) and noise_variance > 0):
+        raise ValueError(f"noise_variance must be finite and positive, "
+                         f"not {noise_variance!r}")
     hyp = isi_trellis.outputs
     nxt = isi_trellis.next_state
     ps, pu, valid = isi_trellis.predecessors
     if not valid.all():
         raise ValueError("BCJR needs num_inputs predecessors per state")
-    into = ps * M + pu  # flat (state, input) index of each incoming branch
     inv2v = -0.5 / float(noise_variance)
 
-    def branch_metrics(t0, t1):
-        """The (t1 - t0, B, S, M) branch metrics of steps t0 .. t1 - 1."""
-        g = cols[t0:t1] - hyp
+    def branch_metrics(y, h):
+        g = y - h
         g **= 2
         g *= inv2v
         return g
 
-    # The tables for the B copies of the trellis in a flat (B, S) row.
-    ps, nxt, into = _copies(ps, S, B), _copies(nxt, S, B), _copies(into, S * M, B)
+    # Step layouts: [0, j, b, s] forward over the j-th predecessor of s,
+    # [1, u, b, s] backward over input u.  ``slot_hyp`` holds each slot's
+    # hypothesis, ``into`` the flat index of the metric each slot adds to
+    # in the (2, B, S) stack of alpha[t] and beta[t + 1].
+    slot_hyp = np.stack([hyp[ps, pu].T, hyp.T])[:, :, None, :]  # (2, M, 1, S)
+    rows = S * np.arange(B)[:, None]  # (B, 1)
+    into = np.stack([ps.T[:, None, :] + rows, B * S + nxt.T[:, None, :] + rows])
 
     alpha = np.full((T + 1, B, S), -np.inf)
     alpha[0, :, start_state] = 0.0
@@ -499,31 +562,34 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
         beta[T] = 0.0
     else:
         beta[T, :, end_state] = 0.0
-    step = np.empty((2, B, S, M))
-    # The branch metrics are formed in chunks of steps of about 4096
-    # branches as the recursions reach them, the forward from the start
-    # and the backward from the end, then again for the posteriors, so
-    # that alpha and beta stay the only arrays that grow with T.
-    chunk = max(1, 4096 // (B * S * M))
+    cur = np.stack([alpha[0], beta[T]])  # (2, B, S): alpha[t], beta[T - t]
+    step = np.empty((2, M, B, S))
+    chunk = max(1, BCJR_CHUNK // (B * S * M))
+    reverse = cols[::-1]
     with np.errstate(invalid="ignore"):
-        for t in range(T):
-            b = T - 1 - t
-            k = t % chunk
-            if k == 0:
-                fwd = branch_metrics(t, min(t + chunk, T))
-                bwd = branch_metrics(max(b + 1 - chunk, 0), b + 1)
-            np.add(alpha[t].take(ps), fwd[k].take(into), out=step[0])
-            np.add(bwd[-1 - k], beta[b + 1].take(nxt), out=step[1])
-            both = _logsumexp(step, 3)
-            both -= both.max(2)[..., None]
-            alpha[t + 1], beta[b] = both
+        for t0 in range(0, T, chunk):
+            t1 = min(t0 + chunk, T)
+            # [k, 0]: forward step t0 + k; [k, 1]: backward step T-1-t0-k
+            ys = np.stack([cols[t0:t1], reverse[t0:t1]], axis=1)
+            g = branch_metrics(ys[:, :, None, :, None], slot_hyp)
+            for k in range(t1 - t0):
+                cur.take(into, out=step, mode="wrap")  # "raise" would buffer
+                step += g[k]
+                cur = _logsumexp(step, 1)
+                cur -= cur.max(2, keepdims=True)
+                alpha[t0 + k + 1], beta[T - 1 - t0 - k] = cur
 
+        # Joint [s, t, b, u] = alpha[t, b, s] + g + beta[t + 1, b, nxt[s, u]],
+        # added in that order, reduced over s in order.
+        beta_at = (np.arange(chunk)[:, None, None] * (B * S) + rows
+                   + nxt[:, None, None, :])  # (S, chunk, B, M) into beta[t0 + 1:]
         post = np.empty((T, B, M))
         for t0 in range(0, T, chunk):
             t1 = min(t0 + chunk, T)
-            joint = alpha[t0:t1, :, :, None] + branch_metrics(t0, t1)
-            joint += beta[t0 + 1:t1 + 1].reshape(t1 - t0, -1)[:, nxt]
-            log_pu = _logsumexp(joint, 2)
+            joint = alpha[t0:t1].transpose(2, 0, 1)[..., None] + branch_metrics(
+                cols[t0:t1, :, None], hyp[:, None, None, :])
+            joint += beta[t0 + 1:t1 + 1].take(beta_at[:, :t1 - t0])
+            log_pu = _logsumexp(joint, 0, in_order=True)
             log_pu -= _logsumexp(log_pu, 2)[..., None]
             post[t0:t1] = np.exp(log_pu)
 

@@ -11,7 +11,9 @@ import pytest
 from mdsim.channel import make_rng, normal_from_uniform
 from mdsim.conv_code import ConvCode, build_conv_trellis, conv_encode
 from mdsim.equalizers import (
+    BCJR_CHUNK,
     PartitionSpec,
+    _contiguous_sum,
     bcjr_equalize,
     build_dfse_feedback,
     build_isi_trellis,
@@ -457,6 +459,43 @@ class TestBcjr:
         with pytest.raises(ValueError, match="predecessors"):
             bcjr_equalize(tr, np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("var", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_noise_variance(self, var):
+        """0 would divide by zero, -1 flip the sign of every LLR and nan
+        make every LLR NaN."""
+        with pytest.raises(ValueError, match="noise_variance"):
+            bcjr_equalize(build_isi_trellis(H, 4, memory=1), np.zeros(5), var)
+
+    @pytest.mark.parametrize("n", [*range(1, 34), 64, 100, 128, 129, 200, 513])
+    def test_contiguous_sum_rounds_as_numpy(self, n):
+        """The sum over an outer axis, in the order numpy sums a contiguous
+        one: pairwise with 8 running sums from 8 terms, halved above 128."""
+        rows = np.exp(make_rng(n).random((500, n)) * 40.0 - 20.0)
+        want = rows.sum(1)
+        outer = np.ascontiguousarray(rows.T)
+        np.testing.assert_array_equal(_contiguous_sum(outer, 0), want)
+        middle = np.ascontiguousarray(outer.reshape(n, 20, 25).transpose(1, 0, 2))
+        np.testing.assert_array_equal(_contiguous_sum(middle, 1),
+                                      want.reshape(20, 25))
+        if n >= 8:
+            assert not np.array_equal(outer.sum(0), want)
+
+
+@pytest.mark.parametrize("state", [-1, 16])
+@pytest.mark.parametrize("name", ["start_state", "end_state"])
+def test_rejects_states_outside_the_trellis(name, state):
+    """-1 would mean the last state, and 16 raise a bare IndexError."""
+    tr = build_isi_trellis(H, 4)  # 16 states
+    obs = np.zeros(6)
+    decoders = [lambda kw: viterbi_mlse(tr, obs, **kw),
+                lambda kw: bcjr_equalize(tr, obs, 1.0, **kw)]
+    if name == "end_state":
+        decoders += [lambda kw: dfse_equalize(H, 4, 2, obs, **kw),
+                     lambda kw: soft_viterbi_decode(CODE, obs, **kw)]
+    for decode in decoders:
+        with pytest.raises(ValueError, match=name):
+            decode({name: state})
+
 
 class TestSoftViterbi:
     def test_clean_llrs(self):
@@ -591,13 +630,21 @@ class TestBatchedEqualsPerBlock:
         self.check(lambda x: (soft_viterbi_decode(code, x, end_state=end),),
                    batch, self.llrs(code, scale))
 
-    @pytest.mark.parametrize("batch", [2, 3, 4, 8])
+    @pytest.mark.parametrize(("M", "memory", "batch"), [
+        (M, memory, batch) for M, memory in ((4, 2), (8, 1))
+        for batch in (2, 3, 4, 8)],
+        ids=["2", "3", "4", "8", "M8-2", "M8-3", "M8-4", "M8-8"])
     @pytest.mark.parametrize("end", [0, None])
-    def test_bcjr(self, batch, end):
-        """At batch 8 (S = 16, M = 4) the posteriors go in chunks of 8 steps,
-        the last one partial, each forming its branch metrics anew."""
-        tr = build_isi_trellis(self.H3, 4, memory=2)
+    def test_bcjr(self, M, memory, batch, end):
+        """At batch 8 (S * M = 64 both ways) the recursions and posteriors
+        go in chunks of BCJR_CHUNK / 512 = 32 steps, the last one partial,
+        each forming its branch metrics anew.  M = 8 sums each step's
+        slots in numpy's pairwise order."""
+        tr = build_isi_trellis(self.H3, M, memory=memory)
         obs = self.obs(max(self.BLOCKS, batch + 1))
+        if batch == 8:
+            chunk = BCJR_CHUNK // (batch * tr.num_states * M)
+            assert obs.shape[1] > chunk and obs.shape[1] % chunk
         for var in (0.5, 2.0):
             self.check(lambda x: (lambda r: (r.symbol_posteriors, r.bit_llrs))(
                 bcjr_equalize(tr, x, var, end_state=end)), batch, obs)

@@ -474,9 +474,8 @@ def _logsumexp(a: np.ndarray, axis: int, *, in_order: bool = False) -> np.ndarra
     (:func:`_contiguous_sum`) or, with ``in_order``, over an outer one
     (slice by slice), wherever ``axis`` lies in ``a``.  Without a tied
     maximum m is 1, and the division and log(m) are skipped: they change
-    no bit.  An all
-    -inf slice gives -inf; its terms are -inf - -inf = NaN until the
-    maximum mask zeroes them, so callers hold
+    no bit.  An all -inf slice gives -inf; its terms are -inf - -inf =
+    NaN until the maximum mask zeroes them, so callers hold
     ``np.errstate(invalid="ignore")``.
     """
     amax = a.max(axis, keepdims=True)

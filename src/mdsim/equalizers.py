@@ -92,10 +92,15 @@ def _columns(obs) -> np.ndarray:
     return np.ascontiguousarray(_as_blocks(obs).T)[:, :, None, None]
 
 
-def _pointer_dtype(fan_in: int):
-    """Smallest dtype of a traceback pointer (a predecessor slot): bool
-    for a fan-in of 2, else signed."""
-    return bool if fan_in <= 2 else np.int8 if fan_in <= 127 else np.int32
+def _pointer_bits(fan_in: int) -> int:
+    """Bits of a packed traceback pointer (a predecessor slot below
+    ``fan_in``): the fewest of 1, 2, 4 or 8 that hold it, so that a byte
+    holds a whole number of pointers."""
+    for bits in (1, 2, 4, 8):
+        if fan_in <= 1 << bits:
+            return bits
+    raise ValueError(f"a fan-in of {fan_in} does not fit a traceback "
+                     "pointer of 8 bits")
 
 
 def _stepped(fan_in: np.ndarray, start_state: int,
@@ -112,15 +117,19 @@ def _stepped(fan_in: np.ndarray, start_state: int,
 
 def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     """Bytes per block that :func:`_viterbi` holds over ``steps`` steps
-    from state 0 to state 0: one traceback pointer per stepped state and
-    step, and three 8-byte values per step (the block's observations,
-    traceback indices and decisions).  It counts the fan-in from
-    ``next_state``: a sweep builds no predecessor table before a block."""
+    from state 0 to state 0: the traceback pointers of every stepped state
+    and step, packed ``8 // _pointer_bits(fan-in)`` to a byte (8 for a
+    fan-in of 2, 4 for a fan-in of 4), and three 8-byte values per step
+    (the block's observations, traceback indices and decisions).  Like a
+    step's candidates, the chunk of ``POINTER_CHUNK`` unpacked pointer
+    rows is a fixed number of steps, and is not counted.  It counts the
+    fan-in from ``next_state``: a sweep builds no predecessor table before
+    a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
-    pointer = np.dtype(_pointer_dtype(int(fan_in.max()))).itemsize
-    return steps * (rows * pointer + 24)
+    per_byte = 8 // _pointer_bits(int(fan_in.max()))
+    return -(-steps // per_byte) * rows + 24 * steps
 
 
 class _Slots(NamedTuple):
@@ -179,7 +188,8 @@ TOURNAMENT_ROWS = 2048
 def _select(cand: np.ndarray, out: np.ndarray,
             slot0: np.ndarray) -> np.ndarray:
     """The first minimum of each row of the (rows, P) candidates ``cand``:
-    writes its slot into the pointer row ``out`` and returns its value.
+    writes its slot into the pointer row ``out`` (bool for a fan-in of 2,
+    else uint8) and returns its value.
     ``slot0`` is the flat index of each row's first slot.
 
     A fan-in of 2 compares the two slots with a strict ``<`` and keeps
@@ -199,10 +209,16 @@ def _select(cand: np.ndarray, out: np.ndarray,
         m01 = np.minimum(c0, c1)
         j23 = c3 < c2
         m23 = np.minimum(c2, c3)
-        np.add(j23, 2, out=out, where=m23 < m01)
+        np.add(j23, np.uint8(2), out=out, where=m23 < m01)
         return np.minimum(m01, m23, out=m01)
     out[:] = j = cand.argmin(1)
     return cand.take(slot0 + j)
+
+
+# Steps of traceback pointers that the add-compare-select writes unpacked,
+# and the traceback unpacks at a time: a multiple of 8, so that a chunk
+# packs into whole bytes at every pointer width.
+POINTER_CHUNK = 64
 
 
 def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
@@ -216,18 +232,36 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     never-entered states.  The B blocks run as one block-diagonal table
     of B*R rows: block b's copy of row i is row b*R + i, and its
     predecessors are offset by b*R, so each numpy call of a step serves
-    every block.  ``branch_metrics(t, prev)`` gives the (B, R, P) metrics
+    every block.  ``branch_metrics(t, idx)`` gives the (B, R, P) metrics
     of step t on the slots of ``slots``, +inf on a slot that is not live.
-    ``prev`` holds, in the same shape, the survivor register of each
-    slot's predecessor: its last ``memory`` inputs as base-``base``
-    digits, newest in the least significant digit (None without
-    registers).  :func:`_select` compares the candidates in slot order
-    and keeps the first minimum, so ties go to the lower predecessor
-    state, then the lower input.  With a free end each block's traceback
-    starts from its best final metric.
+    ``idx`` holds, in the same shape, each slot's hypothesis index: the
+    survivor register of the slot's predecessor (its last ``memory``
+    inputs as base-``base`` digits, newest in the least significant
+    digit) with the slot's input appended as the newest digit (None
+    without registers).  A state's new register is the index of the slot
+    it keeps, less its oldest digit.  :func:`_select` compares the
+    candidates in slot order and keeps the first minimum, so ties go to
+    the lower predecessor state, then the lower input.  With a free end
+    each block's traceback starts from its best final metric.
+
+    The pointers of C = ``POINTER_CHUNK`` steps go into one reused
+    (C, B*R) chunk, bool for a fan-in of 2, else uint8.  A full chunk (the
+    last may be partial) is stored packed into fields of ``bits =
+    _pointer_bits(P)`` bits, ``per = 8 // bits`` steps to a byte: step
+    ``g * per + i`` in bits ``i * bits`` of byte row ``g``.  Packing is
+    one multiply by ``2**(i * bits)`` and one ``bitwise_or.reduce`` over a
+    (C/per, per, B*R) view of the chunk.  The traceback unpacks each
+    chunk into the same buffer as it enters it, then steps back through
+    it.
     """
     R, P = slots.pred.shape
     rows = blocks * R
+    bits = _pointer_bits(P)
+    per = 8 // bits
+    shifts = (bits * np.arange(per, dtype=np.uint8))[:, None]  # (per, 1)
+    # packing multiplies by 2**shift: numpy's uint8 left_shift is ten
+    # times slower than its multiply
+    weights = np.uint8(1) << shifts
     by_block = _copies(slots.pred, R, blocks)  # (B, R, P)
     ps = by_block.reshape(rows, P)
     ps_flat, pu_flat = ps.reshape(-1), np.tile(slots.pu.reshape(-1), blocks)
@@ -236,15 +270,36 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     pm[slots.start::R] = 0.0
     reg = np.zeros(rows, dtype=np.int64)
     modulus = base**memory
-    back = np.empty((steps, rows), dtype=_pointer_dtype(P))
-    for t in range(steps):
-        prev = reg.take(by_block) if memory else None
-        cand = pm.take(ps)
-        cand += branch_metrics(t, prev).reshape(rows, P)
-        pm = _select(cand, back[t], slot0)
-        if memory:
-            k = slot0 + back[t]
-            reg = (prev.take(k) * base + pu_flat.take(k)) % modulus
+    # drops a register's oldest digit: a mask, faster, for a power of two
+    wrap, by = ((np.bitwise_and, modulus - 1) if modulus & (modulus - 1) == 0
+                else (np.remainder, modulus))
+    chunk = np.zeros((POINTER_CHUNK, rows), dtype=bool if P == 2 else np.uint8)
+    chunk_bytes = chunk.view(np.uint8)
+    packed = np.empty((-(-steps // per), rows), dtype=np.uint8)
+
+    def fields(t0):
+        """The chunk from step ``t0`` as (G, per, B*R) fields, and its G
+        byte rows of ``packed``."""
+        g0, g1 = t0 // per, min(-(-(t0 + POINTER_CHUNK) // per), len(packed))
+        return (chunk_bytes[:(g1 - g0) * per].reshape(-1, per, rows),
+                packed[g0:g1])
+
+    for t0 in range(0, steps, POINTER_CHUNK):
+        for t, back in zip(range(t0, steps), chunk):
+            idx = None
+            if memory:
+                idx = reg.take(by_block)
+                idx *= base
+                idx += slots.pu
+            cand = pm.take(ps)
+            cand += branch_metrics(t, idx).reshape(rows, P)
+            pm = _select(cand, back, slot0)
+            if memory:
+                reg = idx.take(slot0 + back)
+                wrap(reg, by, out=reg)
+        unpacked, into = fields(t0)
+        unpacked *= weights
+        np.bitwise_or.reduce(unpacked, axis=1, out=into)
 
     pm = pm.reshape(blocks, R)
     s = (np.argmin(pm, axis=1) if slots.end is None
@@ -252,10 +307,15 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     metric = pm[np.arange(blocks), s]
     s = s + R * np.arange(blocks)
     picked = np.empty((steps, blocks), dtype=np.int64)
-    for t in range(steps - 1, -1, -1):
-        k = s * P + back[t].take(s)
-        picked[t] = k
-        s = ps_flat.take(k)
+    for t0 in range(steps - 1 - (steps - 1) % POINTER_CHUNK, -1,
+                    -POINTER_CHUNK):
+        unpacked, into = fields(t0)
+        np.right_shift(into[:, None], shifts, out=unpacked)
+        unpacked &= (1 << bits) - 1
+        for t in range(min(t0 + POINTER_CHUNK, steps) - 1, t0 - 1, -1):
+            k = s * P + chunk[t - t0].take(s)
+            picked[t] = k
+            s = ps_flat.take(k)
     return DecodeResult(bits=pu_flat.take(picked.T), metric=metric)
 
 
@@ -369,10 +429,12 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
                       stacklevel=2)
     cols = _columns(obs)
     slots = _slots(part.window)
+    # a hypothesis index is a merged state's nu+L bits and its input bit:
+    # the flat index of that branch's output
     flat = mt.trellis.outputs.reshape(-1)
 
-    def metrics(t, prev):
-        d = cols[t] - flat.take((prev << 1) | slots.pu)
+    def metrics(t, idx):
+        d = cols[t] - flat.take(idx)
         return d * d
 
     # Flushed blocks terminate in hyperstate 0.
@@ -427,10 +489,10 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
                          f"not (M^(L-J),) = ({M ** (L - J)},)")
     slots = _slots(window, end_state=end_state)
     hyp = window.outputs[slots.ps, slots.pu]  # (M^J, P) from the first J+1 taps
-    older = M**J
+    older = M ** (J + 1)  # the hypothesis index's digits past the window
 
-    def metrics(t, prev):
-        return (cols[t] - (hyp + feedback.take(prev // older))) ** 2
+    def metrics(t, idx):
+        return (cols[t] - (hyp + feedback.take(idx // older))) ** 2
 
     res = _viterbi(slots, *cols.shape[:2], metrics, base=M, memory=L)
     return _unbatch(obs, res.bits)
@@ -577,6 +639,9 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
                 cur = _logsumexp(step, 1)
                 cur -= cur.max(2, keepdims=True)
                 alpha[t0 + k + 1], beta[T - 1 - t0 - k] = cur
+        if end_state is not None and alpha[T, 0, end_state] == -np.inf:
+            raise ValueError(f"no path of {T} step(s) joins start_state "
+                             f"{start_state} to end_state {end_state}")
 
         # Joint [s, t, b, u] = alpha[t, b, s] + g + beta[t + 1, b, nxt[s, u]],
         # added in that order, reduced over s in order.

@@ -188,13 +188,13 @@ class TestCompareSelect:
     @pytest.mark.parametrize("P", [2, 3, 4])
     @pytest.mark.parametrize("side", [-1, 0])
     def test_first_minimum(self, P, side):
-        from mdsim.equalizers import TOURNAMENT_ROWS, _pointer_dtype, _select
+        from mdsim.equalizers import TOURNAMENT_ROWS, _select
 
         rows = TOURNAMENT_ROWS + side
         cand = self.candidates(rows, P, 90 + P)
         want = cand.argmin(1)
         assert np.count_nonzero(cand == cand.min(1, keepdims=True)) > rows
-        out = np.empty(rows, dtype=_pointer_dtype(P))
+        out = np.empty(rows, dtype=bool if P == 2 else np.uint8)
         pm = _select(cand.copy(), out, np.arange(0, rows * P, P))
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(pm, cand[np.arange(rows), want])
@@ -260,6 +260,110 @@ class TestCompareSelect:
                 assert live.all() == (caller != "masked"), caller
                 np.testing.assert_array_equal(
                     np.isposinf(metrics), np.broadcast_to(~live, metrics.shape))
+
+
+class TestPackedPointers:
+    """The ACS writes each step's pointers into one chunk of POINTER_CHUNK
+    steps and stores a full chunk packed, 8 // bits pointers to a byte
+    (bits = 1, 2, 4 or 8 by fan-in); the traceback unpacks a chunk as it
+    enters it.  At every width, on blocks whose last chunk is partial or
+    full, decisions and metrics are those of an unpacked (steps, states)
+    pointer table, block by block and in a batch.  The blocks are
+    integer-rounded, so many candidates tie."""
+
+    @staticmethod
+    def reference(tr, obs, end):
+        """Viterbi over every state of ``tr`` from state 0 with one
+        unpacked pointer per state and step: each state keeps its first
+        minimum in predecessor-slot order, each candidate summed as
+        ``pm[pred] + (y - hyp) ** 2``; the traceback starts from ``end``
+        or, for None, from the first best final metric."""
+        ps, pu, valid = tr.predecessors
+        hyp = np.where(valid, tr.outputs[ps, pu], np.inf)
+        pm = np.full(tr.num_states, np.inf)
+        pm[0] = 0.0
+        back = np.empty((obs.size, tr.num_states), dtype=np.int64)
+        for t, y in enumerate(obs):
+            cand = pm[ps] + (y - hyp) ** 2
+            back[t] = cand.argmin(1)
+            pm = cand[np.arange(tr.num_states), back[t]]
+        s = int(np.argmin(pm)) if end is None else end
+        metric, bits = pm[s], np.empty(obs.size, dtype=np.int64)
+        for t in range(obs.size - 1, -1, -1):
+            j = back[t, s]
+            bits[t], s = pu[s, j], ps[s, j]
+        return bits, metric
+
+    @staticmethod
+    def trellis(fan_in):
+        """A merged trellis for a fan-in of 2, else a symbol window of
+        ``fan_in`` inputs; every state has ``fan_in`` predecessors."""
+        if fan_in == 2:
+            return build_matched_trellis(CODE, IsiResponse([1.0, 0.5, 0.25,
+                                                            0.25]), 4).trellis
+        return build_isi_trellis(IsiResponse([1.0, 0.5, 0.25]), fan_in,
+                                 memory=1 if fan_in > 4 else 2)
+
+    @pytest.mark.parametrize(("fan_in", "bits"),
+                             [(2, 1), (4, 2), (8, 4), (32, 8)])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("end", [0, None])
+    def test_decodes_as_unpacked(self, fan_in, bits, steps, end):
+        from mdsim.equalizers import POINTER_CHUNK, _pointer_bits, _slots
+
+        tr = self.trellis(fan_in)
+        assert _slots(tr).pred.shape[1] == fan_in
+        assert _pointer_bits(fan_in) == bits and POINTER_CHUNK == 64
+        scale = np.abs(tr.outputs).max()
+        obs = np.round(scale * (2 * make_rng(steps + fan_in).random((3, steps))
+                                - 1))
+        batch = viterbi_mlse(tr, obs, end_state=end)
+        for k, row in enumerate(obs):
+            want_bits, want_metric = self.reference(tr, row, end)
+            got = viterbi_mlse(tr, row, end_state=end)
+            np.testing.assert_array_equal(got.bits, want_bits)
+            assert got.metric == want_metric
+            np.testing.assert_array_equal(batch.bits[k], want_bits)
+            assert batch.metric[k] == want_metric
+
+    @pytest.mark.parametrize(("fan_in", "per_byte"),
+                             [(2, 8), (3, 4), (4, 4), (8, 2), (32, 1)])
+    def test_bytes_count_packed_pointers(self, fan_in, per_byte):
+        """A stepped state holds ceil(steps / per_byte) bytes of pointers,
+        and a step 24 bytes of observations, indices and decisions."""
+        from mdsim.equalizers import _slots, viterbi_bytes
+
+        tr = (build_isi_trellis(IsiResponse([1.0, 0.5]), 3) if fan_in == 3
+              else self.trellis(fan_in))
+        rows = len(_slots(tr).pred)
+        for steps in (1, 63, 64, 65, 1006):
+            assert viterbi_bytes(tr, steps) == (-(-steps // per_byte) * rows
+                                                + 24 * steps)
+
+    def test_fan_in_256_fits_8_bits(self):
+        """Pointers up to 255: a window of 256 inputs and memory 1, whose
+        pointer at a step is the symbol decided a step before."""
+        tr = build_isi_trellis(IsiResponse([1.0, 0.5]), 256, memory=1)
+        obs = np.round(300 * (2 * make_rng(5).random(6) - 1))
+        got = viterbi_mlse(tr, obs, end_state=None)
+        want_bits, want_metric = self.reference(tr, obs, None)
+        np.testing.assert_array_equal(got.bits, want_bits)
+        assert got.metric == want_metric
+        assert got.bits[:-1].max() >= 128
+
+    def test_rejects_fan_in_past_8_bits(self):
+        """A fan-in of 257 needs a pointer of 9 bits: the byte count and
+        the decoder name it.  257 states of one input, all into state 0,
+        make a table of 257 by 257 slots and allocate no pointers."""
+        from mdsim.equalizers import viterbi_bytes
+        from mdsim.trellis import TrellisSpec
+
+        tr = TrellisSpec(next_state=np.zeros((257, 1), dtype=np.int64),
+                         outputs=np.zeros((257, 1)))
+        with pytest.raises(ValueError, match="fan-in of 257"):
+            viterbi_bytes(tr, 10)
+        with pytest.raises(ValueError, match="fan-in of 257"):
+            viterbi_mlse(tr, np.zeros(3))
 
 
 class TestStdTrellis:
@@ -458,6 +562,19 @@ class TestBcjr:
                          outputs=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="predecessors"):
             bcjr_equalize(tr, np.zeros(3), 1.0)
+
+    def test_rejects_end_state_out_of_reach(self):
+        """From state 15 = (3, 3) of a 16-state window one step reaches only
+        states 12..15, so no path joins state 0; without the check every
+        posterior and LLR was NaN.  Two steps reach it."""
+        tr = build_isi_trellis(IsiResponse([1, 0.5, 0.25, 0.125]), 4,
+                               memory=2)
+        for obs in (np.zeros(1), np.zeros((3, 1))):
+            with pytest.raises(ValueError,
+                               match="start_state 15 to end_state 0"):
+                bcjr_equalize(tr, obs, 1.0, start_state=15, end_state=0)
+        res = bcjr_equalize(tr, np.zeros(2), 1.0, start_state=15, end_state=0)
+        assert np.isfinite(res.bit_llrs).all()
 
     @pytest.mark.parametrize("var", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_noise_variance(self, var):

@@ -79,6 +79,20 @@ def test_bcjr_batch_counts_only_its_recursions():
     assert batch["BCJR+VA"] == 8
 
 
+def test_pam_cfg_batches_hold_a_bit_capped_point():
+    """Traceback pointers are packed, 4 to a byte for STD's fan-in of 4, so
+    STD on examples_cfg/pam.cfg decodes at least 15 blocks per call.  The
+    bench's pam-viterbi workload caps each point at 15 blocks, so each of
+    its points takes one STD call, not four.  BCJR+VA holds no pointers
+    of its own beyond the soft VA's, and stays at 8."""
+    cfg = parse_config((Path(__file__).parents[1] / "examples_cfg"
+                        / "pam.cfg").read_text())
+    batch = {r.scheme.label(): r.batch for r in _build_receivers(
+        resolve_chain(cfg, print), cfg, print)}
+    assert batch["STD"] >= 15
+    assert batch["BCJR+VA"] == 8
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)

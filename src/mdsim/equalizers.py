@@ -120,11 +120,11 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     from state 0 to state 0: the traceback pointers of every stepped state
     and step, packed ``8 // _pointer_bits(fan-in)`` to a byte (8 for a
     fan-in of 2, 4 for a fan-in of 4), and three 8-byte values per step
-    (the block's observations, traceback indices and decisions).  Like a
-    step's candidates, the chunk of ``POINTER_CHUNK`` unpacked pointer
-    rows is a fixed number of steps, and is not counted.  It counts the
-    fan-in from ``next_state``: a sweep builds no predecessor table before
-    a block."""
+    (the block's observations, traceback indices and decisions).  The
+    chunk of ``POINTER_CHUNK`` unpacked steps does not grow with
+    ``steps``, like a step's candidates, and is not counted.  It counts
+    the fan-in from ``next_state``: a sweep builds no predecessor table
+    before a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
@@ -280,7 +280,8 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     def fields(t0):
         """The chunk from step ``t0`` as (G, per, B*R) fields, and its G
         byte rows of ``packed``."""
-        g0, g1 = t0 // per, min(-(-(t0 + POINTER_CHUNK) // per), len(packed))
+        g0 = t0 // per
+        g1 = min(g0 + POINTER_CHUNK // per, len(packed))
         return (chunk_bytes[:(g1 - g0) * per].reshape(-1, per, rows),
                 packed[g0:g1])
 
@@ -307,8 +308,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     metric = pm[np.arange(blocks), s]
     s = s + R * np.arange(blocks)
     picked = np.empty((steps, blocks), dtype=np.int64)
-    for t0 in range(steps - 1 - (steps - 1) % POINTER_CHUNK, -1,
-                    -POINTER_CHUNK):
+    for t0 in reversed(range(0, steps, POINTER_CHUNK)):
         unpacked, into = fields(t0)
         np.right_shift(into[:, None], shifts, out=unpacked)
         unpacked &= (1 << bits) - 1

@@ -83,8 +83,9 @@ def test_pam_cfg_batches_hold_a_bit_capped_point():
     """Traceback pointers are packed, 4 to a byte for STD's fan-in of 4, so
     STD on examples_cfg/pam.cfg decodes at least 15 blocks per call.  The
     bench's pam-viterbi workload caps each point at 15 blocks, so each of
-    its points takes one STD call, not four.  BCJR+VA holds no pointers
-    of its own beyond the soft VA's, and stays at 8."""
+    its points takes one STD call, not four.  BCJR+VA's bytes are mostly
+    its forward and backward metrics, which packing leaves as they were,
+    so it stays at 8."""
     cfg = parse_config((Path(__file__).parents[1] / "examples_cfg"
                         / "pam.cfg").read_text())
     batch = {r.scheme.label(): r.batch for r in _build_receivers(

@@ -33,6 +33,7 @@ from .conv_code import ConvCode, build_conv_trellis
 from .matched_encoder import (
     IsiResponse,
     MatchedTrellis,
+    _msb_weights,
     bits_per_symbol,
     edge_offsets,
     symbol_bits,
@@ -79,10 +80,12 @@ def compensate_edges(obs, taps, M: int) -> np.ndarray:
 
 
 def _as_blocks(obs) -> np.ndarray:
-    """``obs`` as a float (B, T) array: a (T,) block is a batch of one."""
+    """``obs`` as a float (B, T) array: a (T,) block is a batch of one.
+    A block needs a step and a batch a block."""
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim not in (1, 2):
-        raise ValueError(f"need a (T,) block or a (B, T) batch, not shape {obs.shape}")
+    if obs.ndim not in (1, 2) or obs.size == 0:
+        raise ValueError("need a (T,) block or a (B, T) batch with T, B >= 1, "
+                         f"not shape {obs.shape}")
     return obs.reshape(-1, obs.shape[-1])
 
 
@@ -122,9 +125,10 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     fan-in of 2, 4 for a fan-in of 4), and three 8-byte values per step
     (the block's observations, traceback indices and decisions).  The
     chunk of ``POINTER_CHUNK`` unpacked steps does not grow with
-    ``steps``, like a step's candidates, and is not counted.  It counts
-    the fan-in from ``next_state``: a sweep builds no predecessor table
-    before a block."""
+    ``steps``, like a step's candidates, and is not counted; the last
+    chunk's pointers, which stay in it unpacked, are counted at their
+    packed size.  It counts the fan-in from ``next_state``: a sweep
+    builds no predecessor table before a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
@@ -245,20 +249,24 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     each block's traceback starts from its best final metric.
 
     The pointers of C = ``POINTER_CHUNK`` steps go into one reused
-    (C, B*R) chunk, bool for a fan-in of 2, else uint8.  A full chunk (the
-    last may be partial) is stored packed into fields of ``bits =
-    _pointer_bits(P)`` bits, ``per = 8 // bits`` steps to a byte: step
-    ``g * per + i`` in bits ``i * bits`` of byte row ``g``.  Packing is
-    one multiply by ``2**(i * bits)`` and one ``bitwise_or.reduce`` over a
-    (C/per, per, B*R) view of the chunk.  The traceback unpacks each
-    chunk into the same buffer as it enters it, then steps back through
-    it.
+    (C, B*R) chunk, bool for a fan-in of 2, else uint8.  When the next
+    chunk starts, the chunk is stored packed into fields of ``bits =
+    _pointer_bits(P)`` bits, ``per = 8 // bits`` steps to a byte,
+    step-strided: with G = C / per, step ``i * G + g`` of the chunk goes
+    in bits ``i * bits`` of byte row ``g``.  Packing is one multiply by
+    ``2**(i * bits)`` and one ``bitwise_or.reduce`` over the first axis
+    of a (per, G, B*R) view of the chunk; unpacking is one ``right_shift``
+    and a mask back into that view.  The last chunk is never packed: the
+    traceback starts in the chunk buffer that still holds it, then
+    unpacks each earlier chunk into it as it enters that chunk.
+
+    ``base**memory`` must be a power of two: the register wrap is a mask.
     """
     R, P = slots.pred.shape
     rows = blocks * R
     bits = _pointer_bits(P)
     per = 8 // bits
-    shifts = (bits * np.arange(per, dtype=np.uint8))[:, None]  # (per, 1)
+    shifts = (bits * np.arange(per, dtype=np.uint8))[:, None, None]
     # packing multiplies by 2**shift: numpy's uint8 left_shift is ten
     # times slower than its multiply
     weights = np.uint8(1) << shifts
@@ -269,23 +277,16 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     pm = np.full(rows, np.inf)
     pm[slots.start::R] = 0.0
     reg = np.zeros(rows, dtype=np.int64)
-    modulus = base**memory
-    # drops a register's oldest digit: a mask, faster, for a power of two
-    wrap, by = ((np.bitwise_and, modulus - 1) if modulus & (modulus - 1) == 0
-                else (np.remainder, modulus))
+    wrap = base**memory - 1  # drops a register's oldest digit
     chunk = np.zeros((POINTER_CHUNK, rows), dtype=bool if P == 2 else np.uint8)
-    chunk_bytes = chunk.view(np.uint8)
-    packed = np.empty((-(-steps // per), rows), dtype=np.uint8)
+    fields = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
+    starts = range(0, steps, POINTER_CHUNK)
+    packed = np.empty((len(starts) - 1, *fields.shape[1:]), dtype=np.uint8)
 
-    def fields(t0):
-        """The chunk from step ``t0`` as (G, per, B*R) fields, and its G
-        byte rows of ``packed``."""
-        g0 = t0 // per
-        g1 = min(g0 + POINTER_CHUNK // per, len(packed))
-        return (chunk_bytes[:(g1 - g0) * per].reshape(-1, per, rows),
-                packed[g0:g1])
-
-    for t0 in range(0, steps, POINTER_CHUNK):
+    for c, t0 in enumerate(starts):
+        if c:
+            fields *= weights
+            np.bitwise_or.reduce(fields, axis=0, out=packed[c - 1])
         for t, back in zip(range(t0, steps), chunk):
             idx = None
             if memory:
@@ -297,10 +298,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
             pm = _select(cand, back, slot0)
             if memory:
                 reg = idx.take(slot0 + back)
-                wrap(reg, by, out=reg)
-        unpacked, into = fields(t0)
-        unpacked *= weights
-        np.bitwise_or.reduce(unpacked, axis=1, out=into)
+                reg &= wrap
 
     pm = pm.reshape(blocks, R)
     s = (np.argmin(pm, axis=1) if slots.end is None
@@ -308,10 +306,10 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     metric = pm[np.arange(blocks), s]
     s = s + R * np.arange(blocks)
     picked = np.empty((steps, blocks), dtype=np.int64)
-    for t0 in reversed(range(0, steps, POINTER_CHUNK)):
-        unpacked, into = fields(t0)
-        np.right_shift(into[:, None], shifts, out=unpacked)
-        unpacked &= (1 << bits) - 1
+    for c, t0 in reversed(list(enumerate(starts))):
+        if c < len(packed):
+            np.right_shift(packed[c], shifts, out=fields)
+            fields &= (1 << bits) - 1
         for t in range(min(t0 + POINTER_CHUNK, steps) - 1, t0 - 1, -1):
             k = s * P + chunk[t - t0].take(s)
             picked[t] = k
@@ -475,6 +473,7 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
     J = kept_symbols
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
+    _msb_weights(M)  # the survivor registers wrap by a mask
     cols = _columns(obs)
     if window is None:
         window = build_isi_trellis(h, M, memory=J)

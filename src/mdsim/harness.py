@@ -380,8 +380,8 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
 # memory of a sweep where it was.  Traceback pointers are packed, four to
 # a byte for that receiver's fan-in of 4 over its 512 stepped states, so
 # it leaves room for 15 of its blocks (2.30 MB with their per-step
-# arrays); a larger batch decodes faster per block.  On pam.cfg MD takes
-# 73 blocks per call, RSSE(8) 93, RSSE(16) 90, DFSE(2)+VA 44 and BCJR+VA 8.
+# arrays); a larger batch decodes faster per block.  README *Rounds*
+# quotes every pam.cfg batch, and tests/test_readme.py checks them.
 BATCH_BYTES = 9 << 18  # 2.25 MiB
 
 

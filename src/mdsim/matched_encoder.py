@@ -157,9 +157,6 @@ class MatchedTrellis:
     def L(self) -> int:
         return self.isi.L
 
-    def edge_offsets(self) -> np.ndarray:
-        return edge_offsets(self.isi.taps, self.M)
-
 
 def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
                           state_cap: int = 1 << 20) -> MatchedTrellis:
@@ -207,7 +204,7 @@ def matched_encode(mt: MatchedTrellis, bits) -> np.ndarray:
     out = mt.trellis.outputs.reshape(-1)[w].copy()
     # First L steps: the table assumes a -(M-1) symbol prehistory, the
     # physical channel is silent; add the path-independent difference.
-    offs = mt.edge_offsets()
+    offs = edge_offsets(mt.isi.taps, mt.M)
     k = min(mt.L, out.size)
     out[:k] += offs[:k]
     return out

@@ -2,6 +2,7 @@
 merged-vs-super trellis decision equivalence, reduced-state behavior, and
 the MAP equalizer against exhaustive posterior enumeration."""
 
+import re
 import warnings
 from itertools import product
 
@@ -158,7 +159,8 @@ class TestNeverEnteredStates:
         """STD of examples_cfg/pam.cfg: 512 of its 1024 states have no
         predecessor and 512 have 4, so the ACS steps 512 rows of 4 slots,
         each a branch of the trellis (no padding), and the CSV still reads
-        1024 states."""
+        1024 states.  The 1024 branches out of the never-entered states are
+        not live, and 256 rows have no live slot."""
         from mdsim.equalizers import _slots
 
         h = IsiResponse([1, 0.6, 0.36, 0.216, 0.1296])
@@ -167,6 +169,8 @@ class TestNeverEnteredStates:
         assert std.num_states == 1024
         assert slots.ps.shape == (512, 4)
         assert len(set(zip(slots.ps.flat, slots.pu.flat))) == 2048
+        assert np.count_nonzero(~slots.live) == 1024
+        assert np.count_nonzero(~slots.live.any(1)) == 256
 
 
 class TestCompareSelect:
@@ -264,12 +268,14 @@ class TestCompareSelect:
 
 class TestPackedPointers:
     """The ACS writes each step's pointers into one chunk of POINTER_CHUNK
-    steps and stores a full chunk packed, 8 // bits pointers to a byte
-    (bits = 1, 2, 4 or 8 by fan-in); the traceback unpacks a chunk as it
-    enters it.  At every width, on blocks whose last chunk is partial or
-    full, decisions and metrics are those of an unpacked (steps, states)
-    pointer table, block by block and in a batch.  The blocks are
-    integer-rounded, so many candidates tie."""
+    steps and, when the next chunk starts, stores it packed, 8 // bits
+    pointers to a byte (bits = 1, 2, 4 or 8 by fan-in); the traceback
+    starts in the last chunk, which is never packed, and unpacks each
+    earlier chunk as it enters it.  At every width, on blocks of one
+    chunk or more whose last chunk is partial or full, decisions and
+    metrics are those of an unpacked (steps, states) pointer table,
+    block by block and in a batch.  The blocks are integer-rounded, so
+    many candidates tie."""
 
     @staticmethod
     def reference(tr, obs, end):
@@ -306,7 +312,7 @@ class TestPackedPointers:
 
     @pytest.mark.parametrize(("fan_in", "bits"),
                              [(2, 1), (4, 2), (8, 4), (32, 8)])
-    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 128, 129])
     @pytest.mark.parametrize("end", [0, None])
     def test_decodes_as_unpacked(self, fan_in, bits, steps, end):
         from mdsim.equalizers import POINTER_CHUNK, _pointer_bits, _slots
@@ -479,6 +485,11 @@ class TestDfse:
         with pytest.raises(ValueError):
             dfse_equalize(H, 4, H.L + 1, np.zeros(4))
 
+    def test_rejects_alphabet_not_power_of_two(self):
+        """The survivor registers wrap by a mask, so M = 3 is refused."""
+        with pytest.raises(ValueError, match="M = 3"):
+            dfse_equalize(H, 3, 1, np.zeros(8))
+
     def test_prebuilt_window(self):
         idx, sym = self.make_symbols(200, 8)
         obs = np.convolve(sym, H.taps)[: sym.size]
@@ -612,6 +623,23 @@ def test_rejects_states_outside_the_trellis(name, state):
     for decode in decoders:
         with pytest.raises(ValueError, match=name):
             decode({name: state})
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
+@pytest.mark.parametrize("receiver", ["viterbi_mlse", "rsse", "dfse",
+                                      "bcjr", "soft_viterbi"])
+def test_rejects_empty_input(receiver, shape):
+    """A block with no step or a batch with no block is refused by name,
+    not by a reshape error or a division by zero."""
+    decode = {
+        "viterbi_mlse": lambda obs: viterbi_mlse(STD, obs),
+        "rsse": lambda obs: rsse_decode(MT, PartitionSpec(2), obs),
+        "dfse": lambda obs: dfse_equalize(H, 4, 1, obs),
+        "bcjr": lambda obs: bcjr_equalize(build_isi_trellis(H, 4), obs, 1.0),
+        "soft_viterbi": lambda obs: soft_viterbi_decode(CODE, obs),
+    }[receiver]
+    with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+        decode(np.zeros(shape))
 
 
 class TestSoftViterbi:

@@ -279,14 +279,14 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     reg = np.zeros(rows, dtype=np.int64)
     wrap = base**memory - 1  # drops a register's oldest digit
     chunk = np.zeros((POINTER_CHUNK, rows), dtype=bool if P == 2 else np.uint8)
-    fields = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
+    strided = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
     starts = range(0, steps, POINTER_CHUNK)
-    packed = np.empty((len(starts) - 1, *fields.shape[1:]), dtype=np.uint8)
+    packed = np.empty((len(starts) - 1, *strided.shape[1:]), dtype=np.uint8)
 
     for c, t0 in enumerate(starts):
         if c:
-            fields *= weights
-            np.bitwise_or.reduce(fields, axis=0, out=packed[c - 1])
+            strided *= weights
+            np.bitwise_or.reduce(strided, axis=0, out=packed[c - 1])
         for t, back in zip(range(t0, steps), chunk):
             idx = None
             if memory:
@@ -308,8 +308,8 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     picked = np.empty((steps, blocks), dtype=np.int64)
     for c, t0 in reversed(list(enumerate(starts))):
         if c < len(packed):
-            np.right_shift(packed[c], shifts, out=fields)
-            fields &= (1 << bits) - 1
+            np.right_shift(packed[c], shifts, out=strided)
+            strided &= (1 << bits) - 1
         for t in range(min(t0 + POINTER_CHUNK, steps) - 1, t0 - 1, -1):
             k = s * P + chunk[t - t0].take(s)
             picked[t] = k

@@ -7,7 +7,7 @@ receiver chain (differential detection, whitened matched filter, FIR
 noise whitening), plus a Monte-Carlo BER harness and CLI.
 """
 
-from .channel import NoiseModel, fir_awgn_channel, make_rng, normal_from_uniform
+from .channel import fir_awgn_channel, make_rng, normal_from_uniform
 from .conv_code import ConvCode, build_conv_trellis, conv_encode, parse_octal_generators
 from .cpm import (
     CpmParams,

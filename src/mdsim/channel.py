@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -33,26 +33,15 @@ def normal_from_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return out[:size]
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """AWGN descriptor; identical seed implies an identical noise sequence."""
-
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-
-    def sample(self, size: int) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.zeros(size)
-        rng = make_rng(self.seed)
-        return self.sigma * normal_from_uniform(rng, size)
-
-
-def fir_awgn_channel(symbols, h: IsiResponse, noise: NoiseModel) -> np.ndarray:
-    """r[k] = sum_i h[i] b[k-i] + n[k], zero-padded edges, one output per symbol."""
+def fir_awgn_channel(symbols, h: IsiResponse, n0: float, seed: int) -> np.ndarray:
+    """r[k] = sum_i h[i] b[k-i] + n[k], zero-padded edges, one output per
+    symbol.  The noise n has variance ``n0 / 2``, drawn from
+    ``make_rng(seed)``; none is added when ``n0`` is 0."""
+    if n0 < 0:
+        raise ValueError(f"n0 must be >= 0, got {n0}")
     symbols = np.asarray(symbols, dtype=np.float64)
     clean = np.convolve(symbols, h.taps)[: symbols.size]
-    return clean + noise.sample(symbols.size)
+    if n0 == 0:
+        return clean
+    sigma = math.sqrt(n0 / 2.0)
+    return clean + sigma * normal_from_uniform(make_rng(seed), symbols.size)

@@ -40,7 +40,7 @@ from .matched_encoder import (
     symbol_index,
     symbol_value,
 )
-from .trellis import TrellisSpec, window_next_state
+from .trellis import STATE_CAP, TrellisSpec, check_size, window_next_state
 
 
 class DecodeResult(NamedTuple):
@@ -353,7 +353,7 @@ def _past_taps(taps, M: int, windows, lags) -> np.ndarray:
 
 
 def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
-                      state_cap: int = 1 << 20) -> TrellisSpec:
+                      state_cap: int = STATE_CAP) -> TrellisSpec:
     """Symbol-level ISI trellis (no code knowledge) over M-ary inputs.
 
     ``memory`` defaults to the full channel memory L; a smaller value
@@ -365,48 +365,37 @@ def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
     if mem < 0 or mem > L:
         raise ValueError("memory must be in [0, L]")
     S = M**mem
-    if S > state_cap:
-        raise ValueError(
-            f"ISI trellis would need {S} states (cap {state_cap}); "
-            "reduce memory or raise the cap")
+    check_size("ISI trellis", S, state_cap, "reduce memory or raise the cap")
     past = _past_taps(h.taps, M, np.arange(S), range(1, mem + 1))
     outputs = h.taps[0] * symbol_value(np.arange(M), M) + past[:, None]
     return TrellisSpec(next_state=window_next_state(M, mem), outputs=outputs)
 
 
 def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
-                      state_cap: int = 1 << 20) -> TrellisSpec:
-    """Joint super trellis: encoder states times M-ary channel windows.
+                      state_cap: int = STATE_CAP) -> TrellisSpec:
+    """Joint super trellis: the product of the code trellis and the M-ary
+    ISI trellis (Forney, IEEE Trans. Inf. Theory, 1972).
 
-    State id = enc * M^L + window (newest symbol index in the least
-    significant M-ary digit).  Serves as the equivalence baseline for the
-    merged binary trellis; both describe identical branch hypotheses.
+    State id = enc * M^L + window, the window being the ISI trellis state
+    (newest symbol index in the least significant M-ary digit).  Input c
+    moves the encoder along its code branch, whose n bits are one symbol
+    x, and the window along x; the branch output is the ISI trellis's for
+    (window, x).  Serves as the equivalence baseline for the merged binary
+    trellis; both describe identical branch hypotheses.
     """
     bits_per_symbol(code, M)
-    L = h.L
-    z_enc = code.num_states
-    z_cha = M**L
-    S = z_enc * z_cha
-    if S > state_cap:
-        raise ValueError(
-            f"super trellis would need {S} states (cap {state_cap}); "
-            "use the merged trellis instead")
+    z_cha = M**h.L
+    check_size("super trellis", code.num_states * z_cha, state_cap,
+               "use the merged trellis instead")
     code_tr = build_conv_trellis(code)
-    # x_sym[enc, c]: symbol index produced by the code branch
-    x_sym = symbol_index(code_tr.outputs, M).reshape(z_enc, 2)
-
-    enc = np.repeat(np.arange(z_enc), z_cha)
-    win = np.tile(np.arange(z_cha), z_enc)
-    past = _past_taps(h.taps, M, win, range(1, L + 1))
-
-    next_state = np.empty((S, 2), dtype=np.int64)
-    outputs = np.empty((S, 2), dtype=np.float64)
-    for c in (0, 1):
-        enc_next = code_tr.next_state[enc, c]
-        x = x_sym[enc, c]
-        outputs[:, c] = h.taps[0] * symbol_value(x, M) + past
-        next_state[:, c] = enc_next * z_cha + (win * M + x) % z_cha
-    return TrellisSpec(next_state=next_state, outputs=outputs)
+    isi = build_isi_trellis(h, M, state_cap=state_cap)
+    # x[enc, 0, c]: symbol index of the code branch; w[window, 0]
+    x = symbol_index(code_tr.outputs, M).reshape(-1, 1, 2)
+    w = np.arange(z_cha)[:, None]
+    # (enc, window, c) tables, flattened to (enc * M^L + window, c)
+    next_state = code_tr.next_state[:, None] * z_cha + isi.next_state[w, x]
+    return TrellisSpec(next_state=next_state.reshape(-1, 2),
+                       outputs=isi.outputs[w, x].reshape(-1, 2))
 
 
 def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
@@ -441,7 +430,7 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
 
 
 def build_dfse_feedback(h: IsiResponse, M: int, kept_symbols: int,
-                        state_cap: int = 1 << 20) -> np.ndarray:
+                        state_cap: int = STATE_CAP) -> np.ndarray:
     """Feedback of the taps beyond a DFSE window of ``kept_symbols``: entry
     i is the sum over lags J+1..L of taps[l] times the symbol sent l steps
     back, for the older register digits ``reg // M**J == i``.  It has
@@ -450,10 +439,8 @@ def build_dfse_feedback(h: IsiResponse, M: int, kept_symbols: int,
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
     n = M ** (L - J)
-    if n > state_cap:
-        raise ValueError(
-            f"DFSE feedback table would need {n} entries (cap {state_cap}); "
-            "keep more symbols or raise the cap")
+    check_size("DFSE feedback table", n, state_cap,
+               "keep more symbols or raise the cap", unit="entries")
     return _past_taps(h.taps, M, np.arange(n) * M**J, range(J + 1, L + 1))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, fir_awgn_channel, make_rng
+from .channel import fir_awgn_channel, make_rng
 from .conv_code import (
     ConvCode,
     build_conv_trellis,
@@ -46,6 +46,7 @@ from .matched_encoder import (
     symbol_index,
     symbol_value,
 )
+from .trellis import STATE_CAP
 from .whitening import (
     WhiteningDesign,
     apply_whitening,
@@ -128,7 +129,7 @@ class SimConfig:
     calibration_ebn0_db: float | None = None
     calibration_symbols: int = 200_000
     bcjr_memory: int = 2
-    state_cap: int = 1 << 20
+    state_cap: int = STATE_CAP
     cutoff: float | None = None
     wmf_len: int = 20
     isi_trim: float = 1e-3
@@ -136,6 +137,8 @@ class SimConfig:
     def __post_init__(self):
         if self.chain not in ("pam_isi", "cpm"):
             raise ConfigError(f"config key 'chain': unknown chain {self.chain!r}")
+        if not self.ebn0_db:
+            raise ConfigError("config key 'ebn0_db': the grid is empty")
         cal = () if self.calibration_ebn0_db is None else (self.calibration_ebn0_db,)
         for key, dbs in (("ebn0_db", self.ebn0_db), ("calibration_ebn0_db", cal)):
             # N0 = 10^(-Eb/N0 / 10) per unit Eb leaves the float range near -3080 dB
@@ -360,8 +363,7 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
     symbols = symbol_value(symbol_index(conv_encode(ctx.code, bits), cfg.M), cfg.M)
 
     if cfg.chain == "pam_isi":
-        noise = NoiseModel(sigma=math.sqrt(n0 / 2.0), seed=int(w[1]))
-        obs = fir_awgn_channel(symbols, ctx.isi, noise)
+        obs = fir_awgn_channel(symbols, ctx.isi, n0, int(w[1]))
     else:
         theta0 = float(w[2]) / 2.0**64 * 2.0 * math.pi
         d = transmit_receive(ctx.params, symbols, n0=n0,

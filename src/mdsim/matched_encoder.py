@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .conv_code import ConvCode, _parity, conv_encode
-from .trellis import TrellisSpec, window_next_state
+from .trellis import STATE_CAP, TrellisSpec, check_size, window_next_state
 
 
 def _msb_weights(M: int) -> np.ndarray:
@@ -159,7 +159,7 @@ class MatchedTrellis:
 
 
 def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
-                          state_cap: int = 1 << 20) -> MatchedTrellis:
+                          state_cap: int = STATE_CAP) -> MatchedTrellis:
     """Merge code, mapper, and channel into one binary trellis.
 
     The branch hypothesis for bit window w is
@@ -172,10 +172,8 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
     nu, L = code.nu, h.L
     mem = nu + L
     S = 1 << mem
-    if S > state_cap:
-        raise ValueError(
-            f"merged trellis would need {S} states (cap {state_cap}); "
-            "use a serial receiver or raise the cap")
+    check_size("merged trellis", S, state_cap,
+               "use a serial receiver or raise the cap")
     C = offset_constant(h, M)
 
     # Flat enumeration over windows w = (state << 1) | input; bit m = c[k-m].

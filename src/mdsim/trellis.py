@@ -7,6 +7,18 @@ from functools import cached_property
 
 import numpy as np
 
+# Default bound on the states of a trellis, or the entries of a table,
+# that a ``build_*`` function allocates (config key ``state_cap``).
+STATE_CAP = 1 << 20
+
+
+def check_size(what: str, n: int, cap: int, hint: str,
+               unit: str = "states") -> None:
+    """Raise a ValueError naming ``what``, its size ``n`` in ``unit`` and
+    the cap, and ending in ``hint``, when ``n`` is above ``cap``."""
+    if n > cap:
+        raise ValueError(f"{what} would need {n} {unit} (cap {cap}); {hint}")
+
 
 @dataclass(frozen=True)
 class TrellisSpec:

@@ -333,6 +333,17 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys, monkeypatch,
     assert ran == []
 
 
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def no_memory(cfg, log):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr("mdsim.cli.run_ber_sweep", no_memory)
+    cfg = tmp_path / "pam.cfg"
+    cfg.write_text(f"chain = pam_isi\noutput = {tmp_path / 'out.csv'}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "calibrate"])
 def test_output_check_leaves_no_file_behind(tmp_path, command):
     # a config error after the output check leaves no output file

@@ -29,6 +29,8 @@ from mdsim.matched_encoder import (
     IsiResponse,
     build_matched_trellis,
     serial_reference,
+    symbol_index,
+    symbol_value,
 )
 
 CODE = ConvCode([0o5, 0o7])
@@ -372,7 +374,44 @@ class TestPackedPointers:
             viterbi_mlse(tr, np.zeros(3))
 
 
+def std_reference(code, h, M):
+    """The super trellis tables written out state by state: every
+    (encoder state, channel window) pair, one code input at a time."""
+    code_tr = build_conv_trellis(code)
+    z_enc, z_cha = code.num_states, M**h.L
+    x_sym = symbol_index(code_tr.outputs, M).reshape(z_enc, 2)
+    enc = np.repeat(np.arange(z_enc), z_cha)
+    win = np.tile(np.arange(z_cha), z_enc)
+    levels = symbol_value(np.arange(M), M)
+    past = np.zeros(win.size)
+    for l in range(1, h.L + 1):
+        past += h.taps[l] * levels[win // M ** (l - 1) % M]
+    next_state = np.empty((z_enc * z_cha, 2), dtype=np.int64)
+    outputs = np.empty((z_enc * z_cha, 2), dtype=np.float64)
+    for c in (0, 1):
+        x = x_sym[enc, c]
+        outputs[:, c] = h.taps[0] * symbol_value(x, M) + past
+        next_state[:, c] = (code_tr.next_state[enc, c] * z_cha
+                            + (win * M + x) % z_cha)
+    return next_state, outputs
+
+
 class TestStdTrellis:
+    @pytest.mark.parametrize("gens, taps, M", [
+        ((0o5, 0o7), (1, 0.6, 0.36, 0.216, 0.1296), 4),  # examples_cfg/pam.cfg
+        ((0o5, 0o7), (1, 0.5), 4),
+        ((0o5, 0o7), (1.0,), 4),
+        ((0o133, 0o171), (1, 0.5, 0.25), 4),
+        ((0o5, 0o7, 0o3), (1, -0.4, 0.3), 8),
+    ])
+    def test_product_tables_bit_exact(self, gens, taps, M):
+        code, h = ConvCode(gens), IsiResponse(taps)
+        tr = build_std_trellis(code, h, M)
+        next_state, outputs = std_reference(code, h, M)
+        for got, want in ((tr.next_state, next_state), (tr.outputs, outputs)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_state_counts(self):
         assert STD.num_states == 64
         assert build_std_trellis(CODE, IsiResponse([1.0]), 4).num_states == 4
@@ -623,6 +662,29 @@ def test_rejects_states_outside_the_trellis(name, state):
     for decode in decoders:
         with pytest.raises(ValueError, match=name):
             decode({name: state})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_isi_trellis(IsiResponse(np.ones(6)), 4, state_cap=512),
+     "ISI trellis would need 1024 states (cap 512); "
+     "reduce memory or raise the cap"),
+    (lambda: build_std_trellis(CODE, IsiResponse(np.ones(6)), 4, state_cap=512),
+     "super trellis would need 4096 states (cap 512); "
+     "use the merged trellis instead"),
+    (lambda: build_matched_trellis(CODE, IsiResponse(np.ones(9)), 4,
+                                   state_cap=512),
+     "merged trellis would need 1024 states (cap 512); "
+     "use a serial receiver or raise the cap"),
+    (lambda: build_dfse_feedback(IsiResponse(np.ones(6)), 4, 0, state_cap=512),
+     "DFSE feedback table would need 1024 entries (cap 512); "
+     "keep more symbols or raise the cap"),
+], ids=["isi", "std", "merged", "dfse_feedback"])
+def test_size_check_messages(build, message):
+    # STD's 1024 channel windows are over the cap too: its own check
+    # comes before the ISI trellis is built
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])

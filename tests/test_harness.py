@@ -126,6 +126,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="schemes"):
             parse_config("schemes = quantum\n")
 
+    @pytest.mark.parametrize("chain", ["pam_isi", "cpm"])
+    def test_empty_grid_names_key(self, chain):
+        # pam_isi wrote a header-only CSV; cpm failed picking the
+        # calibration midpoint of the grid
+        with pytest.raises(ConfigError, match="'ebn0_db'"):
+            SimConfig(chain=chain, ebn0_db=())
+
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nseed = 9  # trailing\n")
         assert cfg.seed == 9

@@ -44,7 +44,7 @@ from .trellis import STATE_CAP, TrellisSpec, check_size, window_next_state
 
 
 class DecodeResult(NamedTuple):
-    bits: np.ndarray  # (T,), or (B, T) for a batch
+    bits: np.ndarray  # uint8 (T,), or (B, T) for a batch
     metric: float | np.ndarray  # (B,) for a batch
 
 
@@ -71,11 +71,12 @@ class PartitionSpec:
 
 
 def compensate_edges(obs, taps, M: int) -> np.ndarray:
-    """Subtract the silent-prehistory offsets from the first L observations."""
+    """Subtract the silent-prehistory offsets from the first L observations
+    of a (T,) block, or of each block of a (B, T) batch."""
     obs = np.array(obs, dtype=np.float64)
     offs = edge_offsets(taps, M)
-    k = min(offs.size, obs.size)
-    obs[:k] -= offs[:k]
+    k = min(offs.size, obs.shape[-1])
+    obs[..., :k] -= offs[:k]
     return obs
 
 
@@ -122,18 +123,18 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     """Bytes per block that :func:`_viterbi` holds over ``steps`` steps
     from state 0 to state 0: the traceback pointers of every stepped state
     and step, packed ``8 // _pointer_bits(fan-in)`` to a byte (8 for a
-    fan-in of 2, 4 for a fan-in of 4), and three 8-byte values per step
-    (the block's observations, traceback indices and decisions).  The
-    chunk of ``POINTER_CHUNK`` unpacked steps does not grow with
-    ``steps``, like a step's candidates, and is not counted; the last
-    chunk's pointers, which stay in it unpacked, are counted at their
-    packed size.  It counts the fan-in from ``next_state``: a sweep
-    builds no predecessor table before a block."""
+    fan-in of 2, 4 for a fan-in of 4), and nine bytes per step (the
+    block's 8-byte observation and its uint8 decision).  Left out, since
+    they do not grow with ``steps``: the chunk of ``POINTER_CHUNK``
+    unpacked steps (the last chunk's pointers, which stay in it unpacked,
+    are counted at their packed size) and a step's candidate and metric
+    arrays.  It counts the fan-in from ``next_state``: a sweep builds no
+    predecessor table before a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
     per_byte = 8 // _pointer_bits(int(fan_in.max()))
-    return -(-steps // per_byte) * rows + 24 * steps
+    return -(-steps // per_byte) * rows + 9 * steps
 
 
 class _Slots(NamedTuple):
@@ -229,7 +230,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
              *, base: int = 1, memory: int = 0) -> DecodeResult:
     """Add-compare-select over the table ``slots`` for ``steps`` steps on
     ``blocks`` independent blocks, then one traceback; returns the (B, T)
-    input sequences and their (B,) metrics.
+    uint8 input sequences and their (B,) metrics.
 
     Only the R stepped states have rows, so a step evaluates the trellis
     branches and the padding of states with a smaller fan-in, not the
@@ -258,7 +259,10 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     of a (per, G, B*R) view of the chunk; unpacking is one ``right_shift``
     and a mask back into that view.  The last chunk is never packed: the
     traceback starts in the chunk buffer that still holds it, then
-    unpacks each earlier chunk into it as it enters that chunk.
+    unpacks each earlier chunk into it as it enters that chunk.  Each
+    step of the traceback writes its decisions, the inputs of the kept
+    slots, straight into a (T, B) uint8 array, which is returned
+    transposed.
 
     ``base**memory`` must be a power of two: the register wrap is a mask.
     """
@@ -272,7 +276,10 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     weights = np.uint8(1) << shifts
     by_block = _copies(slots.pred, R, blocks)  # (B, R, P)
     ps = by_block.reshape(rows, P)
-    ps_flat, pu_flat = ps.reshape(-1), np.tile(slots.pu.reshape(-1), blocks)
+    ps_flat = ps.reshape(-1)
+    # a trellis of I inputs has a state of fan-in I or more, and
+    # _pointer_bits holds the fan-in to 256, so every input fits a uint8
+    pu8 = np.tile(slots.pu.reshape(-1).astype(np.uint8), blocks)
     slot0 = np.arange(rows) * P  # flat index of each row's first slot
     pm = np.full(rows, np.inf)
     pm[slots.start::R] = 0.0
@@ -305,16 +312,17 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
          else np.full(blocks, slots.end, dtype=np.int64))
     metric = pm[np.arange(blocks), s]
     s = s + R * np.arange(blocks)
-    picked = np.empty((steps, blocks), dtype=np.int64)
+    decided = np.empty((steps, blocks), dtype=np.uint8)
     for c, t0 in reversed(list(enumerate(starts))):
         if c < len(packed):
             np.right_shift(packed[c], shifts, out=strided)
             strided &= (1 << bits) - 1
-        for t in range(min(t0 + POINTER_CHUNK, steps) - 1, t0 - 1, -1):
-            k = s * P + chunk[t - t0].take(s)
-            picked[t] = k
+        t1 = min(t0 + POINTER_CHUNK, steps)
+        for back, row in zip(chunk[t1 - t0 - 1::-1], decided[t0:t1][::-1]):
+            k = s * P + back.take(s)
+            pu8.take(k, out=row, mode="wrap")  # "raise" buffers its out
             s = ps_flat.take(k)
-    return DecodeResult(bits=pu_flat.take(picked.T), metric=metric)
+    return DecodeResult(bits=decided.T, metric=metric)
 
 
 def _unbatch(obs, x):
@@ -330,7 +338,7 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     ``end_state=None`` traceback starts from the best final metric.  Ties
     in add-compare-select go to the lower predecessor state index.
     ``obs`` is one (T,) block, or a (B, T) batch decoded at once; a batch
-    gives (B, T) bits and (B,) metrics.
+    gives (B, T) uint8 bits and (B,) metrics.
     """
     cols = _columns(obs)
     slots = _slots(trellis, start_state, end_state)
@@ -404,7 +412,8 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
     Hyperstates keep the r newest state bits; the older nu+L-r bits of each
     branch hypothesis come from the hyperstate's own survivor register.
     r = nu+L reproduces full MLSE, r = 0 is a pure decision-feedback
-    detector.  ``obs`` is one (T,) block or a (B, T) batch.
+    detector.  ``obs`` is one (T,) block or a (B, T) batch; the bits are
+    uint8.
     """
     mem = mt.nu + mt.L
     r = part.kept_bits
@@ -450,7 +459,8 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
                   feedback: np.ndarray | None = None) -> np.ndarray:
     """Reduced-state symbol equalizer: M^J trellis states, survivor feedback
     for the channel taps beyond the kept window.  Returns hard symbol
-    indices (natural map order), (T,) for one block or (B, T) for a batch.
+    indices (natural map order) as uint8, (T,) for one block or (B, T)
+    for a batch.
 
     ``window`` is ``build_isi_trellis(h, M, memory=kept_symbols)`` and
     ``feedback`` is ``build_dfse_feedback(h, M, kept_symbols)``, for
@@ -660,7 +670,8 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     """Max-correlation Viterbi over the code trellis from per-bit LLRs.
 
     LLR convention: positive favors bit 0.  One LLR per coded bit,
-    n per trellis step, in a (T * n,) block or a (B, T * n) batch.
+    n per trellis step, in a (T * n,) block or a (B, T * n) batch; the
+    decoded bits are uint8, (T,) or (B, T).
     ``trellis`` is ``build_conv_trellis(code)``, for callers that decode
     many blocks; it is built here when omitted.
     """
@@ -674,20 +685,27 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
                          f"{code.num_states}-state rate-1/{n} code")
     slots = _slots(tr, end_state=end_state)
     # Minimize sum((2v-1)*llr) over the n code bits v of a branch.  The
-    # (T, B, 2^n) sums of every n-bit word are formed once, their terms
-    # added in bit order, so a block's metric is the same at any B; each
-    # step then picks the word of every candidate branch.
+    # (C, B, 2^n) sums of every n-bit word are formed a chunk of C =
+    # POINTER_CHUNK steps at a time, their terms added in bit order, so a
+    # block's metric is the same at any B; each step then picks the word
+    # of every candidate branch.
     words = 1 << n
     signs = 2.0 * symbol_bits(np.arange(words), words).reshape(words, n) - 1.0
     steps = blocks.shape[1] // n
-    per_step = np.ascontiguousarray(blocks.reshape(B, steps, n).transpose(1, 0, 2))
-    sums = per_step[..., :1] * signs[:, 0]
-    for i in range(1, n):
-        sums += per_step[..., i:i + 1] * signs[:, i]
+    per_step = blocks.reshape(B, steps, n)
     word = symbol_index(tr.outputs[slots.ps, slots.pu], words)  # (R*P,)
+    sums = None
 
     def metrics(t, reg):
-        return sums[t].take(word, axis=1)
+        nonlocal sums
+        i = t % POINTER_CHUNK
+        if not i:
+            chunk = np.ascontiguousarray(
+                per_step[:, t:t + POINTER_CHUNK].transpose(1, 0, 2))
+            sums = chunk[..., :1] * signs[:, 0]
+            for b in range(1, n):
+                sums += chunk[..., b:b + 1] * signs[:, b]
+        return sums[i].take(word, axis=1)
 
     bits = _viterbi(slots, steps, B, metrics).bits
     return _unbatch(llrs, bits)

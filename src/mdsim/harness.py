@@ -376,14 +376,19 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
 
 
 # Bytes a receiver may hold per batch of blocks, by the estimates of the
-# trellises it searches.  This is about what one block of the 1024-state
-# STD receiver of examples_cfg/pam.cfg held before blocks were batched
-# (2.06 MB of int16 traceback pointers), so batching leaves the peak
-# memory of a sweep where it was.  Traceback pointers are packed, four to
-# a byte for that receiver's fan-in of 4 over its 512 stepped states, so
-# it leaves room for 15 of its blocks (2.30 MB with their per-step
-# arrays); a larger batch decodes faster per block.  README *Rounds*
-# quotes every pam.cfg batch, and tests/test_readme.py checks them.
+# trellises it searches (viterbi_bytes, bcjr_bytes).  This is about what
+# one block of the 1024-state STD receiver of examples_cfg/pam.cfg held
+# before blocks were batched (2.06 MB of int16 traceback pointers).  A
+# Viterbi block counts its packed pointers (four to a byte for that
+# STD's fan-in of 4 over its 512 stepped states) and nine bytes a step:
+# the observation and the uint8 decision.  Left out, since they do not
+# grow with the block, are the chunk of POINTER_CHUNK unpacked steps and
+# a step's candidate and metric arrays, so a call holds more: by
+# tracemalloc, one call of each pam.cfg receiver at its batch peaks at
+# 1.1 (RSSE(8)) to 1.75 (STD) times BATCH_BYTES, and
+# tests/test_harness.py holds every one below 2.  A larger batch decodes
+# faster per block.  README *Rounds* quotes every pam.cfg batch, and
+# tests/test_readme.py checks them.
 BATCH_BYTES = 9 << 18  # 2.25 MiB
 
 

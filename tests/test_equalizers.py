@@ -338,7 +338,7 @@ class TestPackedPointers:
                              [(2, 8), (3, 4), (4, 4), (8, 2), (32, 1)])
     def test_bytes_count_packed_pointers(self, fan_in, per_byte):
         """A stepped state holds ceil(steps / per_byte) bytes of pointers,
-        and a step 24 bytes of observations, indices and decisions."""
+        and a step 9 bytes: its 8-byte observation and uint8 decision."""
         from mdsim.equalizers import _slots, viterbi_bytes
 
         tr = (build_isi_trellis(IsiResponse([1.0, 0.5]), 3) if fan_in == 3
@@ -346,7 +346,7 @@ class TestPackedPointers:
         rows = len(_slots(tr).pred)
         for steps in (1, 63, 64, 65, 1006):
             assert viterbi_bytes(tr, steps) == (-(-steps // per_byte) * rows
-                                                + 24 * steps)
+                                                + 9 * steps)
 
     def test_fan_in_256_fits_8_bits(self):
         """Pointers up to 255: a window of 256 inputs and memory 1, whose
@@ -702,6 +702,33 @@ def test_rejects_empty_input(receiver, shape):
     }[receiver]
     with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
         decode(np.zeros(shape))
+
+
+@pytest.mark.parametrize("taps", ["1,0.5", "1,0.5,0.25", "1,0.6,0.36,0.216,0.1296"])
+def test_compensate_edges_per_block(taps):
+    """Each block of a (B, T) batch gets its own first L samples
+    compensated, as a (T,) call does; a block shorter than L gets all of
+    its T.  Only the first block was compensated, and over all its
+    samples, or the shapes did not broadcast."""
+    taps = [float(v) for v in taps.split(",")]
+    for steps in (3, 4, 6):
+        obs = np.round(4 * make_rng(steps).random((3, steps)))
+        got = compensate_edges(obs, taps, 4)
+        assert got.shape == obs.shape
+        for row, want in zip(got, obs):
+            np.testing.assert_array_equal(row, compensate_edges(want, taps, 4))
+    np.testing.assert_array_equal(compensate_edges(np.zeros((3, 4)), [1, 0.5], 4),
+                                  np.tile([-1.5, 0, 0, 0], (3, 1)))
+
+
+def test_decisions_are_uint8():
+    """Every Viterbi receiver returns one uint8 per step and block."""
+    obs = np.round(4 * make_rng(3).random((2, 70)) - 2)
+    llrs = np.round(4 * make_rng(4).random((2, 140)) - 2)
+    for got in (viterbi_mlse(STD, obs).bits, viterbi_mlse(MT.trellis, obs[0]).bits,
+                rsse_decode(MT, PartitionSpec(2), obs).bits,
+                dfse_equalize(H, 4, 1, obs), soft_viterbi_decode(CODE, llrs)):
+        assert got.dtype == np.uint8 and got.shape[-1] == 70
 
 
 class TestSoftViterbi:

@@ -94,6 +94,51 @@ def test_pam_cfg_batches_hold_a_bit_capped_point():
     assert batch["BCJR+VA"] == 8
 
 
+def test_cpm_cfg_md_batch_takes_the_bench_point_in_two_calls():
+    """The traceback writes one uint8 decision per step and block, so MD on
+    examples_cfg/cpm.cfg (32 states, 4 bytes of pointers per step) decodes
+    at least 150 blocks per call: the bench's bit-capped cpm-md point of
+    300 blocks goes out in two rounds.  A short calibration leaves the
+    chain's ISI length, and so the batch, as it is."""
+    cfg = parse_config((Path(__file__).parents[1] / "examples_cfg"
+                        / "cpm.cfg").read_text() + "calibration_symbols = 20000\n")
+    batch = {r.scheme.label(): r.batch for r in _build_receivers(
+        resolve_chain(cfg, print), cfg, print)}
+    assert batch["MD"] >= 150
+
+
+def test_pam_cfg_calls_peak_within_twice_batch_bytes():
+    """One decode call of each examples_cfg/pam.cfg receiver, at its sweep
+    batch of 10 dB blocks, allocates at its peak (by tracemalloc) less
+    than 2 * BATCH_BYTES.  The byte estimates leave out what does not
+    grow with the block (the chunk of unpacked pointers, a step's
+    candidates), so a call peaks above BATCH_BYTES; but (B, T) arrays of
+    8-byte values, such as the traceback's old int64 indices and bits,
+    would take MD and RSSE past the bound at their batches."""
+    import tracemalloc
+
+    from mdsim.harness import BATCH_BYTES, _make_block
+
+    cfg = parse_config((Path(__file__).parents[1] / "examples_cfg"
+                        / "pam.cfg").read_text())
+    ctx = resolve_chain(cfg, print)
+    n0 = 10.0 ** (-10.0 / 10.0)
+    peaks = {}
+    for r in _build_receivers(ctx, cfg, print):
+        obs = np.stack([_make_block(ctx, cfg, n0, 1, i)[1]
+                        for i in range(r.batch)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            r.decode(obs, n0)
+            peaks[r.scheme.label()] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert set(peaks) == {"MD", "STD", "MD-RSSE(8)", "MD-RSSE(16)",
+                          "DFSE(2)+VA", "BCJR+VA"}
+    assert max(peaks.values()) < 2 * BATCH_BYTES, peaks
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)

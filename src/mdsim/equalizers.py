@@ -685,27 +685,28 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
                          f"{code.num_states}-state rate-1/{n} code")
     slots = _slots(tr, end_state=end_state)
     # Minimize sum((2v-1)*llr) over the n code bits v of a branch.  The
-    # (C, B, 2^n) sums of every n-bit word are formed a chunk of C =
-    # POINTER_CHUNK steps at a time, their terms added in bit order, so a
-    # block's metric is the same at any B; each step then picks the word
-    # of every candidate branch.
+    # (C, B, R*P) metrics of every candidate branch are formed C steps at
+    # a time, C such that a chunk holds no more values than POINTER_CHUNK
+    # steps of the 2^n word sums would.  Their terms are added in bit
+    # order, so a block's metric is the same at any B and C.
     words = 1 << n
     signs = 2.0 * symbol_bits(np.arange(words), words).reshape(words, n) - 1.0
+    # (R*P, n) signs of the code bits of each candidate branch
+    branch = signs[symbol_index(tr.outputs[slots.ps, slots.pu], words)]
     steps = blocks.shape[1] // n
     per_step = blocks.reshape(B, steps, n)
-    word = symbol_index(tr.outputs[slots.ps, slots.pu], words)  # (R*P,)
-    sums = None
+    span = max(1, POINTER_CHUNK * words // len(branch))
+    chunk = None
 
     def metrics(t, reg):
-        nonlocal sums
-        i = t % POINTER_CHUNK
+        nonlocal chunk
+        i = t % span
         if not i:
-            chunk = np.ascontiguousarray(
-                per_step[:, t:t + POINTER_CHUNK].transpose(1, 0, 2))
-            sums = chunk[..., :1] * signs[:, 0]
+            x = np.ascontiguousarray(per_step[:, t:t + span].transpose(1, 0, 2))
+            chunk = x[..., :1] * branch[:, 0]
             for b in range(1, n):
-                sums += chunk[..., b:b + 1] * signs[:, b]
-        return sums[i].take(word, axis=1)
+                chunk += x[..., b:b + 1] * branch[:, b]
+        return chunk[i]
 
     bits = _viterbi(slots, steps, B, metrics).bits
     return _unbatch(llrs, bits)

@@ -771,6 +771,37 @@ class TestSoftViterbi:
                 best, best_score = cand, score
         np.testing.assert_array_equal(got, best)
 
+    @pytest.mark.parametrize("gens", [(0o5, 0o7), (0o133, 0o171),
+                                      (0o5, 0o7, 0o3)])
+    def test_chunked_metrics_match_reference(self, gens):
+        """The branch metrics go in chunks of 32 steps for 5,7, 2 for the
+        64-state 133,171 and 64 for 5,7,3; over 150 steps a batch decodes
+        as a Viterbi with each step's metrics formed on their own."""
+        code = ConvCode(list(gens))
+        tr = build_conv_trellis(code)
+        ps, pu, valid = tr.predecessors
+        signs = 2.0 * tr.outputs[ps, pu] - 1.0  # (S, P, n)
+        llrs = np.round(4 * normal_from_uniform(make_rng(len(gens)), 3 * 150
+                                                * code.n)).reshape(3, -1)
+        got = soft_viterbi_decode(code, llrs, end_state=None)
+        for row, bits in zip(llrs, got):
+            x = row.reshape(-1, code.n)
+            pm = np.full(tr.num_states, np.inf)
+            pm[0] = 0.0
+            back = np.empty((len(x), tr.num_states), dtype=np.int64)
+            for t, y in enumerate(x):
+                metric = y[0] * signs[..., 0]
+                for i in range(1, code.n):
+                    metric = metric + y[i] * signs[..., i]
+                cand = np.where(valid, pm[ps] + metric, np.inf)
+                back[t] = cand.argmin(1)
+                pm = cand[np.arange(tr.num_states), back[t]]
+            s, want = int(np.argmin(pm)), np.empty(len(x), dtype=np.int64)
+            for t in range(len(x) - 1, -1, -1):
+                j = back[t, s]
+                want[t], s = pu[s, j], ps[s, j]
+            np.testing.assert_array_equal(bits, want)
+
     def test_rejects_partial_llrs(self):
         with pytest.raises(ValueError):
             soft_viterbi_decode(CODE, np.zeros(5))

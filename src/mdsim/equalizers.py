@@ -689,13 +689,11 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
     # a time, C such that a chunk holds no more values than POINTER_CHUNK
     # steps of the 2^n word sums would.  Their terms are added in bit
     # order, so a block's metric is the same at any B and C.
-    words = 1 << n
-    signs = 2.0 * symbol_bits(np.arange(words), words).reshape(words, n) - 1.0
-    # (R*P, n) signs of the code bits of each candidate branch
-    branch = signs[symbol_index(tr.outputs[slots.ps, slots.pu], words)]
+    # (R*P, n) signs 2v-1 of the code bits of each candidate branch
+    branch = 2.0 * tr.outputs[slots.ps, slots.pu].reshape(-1, n) - 1.0
     steps = blocks.shape[1] // n
     per_step = blocks.reshape(B, steps, n)
-    span = max(1, POINTER_CHUNK * words // len(branch))
+    span = max(1, POINTER_CHUNK * 2**n // len(branch))
     chunk = None
 
     def metrics(t, reg):

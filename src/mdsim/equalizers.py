@@ -91,9 +91,10 @@ def _as_blocks(obs) -> np.ndarray:
 
 
 def _columns(obs) -> np.ndarray:
-    """The (T, B, 1, 1) columns of a (T,) block or (B, T) batch ``obs``:
-    step t's observations of every block, against hypotheses of a step."""
-    return np.ascontiguousarray(_as_blocks(obs).T)[:, :, None, None]
+    """The (T, B, 1) columns of a (T,) block or (B, T) batch ``obs``:
+    step t's observations of every block, against the (P, B, R)
+    hypotheses of a step."""
+    return np.ascontiguousarray(_as_blocks(obs).T)[:, :, None]
 
 
 def _pointer_bits(fan_in: int) -> int:
@@ -179,45 +180,65 @@ def _slots(trellis: TrellisSpec, start_state: int = 0,
                   None if end_state is None else int(row_of[end_state]))
 
 
-def _copies(index: np.ndarray, size: int, blocks: int) -> np.ndarray:
-    """``index`` into a table of ``size`` entries, for each of ``blocks``
-    copies of the table laid end to end: a (blocks, *index.shape) array."""
-    return index + size * np.arange(blocks).reshape(-1, *[1] * index.ndim)
+def _tiled(table: np.ndarray, blocks: int, dtype=None) -> np.ndarray:
+    """The (R, P) slot table ``table`` in the (P, B, R) layout of a step,
+    one copy per block, contiguous.  Made once per call, so that a step's
+    operations on it run over whole arrays, not over rows of R."""
+    R, P = table.shape
+    return np.array(np.broadcast_to(table.T[:, None, :], (P, blocks, R)),
+                    dtype=dtype, order="C")
 
 
 # Rows from which a fan-in of 4 selects by a pairwise tournament: below
-# it one argmin (one numpy call) costs less than the tournament's seven.
-TOURNAMENT_ROWS = 2048
+# it one argmin costs less than the tournament's nine calls.  On pam.cfg
+# blocks the tournament took 1.05 of argmin's time per DFSE(2) call at
+# 512 rows and 0.81 at 1024; 0.82 per STD call at 512 rows.
+TOURNAMENT_ROWS = 1024
 
 
-def _select(cand: np.ndarray, out: np.ndarray,
-            slot0: np.ndarray) -> np.ndarray:
-    """The first minimum of each row of the (rows, P) candidates ``cand``:
+def _select(cand: np.ndarray, out: np.ndarray, pm: np.ndarray,
+            row: np.ndarray) -> np.ndarray | None:
+    """The first minimum over the P slots of each row of the (P, rows)
+    candidates ``cand``, in which slot p of every row is contiguous:
     writes its slot into the pointer row ``out`` (bool for a fan-in of 2,
-    else uint8) and returns its value.
-    ``slot0`` is the flat index of each row's first slot.
+    else uint8) and its value into ``pm``.  ``row`` is ``arange(rows)``.
+    Returns the flat index ``slot * rows + row`` of each kept candidate
+    when it forms one (argmin), else None.
 
     A fan-in of 2 compares the two slots with a strict ``<`` and keeps
     their ``np.minimum``; a fan-in of 4 on ``TOURNAMENT_ROWS`` rows or more
     plays the pairs (0, 1) and (2, 3) that way, then the pair winners with
-    ``m23 < m01``.  Any other table takes ``argmin``.  Each gives argmin's
-    slot: the earlier of two equal candidates wins, +inf ones included.
+    ``m23 < m01``, and merges the pointers in uint8: ``j23 = (c3 < c2) | 2``
+    replaces ``out`` where ``m23 < m01`` by ``out ^= (j23 ^ out) * won``.
+    Its pair minima go into the candidate rows 0 and 2.  Any other table
+    takes ``argmin``.  Each gives argmin's slot: the earlier of two equal
+    candidates wins, +inf ones included, so on ``m23 == m01`` the pair
+    (0, 1) wins.
     """
-    rows, P = cand.shape
+    P, rows = cand.shape
     if P == 2:
-        c0, c1 = cand[:, 0], cand[:, 1]
+        c0, c1 = cand[0], cand[1]  # unpacking cand is 4x slower
         np.less(c1, c0, out=out)
-        return np.minimum(c0, c1)
+        np.minimum(c0, c1, out=pm)
+        return None
     if P == 4 and rows >= TOURNAMENT_ROWS:
-        c0, c1, c2, c3 = (cand[:, i] for i in range(4))
+        c0, c1, c2, c3 = cand[0], cand[1], cand[2], cand[3]
         np.less(c1, c0, out=out.view(bool))
-        m01 = np.minimum(c0, c1)
-        j23 = c3 < c2
-        m23 = np.minimum(c2, c3)
-        np.add(j23, np.uint8(2), out=out, where=m23 < m01)
-        return np.minimum(m01, m23, out=m01)
-    out[:] = j = cand.argmin(1)
-    return cand.take(slot0 + j)
+        j23 = np.less(c3, c2).view(np.uint8)
+        m01 = np.minimum(c0, c1, out=c0)
+        m23 = np.minimum(c2, c3, out=c2)
+        j23 |= 2
+        j23 ^= out
+        j23 *= np.less(m23, m01).view(np.uint8)
+        out ^= j23
+        np.minimum(m01, m23, out=pm)
+        return None
+    k = cand.argmin(0)
+    out[:] = k
+    k *= rows
+    k += row
+    cand.take(k, out=pm, mode="wrap")
+    return k
 
 
 # Steps of traceback pointers that the add-compare-select writes unpacked,
@@ -237,17 +258,21 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     never-entered states.  The B blocks run as one block-diagonal table
     of B*R rows: block b's copy of row i is row b*R + i, and its
     predecessors are offset by b*R, so each numpy call of a step serves
-    every block.  ``branch_metrics(t, idx)`` gives the (B, R, P) metrics
-    of step t on the slots of ``slots``, +inf on a slot that is not live.
-    ``idx`` holds, in the same shape, each slot's hypothesis index: the
-    survivor register of the slot's predecessor (its last ``memory``
-    inputs as base-``base`` digits, newest in the least significant
-    digit) with the slot's input appended as the newest digit (None
-    without registers).  A state's new register is the index of the slot
-    it keeps, less its oldest digit.  :func:`_select` compares the
-    candidates in slot order and keeps the first minimum, so ties go to
-    the lower predecessor state, then the lower input.  With a free end
-    each block's traceback starts from its best final metric.
+    every block.  A step's candidates are slot-major, one reused (P, B*R)
+    array in which slot p of every row is contiguous, gathered from the
+    path metrics by a (P, B*R) predecessor table; the metrics are
+    updated in place.  ``branch_metrics(t, idx)`` gives the (P, B, R)
+    metrics of step t on the slots of ``slots``, +inf on a slot that is
+    not live; it may return the same buffer at every step.  ``idx``
+    holds, in the same layout, each slot's hypothesis index: the survivor
+    register of the slot's predecessor (its last ``memory`` inputs as
+    base-``base`` digits, newest in the least significant digit) with the
+    slot's input appended as the newest digit (None without registers).
+    A state's new register is the index of the slot it keeps, less its
+    oldest digit.  :func:`_select` compares the candidates in slot order
+    and keeps the first minimum, so ties go to the lower predecessor
+    state, then the lower input.  With a free end each block's traceback
+    starts from its best final metric.
 
     The pointers of C = ``POINTER_CHUNK`` steps go into one reused
     (C, B*R) chunk, bool for a fan-in of 2, else uint8.  When the next
@@ -259,10 +284,9 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     of a (per, G, B*R) view of the chunk; unpacking is one ``right_shift``
     and a mask back into that view.  The last chunk is never packed: the
     traceback starts in the chunk buffer that still holds it, then
-    unpacks each earlier chunk into it as it enters that chunk.  Each
-    step of the traceback writes its decisions, the inputs of the kept
-    slots, straight into a (T, B) uint8 array, which is returned
-    transposed.
+    unpacks each earlier chunk into it as it enters it.  Each step of
+    the traceback writes its decisions, the inputs of the kept slots,
+    straight into a (T, B) uint8 array, which is returned transposed.
 
     ``base**memory`` must be a power of two: the register wrap is a mask.
     """
@@ -274,16 +298,26 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     # packing multiplies by 2**shift: numpy's uint8 left_shift is ten
     # times slower than its multiply
     weights = np.uint8(1) << shifts
-    by_block = _copies(slots.pred, R, blocks)  # (B, R, P)
-    ps = by_block.reshape(rows, P)
+    # (P, B, R): the flat row of each slot's predecessor
+    by_block = _tiled(slots.pred, blocks)
+    by_block += R * np.arange(blocks)[:, None]
+    ps = by_block.reshape(P, rows)
     ps_flat = ps.reshape(-1)
     # a trellis of I inputs has a state of fan-in I or more, and
     # _pointer_bits holds the fan-in to 256, so every input fits a uint8
-    pu8 = np.tile(slots.pu.reshape(-1).astype(np.uint8), blocks)
-    slot0 = np.arange(rows) * P  # flat index of each row's first slot
+    pu8 = _tiled(slots.pu, blocks, np.uint8).reshape(-1)
+    row = np.arange(rows)
+    slot_off = rows * np.arange(P)  # flat offset of each slot's candidates
+    cand = np.empty((P, rows))
     pm = np.full(rows, np.inf)
     pm[slots.start::R] = 0.0
-    reg = np.zeros(rows, dtype=np.int64)
+    idx = None
+    if memory:
+        pu = _tiled(slots.pu, blocks)
+        idx = np.empty((P, blocks, R), dtype=np.int64)
+        if P == 2:
+            idx0, idx1 = idx.reshape(P, rows)
+        reg = np.zeros(rows, dtype=np.int64)
     wrap = base**memory - 1  # drops a register's oldest digit
     chunk = np.zeros((POINTER_CHUNK, rows), dtype=bool if P == 2 else np.uint8)
     strided = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
@@ -295,16 +329,21 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
             strided *= weights
             np.bitwise_or.reduce(strided, axis=0, out=packed[c - 1])
         for t, back in zip(range(t0, steps), chunk):
-            idx = None
             if memory:
-                idx = reg.take(by_block)
+                reg.take(by_block, out=idx, mode="wrap")
                 idx *= base
-                idx += slots.pu
-            cand = pm.take(ps)
-            cand += branch_metrics(t, idx).reshape(rows, P)
-            pm = _select(cand, back, slot0)
+                idx += pu
+            pm.take(ps, out=cand, mode="wrap")  # "raise" buffers its out
+            cand += branch_metrics(t, idx).reshape(P, rows)
+            k = _select(cand, back, pm, row)
             if memory:
-                reg = idx.take(slot0 + back)
+                if P == 2:
+                    reg = np.where(back, idx1, idx0)
+                else:
+                    if k is None:
+                        k = slot_off.take(back)
+                        k += row
+                    idx.take(k, out=reg, mode="wrap")
                 reg &= wrap
 
     pm = pm.reshape(blocks, R)
@@ -318,9 +357,10 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
             np.right_shift(packed[c], shifts, out=strided)
             strided &= (1 << bits) - 1
         t1 = min(t0 + POINTER_CHUNK, steps)
-        for back, row in zip(chunk[t1 - t0 - 1::-1], decided[t0:t1][::-1]):
-            k = s * P + back.take(s)
-            pu8.take(k, out=row, mode="wrap")  # "raise" buffers its out
+        for back, out in zip(chunk[t1 - t0 - 1::-1], decided[t0:t1][::-1]):
+            k = slot_off.take(back.take(s))
+            k += s
+            pu8.take(k, out=out, mode="wrap")
             s = ps_flat.take(k)
     return DecodeResult(bits=decided.T, metric=metric)
 
@@ -342,10 +382,17 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     """
     cols = _columns(obs)
     slots = _slots(trellis, start_state, end_state)
-    # (R, P) candidate hypotheses; +inf on a slot that is not live gives
-    # its candidate +inf
-    hyp = np.where(slots.live, trellis.outputs[slots.ps, slots.pu], np.inf)
-    res = _viterbi(slots, *cols.shape[:2], lambda t, reg: (cols[t] - hyp) ** 2)
+    # (P, B, R) candidate hypotheses; +inf on a slot that is not live
+    # gives its candidate +inf
+    hyp = _tiled(np.where(slots.live, trellis.outputs[slots.ps, slots.pu],
+                          np.inf), cols.shape[1])
+    d = np.empty(hyp.shape)
+
+    def metrics(t, idx):
+        np.subtract(cols[t], hyp, out=d)
+        return np.multiply(d, d, out=d)
+
+    res = _viterbi(slots, *cols.shape[:2], metrics)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
@@ -428,10 +475,13 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
     # a hypothesis index is a merged state's nu+L bits and its input bit:
     # the flat index of that branch's output
     flat = mt.trellis.outputs.reshape(-1)
+    R, P = slots.pred.shape
+    d = np.empty((P, cols.shape[1], R))
 
     def metrics(t, idx):
-        d = cols[t] - flat.take(idx)
-        return d * d
+        flat.take(idx, out=d, mode="wrap")
+        np.subtract(cols[t], d, out=d)
+        return np.multiply(d, d, out=d)
 
     # Flushed blocks terminate in hyperstate 0.
     res = _viterbi(slots, *cols.shape[:2], metrics, base=2, memory=mem)
@@ -484,11 +534,18 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
         raise ValueError(f"feedback table has shape {np.shape(feedback)}, "
                          f"not (M^(L-J),) = ({M ** (L - J)},)")
     slots = _slots(window, end_state=end_state)
-    hyp = window.outputs[slots.ps, slots.pu]  # (M^J, P) from the first J+1 taps
+    # (P, B, M^J) hypotheses from the first J+1 taps
+    hyp = _tiled(window.outputs[slots.ps, slots.pu], cols.shape[1])
     older = M ** (J + 1)  # the hypothesis index's digits past the window
+    past = np.empty(hyp.shape, dtype=np.int64)
+    d = np.empty(hyp.shape)
 
     def metrics(t, idx):
-        return (cols[t] - (hyp + feedback.take(idx // older))) ** 2
+        np.floor_divide(idx, older, out=past)
+        feedback.take(past, out=d, mode="wrap")
+        np.add(d, hyp, out=d)
+        np.subtract(cols[t], d, out=d)
+        return np.multiply(d, d, out=d)
 
     res = _viterbi(slots, *cols.shape[:2], metrics, base=M, memory=L)
     return _unbatch(obs, res.bits)
@@ -685,25 +742,26 @@ def soft_viterbi_decode(code: ConvCode, llrs, *,
                          f"{code.num_states}-state rate-1/{n} code")
     slots = _slots(tr, end_state=end_state)
     # Minimize sum((2v-1)*llr) over the n code bits v of a branch.  The
-    # (C, B, R*P) metrics of every candidate branch are formed C steps at
+    # (C, P, B, R) metrics of every candidate branch are formed C steps at
     # a time, C such that a chunk holds no more values than POINTER_CHUNK
     # steps of the 2^n word sums would.  Their terms are added in bit
     # order, so a block's metric is the same at any B and C.
-    # (R*P, n) signs 2v-1 of the code bits of each candidate branch
-    branch = 2.0 * tr.outputs[slots.ps, slots.pu].reshape(-1, n) - 1.0
+    # (n, P, 1, R) signs 2v-1 of the code bits of each candidate branch
+    branch = (2.0 * tr.outputs[slots.ps, slots.pu] - 1.0).T[:, :, None, :]
     steps = blocks.shape[1] // n
     per_step = blocks.reshape(B, steps, n)
-    span = max(1, POINTER_CHUNK * 2**n // len(branch))
+    span = max(1, POINTER_CHUNK * 2**n // slots.pred.size)
     chunk = None
 
     def metrics(t, reg):
         nonlocal chunk
         i = t % span
         if not i:
-            x = np.ascontiguousarray(per_step[:, t:t + span].transpose(1, 0, 2))
-            chunk = x[..., :1] * branch[:, 0]
+            # (n, C, 1, B, 1) LLRs of the chunk's steps
+            x = per_step[:, t:t + span].transpose(2, 1, 0)[:, :, None, :, None]
+            chunk = x[0] * branch[0]
             for b in range(1, n):
-                chunk += x[..., b:b + 1] * branch[:, b]
+                chunk += x[b] * branch[b]
         return chunk[i]
 
     bits = _viterbi(slots, steps, B, metrics).bits

@@ -406,6 +406,14 @@ class _Receiver:
     batch: int
 
 
+def _hard_llrs(M: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from (B, T) symbol decisions to the (B, T * log2 M) LLRs
+    of their coded bits, +1 for a 0 bit and -1 for a 1 bit, by one
+    (M, log2 M) table: no int64 bit arrays per call."""
+    signs = 1.0 - 2.0 * symbol_bits(np.arange(M), M).reshape(M, -1)
+    return lambda sym: signs[sym].reshape(len(sym), -1)
+
+
 def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
                      log) -> list[_Receiver]:
     """The receivers of the schemes of ``cfg``.  MD and every RSSE share
@@ -443,11 +451,11 @@ def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
             window = isi_trellis(scheme.param)
             feedback = build_dfse_feedback(isi, M, scheme.param, state_cap=cap)
             window_bytes = viterbi_bytes(window, steps)
+            to_llrs = _hard_llrs(M)
 
             def equalize(obs, n0):
-                sym = dfse_equalize(isi, M, scheme.param, obs, window=window,
-                                    feedback=feedback)
-                return 1.0 - 2.0 * symbol_bits(sym, M).reshape(len(sym), -1)
+                return to_llrs(dfse_equalize(isi, M, scheme.param, obs,
+                                             window=window, feedback=feedback))
         else:
             window = isi_trellis(min(cfg.bcjr_memory, isi.L))
             window_bytes = bcjr_bytes(window, steps)

@@ -179,7 +179,20 @@ class TestCompareSelect:
     """The ACS picks each row's first minimum by comparisons in slot order
     (fan-in 2 always, fan-in 4 from TOURNAMENT_ROWS rows), or by argmin:
     both give argmin's slot and value, with ties, +inf slots and rows of
-    +inf."""
+    +inf.  The candidates are slot-major: ``_select`` reads the (rows, P)
+    table transposed, as a contiguous (P, rows) array."""
+
+    @staticmethod
+    def select(cand, P):
+        """``_select`` on the (rows, P) candidates ``cand``: the pointers,
+        the kept values, and the flat slot-major index it returned."""
+        from mdsim.equalizers import _select
+
+        rows = len(cand)
+        out = np.empty(rows, dtype=bool if P == 2 else np.uint8)
+        pm = np.empty(rows)
+        k = _select(np.ascontiguousarray(cand.T), out, pm, np.arange(rows))
+        return out, pm, k
 
     @staticmethod
     def candidates(rows, P, seed):
@@ -194,16 +207,42 @@ class TestCompareSelect:
     @pytest.mark.parametrize("P", [2, 3, 4])
     @pytest.mark.parametrize("side", [-1, 0])
     def test_first_minimum(self, P, side):
-        from mdsim.equalizers import TOURNAMENT_ROWS, _select
+        from mdsim.equalizers import TOURNAMENT_ROWS
 
         rows = TOURNAMENT_ROWS + side
         cand = self.candidates(rows, P, 90 + P)
         want = cand.argmin(1)
         assert np.count_nonzero(cand == cand.min(1, keepdims=True)) > rows
-        out = np.empty(rows, dtype=bool if P == 2 else np.uint8)
-        pm = _select(cand.copy(), out, np.arange(0, rows * P, P))
+        out, pm, k = self.select(cand, P)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(pm, cand[np.arange(rows), want])
+        if k is not None:
+            np.testing.assert_array_equal(k, want * rows + np.arange(rows))
+
+    @pytest.mark.parametrize("case", ["m23 == m01", "c2 == c3 < m01",
+                                      "all +inf"])
+    def test_tournament_ties(self, case):
+        """Rows that tie at the tournament's last match, or in its pair
+        (2, 3), or are +inf throughout, at TOURNAMENT_ROWS rows: the
+        earlier slot wins, as argmin's does."""
+        from mdsim.equalizers import TOURNAMENT_ROWS
+
+        rows = TOURNAMENT_ROWS
+        pattern, slot = {
+            "m23 == m01": ([[1, 2, 1, 3], [2, 1, 3, 1], [5, 5, 5, 5],
+                            [1, 1, 1, 1], [3, 2, 2, 3]], [0, 1, 0, 0, 1]),
+            "c2 == c3 < m01": ([[3, 4, 2, 2], [9, 8, 1, 1], [2, 2, 0, 0],
+                                [np.inf, np.inf, 7, 7]], [2, 2, 2, 2]),
+            "all +inf": ([[np.inf] * 4], [0])}[case]
+        reps = -(-rows // len(pattern))
+        cand = np.tile(np.array(pattern, dtype=float), (reps, 1))[:rows]
+        want = np.tile(slot, reps)[:rows]
+        out, pm, k = self.select(cand, 4)
+        assert k is None  # the tournament, not argmin
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(pm, cand[np.arange(rows), want])
+        if case == "all +inf":
+            assert np.isposinf(pm).all()
 
     @pytest.mark.parametrize("tournament", [False, True])
     def test_tournament_decodes_as_argmin(self, monkeypatch, tournament):
@@ -237,9 +276,9 @@ class TestCompareSelect:
 
         def spy(slots, steps, blocks, branch_metrics, *, base=1, memory=0):
             R, P = slots.pred.shape
-            prev = np.zeros((blocks, R, P), dtype=np.int64) if memory else None
-            metrics = np.reshape(branch_metrics(0, prev), (blocks, R, P))
-            seen[caller] = (slots.live, metrics)
+            prev = np.zeros((P, blocks, R), dtype=np.int64) if memory else None
+            metrics = np.reshape(branch_metrics(0, prev), (P, blocks, R))
+            seen[caller] = (slots.live.T[:, None, :], metrics)
             return core(slots, steps, blocks, branch_metrics, base=base,
                         memory=memory)
 

@@ -139,6 +139,20 @@ def test_pam_cfg_calls_peak_within_twice_batch_bytes():
     assert max(peaks.values()) < 2 * BATCH_BYTES, peaks
 
 
+@pytest.mark.parametrize("M", [2, 4, 8])
+def test_hard_llrs_match_symbol_bits(M):
+    """The DFSE(K)+VA receiver's table map from symbol decisions to LLRs
+    gives, bit for bit, ``1 - 2 * symbol_bits`` of the decisions."""
+    from mdsim.harness import _hard_llrs
+    from mdsim.matched_encoder import symbol_bits
+
+    sym = np.random.default_rng(M).integers(0, M, (3, 40)).astype(np.uint8)
+    want = 1.0 - 2.0 * symbol_bits(sym, M).reshape(len(sym), -1)
+    got = _hard_llrs(M)(sym)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 0)
     assert (lo, hi) == (0.0, 1.0)

@@ -128,9 +128,12 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     block's 8-byte observation and its uint8 decision).  Left out, since
     they do not grow with ``steps``: the chunk of ``POINTER_CHUNK``
     unpacked steps (the last chunk's pointers, which stay in it unpacked,
-    are counted at their packed size) and a step's candidate and metric
-    arrays.  It counts the fan-in from ``next_state``: a sweep builds no
-    predecessor table before a block."""
+    are counted at their packed size) and the buffers every step reuses,
+    the (P, B*R) candidates, the predecessor table and the receiver's
+    (P, B, R) metrics and tiled tables, a few times ``8 * P * R`` bytes
+    a block (about 64 KB for the STD of pam.cfg).  It counts the fan-in
+    from ``next_state``: a sweep builds no predecessor table before a
+    block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))

@@ -382,13 +382,14 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
 # Viterbi block counts its packed pointers (four to a byte for that
 # STD's fan-in of 4 over its 512 stepped states) and nine bytes a step:
 # the observation and the uint8 decision.  Left out, since they do not
-# grow with the block, are the chunk of POINTER_CHUNK unpacked steps and
-# a step's candidate and metric arrays, so a call holds more: by
-# tracemalloc, one call of each pam.cfg receiver at its batch peaks at
-# 1.1 (RSSE(8)) to 1.75 (STD) times BATCH_BYTES, and
-# tests/test_harness.py holds every one below 2.  A larger batch decodes
-# faster per block.  README *Rounds* quotes every pam.cfg batch, and
-# tests/test_readme.py checks them.
+# grow with the block's steps, are the chunk of POINTER_CHUNK unpacked
+# steps and the candidate and metric buffers that every step reuses (a
+# few (P, B, R) arrays), so a call holds more: by tracemalloc, one call
+# of each pam.cfg receiver at its batch peaks at 0.99 (DFSE(2)+VA), 1.14
+# (RSSE(8)), 1.24 (RSSE(16)), 1.49 (BCJR+VA), 1.52 (MD) and 1.81 (STD)
+# times BATCH_BYTES, and tests/test_harness.py holds every one below 2.
+# A larger batch decodes faster per block.  README *Rounds* quotes every
+# pam.cfg batch, and tests/test_readme.py checks them.
 BATCH_BYTES = 9 << 18  # 2.25 MiB
 
 

@@ -17,9 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .channel import make_rng, normal_from_uniform
+
+# scipy.signal is imported inside the functions that call it, so that a
+# process that runs no CPM chain (a PAM sweep, the CLI) starts without
+# it: importing it took about 1 s.
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,8 @@ def add_waveform_awgn(samples: np.ndarray, params: CpmParams, n0: float,
 def _lowpass_taps(N_os: int, cutoff: float) -> np.ndarray:
     """The read-only taps of :func:`receive_lowpass`, built once per
     (``N_os``, ``cutoff``) rather than for every block."""
+    from scipy import signal as sp_signal
+
     taps = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os, window="hamming")
     taps.setflags(write=False)
     return taps
@@ -153,6 +158,8 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
     ``cutoff`` is the one-sided bandwidth in cycles per symbol (127 taps
     at N_os=8, scaled proportionally with the oversampling factor).
     """
+    from scipy import signal as sp_signal
+
     taps = _lowpass_taps(params.N_os, float(cutoff))
     delay = (taps.size - 1) // 2
     padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
@@ -164,6 +171,8 @@ def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:
 
     Welch estimate over a seeded waveform of 100 000 random symbols.
     """
+    from scipy import signal as sp_signal
+
     rng = make_rng(20_999)
     idx = (rng.random(100_000) * params.M).astype(np.int64)
     symbols = params.alphabet[idx]

@@ -129,8 +129,10 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     they do not grow with ``steps``: the chunk of ``POINTER_CHUNK``
     unpacked steps (the last chunk's pointers, which stay in it unpacked,
     are counted at their packed size) and the buffers every step reuses,
-    the (P, B*R) candidates, the predecessor table and the receiver's
-    (P, B, R) metrics and tiled tables, a few times ``8 * P * R`` bytes
+    the (P, B*R) candidates and predecessor table, and on the R_live rows
+    with a live slot the gathered path metrics (a copy only when some
+    row is not live), the predecessor table of the gather and the
+    receiver's metrics and tiled tables: a few times ``8 * P * R`` bytes
     a block (about 64 KB for the STD of pam.cfg).  It counts the fan-in
     from ``next_state``: a sweep builds no predecessor table before a
     block."""
@@ -143,18 +145,24 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
 
 class _Slots(NamedTuple):
     """The add-compare-select table of one trellis and start and end
-    state: a row for each of the R states it steps, in ascending state
-    order, holding that state's predecessor slots in the order of
-    ``trellis.predecessors``.  A slot is live when
-    it is a branch from a stepped state; the others (padding, and branches
-    from never-entered states) are masked to +inf."""
+    state: a row for each of the R states it steps, holding that state's
+    predecessor slots in the order of ``trellis.predecessors``.  A slot
+    is live when it is a branch from a stepped state; the others
+    (padding, and branches from never-entered states) are masked to
+    +inf.  The ``live_rows`` rows with a live slot come first, then the
+    rows without one, each part in ascending state order, so that the
+    branch metrics of a step need only the first ``live_rows`` rows."""
 
-    ps: np.ndarray    # (R, P) predecessor state of each slot
-    pu: np.ndarray    # (R, P) input of each slot
-    pred: np.ndarray  # (R, P) row of each live slot's predecessor, else 0
-    live: np.ndarray  # (R, P) bool
-    start: int        # row of the start state
-    end: int | None   # row of the end state, None for a free end
+    state: np.ndarray  # (R,) the state of each row
+    ps: np.ndarray     # (R, P) predecessor state of each slot
+    pu: np.ndarray     # (R, P) input of each slot
+    # (R, P) row of each live slot's predecessor, else the row of the
+    # lowest stepped state
+    pred: np.ndarray
+    live: np.ndarray   # (R, P) bool
+    live_rows: int     # rows with a live slot
+    start: int         # row of the start state
+    end: int | None    # row of the end state, None for a free end
 
 
 def _check_states(num_states: int, start_state: int,
@@ -170,15 +178,23 @@ def _check_states(num_states: int, start_state: int,
 def _slots(trellis: TrellisSpec, start_state: int = 0,
            end_state: int | None = 0) -> _Slots:
     """The table :func:`_viterbi` steps; receivers read each slot's branch
-    hypothesis from its ``ps`` and ``pu``."""
+    hypothesis from its ``ps`` and ``pu``.  A stable sort of the stepped
+    states puts those with a live slot first and keeps each part in state
+    order.  A row without a live slot is +inf after step 0, so a step
+    forms no candidate for it."""
     _check_states(trellis.num_states, start_state, end_state)
     ps, pu, valid = trellis.predecessors
     step = _stepped(valid.sum(1), start_state, end_state)
-    rows = np.flatnonzero(step)
-    row_of = np.cumsum(step) - 1
-    ps, pu = ps[rows], pu[rows]
-    live = valid[rows] & step[ps]
-    return _Slots(ps, pu, np.where(live, row_of[ps], 0), live,
+    live = valid & step[ps]
+    has_live = live.any(1)
+    state = np.flatnonzero(step)
+    state = state[np.argsort(~has_live[state], kind="stable")]
+    row_of = np.zeros(trellis.num_states, dtype=np.int64)
+    row_of[state] = np.arange(state.size)
+    ps, pu, live = ps[state], pu[state], live[state]
+    pred = np.where(live, row_of[ps], row_of[state.min()])
+    return _Slots(state, ps, pu, pred, live,
+                  int(np.count_nonzero(has_live)),
                   int(row_of[start_state]),
                   None if end_state is None else int(row_of[end_state]))
 
@@ -262,20 +278,27 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     of B*R rows: block b's copy of row i is row b*R + i, and its
     predecessors are offset by b*R, so each numpy call of a step serves
     every block.  A step's candidates are slot-major, one reused (P, B*R)
-    array in which slot p of every row is contiguous, gathered from the
-    path metrics by a (P, B*R) predecessor table; the metrics are
-    updated in place.  ``branch_metrics(t, idx)`` gives the (P, B, R)
-    metrics of step t on the slots of ``slots``, +inf on a slot that is
-    not live; it may return the same buffer at every step.  ``idx``
-    holds, in the same layout, each slot's hypothesis index: the survivor
-    register of the slot's predecessor (its last ``memory`` inputs as
-    base-``base`` digits, newest in the least significant digit) with the
-    slot's input appended as the newest digit (None without registers).
-    A state's new register is the index of the slot it keeps, less its
-    oldest digit.  :func:`_select` compares the candidates in slot order
-    and keeps the first minimum, so ties go to the lower predecessor
-    state, then the lower input.  With a free end each block's traceback
-    starts from its best final metric.
+    array in which slot p of every row is contiguous.  Only the first
+    R_live = ``slots.live_rows`` rows of each block have a live slot, so
+    only their candidates are formed: a step gathers their predecessors'
+    path metrics into a reused (P, B, R_live) buffer and adds
+    ``branch_metrics(t, idx)``, the (P, B, R_live) metrics of step t on
+    those rows, +inf on a slot that is not live, into their columns of
+    the candidates.  The other rows' candidates are set to +inf once per
+    call, and the compare-select still steps them, so their metrics stay
+    +inf.  When every row is live (the window and code trellises), the
+    buffer is the candidate array itself, gathered and added in place.
+    ``branch_metrics`` may return the same buffer at every step.  ``idx``
+    holds, in the (P, B, R) layout, each slot's hypothesis index: the
+    survivor register of the slot's predecessor (its last ``memory``
+    inputs as base-``base`` digits, newest in the least significant
+    digit) with the slot's input appended as the newest digit (None
+    without registers).  A state's new register is the index of the slot
+    it keeps, less its oldest digit.  :func:`_select` compares the
+    candidates in slot order and keeps the first minimum, so ties go to
+    the lower predecessor state, then the lower input.  With a free end
+    each block's traceback starts from its best final metric, the first
+    in state order.
 
     The pointers of C = ``POINTER_CHUNK`` steps go into one reused
     (C, B*R) chunk, bool for a fan-in of 2, else uint8.  When the next
@@ -304,14 +327,20 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     # (P, B, R): the flat row of each slot's predecessor
     by_block = _tiled(slots.pred, blocks)
     by_block += R * np.arange(blocks)[:, None]
-    ps = by_block.reshape(P, rows)
-    ps_flat = ps.reshape(-1)
+    ps_flat = by_block.reshape(-1)
     # a trellis of I inputs has a state of fan-in I or more, and
     # _pointer_bits holds the fan-in to 256, so every input fits a uint8
     pu8 = _tiled(slots.pu, blocks, np.uint8).reshape(-1)
     row = np.arange(rows)
     slot_off = rows * np.arange(P)  # flat offset of each slot's candidates
     cand = np.empty((P, rows))
+    # the candidates of the live rows; the other rows' stay +inf, as the
+    # compare-select writes only minima of candidates into them
+    live = slots.live_rows
+    fed = cand.reshape(P, blocks, R)[:, :, :live]
+    cand.reshape(P, blocks, R)[:, :, live:] = np.inf
+    live_ps = np.ascontiguousarray(by_block[:, :, :live])  # a copy if live < R
+    gathered = fed if live == R else np.empty(fed.shape)
     pm = np.full(rows, np.inf)
     pm[slots.start::R] = 0.0
     idx = None
@@ -336,8 +365,8 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
                 reg.take(by_block, out=idx, mode="wrap")
                 idx *= base
                 idx += pu
-            pm.take(ps, out=cand, mode="wrap")  # "raise" buffers its out
-            cand += branch_metrics(t, idx).reshape(P, rows)
+            pm.take(live_ps, out=gathered, mode="wrap")  # "raise" buffers
+            np.add(gathered, branch_metrics(t, idx), out=fed)
             k = _select(cand, back, pm, row)
             if memory:
                 if P == 2:
@@ -350,8 +379,11 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
                 reg &= wrap
 
     pm = pm.reshape(blocks, R)
-    s = (np.argmin(pm, axis=1) if slots.end is None
-         else np.full(blocks, slots.end, dtype=np.int64))
+    if slots.end is None:  # the first best state in state order
+        by_state = np.argsort(slots.state)
+        s = by_state[np.argmin(pm[:, by_state], axis=1)]
+    else:
+        s = np.full(blocks, slots.end, dtype=np.int64)
     metric = pm[np.arange(blocks), s]
     s = s + R * np.arange(blocks)
     decided = np.empty((steps, blocks), dtype=np.uint8)
@@ -385,10 +417,10 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     """
     cols = _columns(obs)
     slots = _slots(trellis, start_state, end_state)
-    # (P, B, R) candidate hypotheses; +inf on a slot that is not live
-    # gives its candidate +inf
+    # (P, B, R_live) hypotheses of the live rows; +inf on a slot that is
+    # not live gives its candidate +inf
     hyp = _tiled(np.where(slots.live, trellis.outputs[slots.ps, slots.pu],
-                          np.inf), cols.shape[1])
+                          np.inf)[:slots.live_rows], cols.shape[1])
     d = np.empty(hyp.shape)
 
     def metrics(t, idx):

@@ -12,12 +12,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sp_linalg
-from scipy import signal as sp_signal
 
 from .channel import make_rng
 from .cpm import CpmParams, transmit_receive
 from .matched_encoder import IsiResponse
+
+# scipy is imported inside the functions that call it, as in .cpm.
 
 _FINE = 1024  # quadrature grid per symbol for the continuous autocorrelation
 
@@ -131,6 +131,8 @@ def yule_walker(noise_acf, L_nw: int) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(phi).all() and phi[0] > 0):
         raise ValueError(f"noise_acf lags must be finite, lag 0 positive: {phi}")
     if L_nw > 0:
+        from scipy import linalg as sp_linalg
+
         cond = np.linalg.cond(sp_linalg.toeplitz(phi[:L_nw]))
         if not np.isfinite(cond) or cond > 1e12:
             raise ValueError(f"Toeplitz system ill-conditioned (cond={cond:.3g})")
@@ -162,6 +164,8 @@ def wmf_taps(b, n_taps: int = 20) -> tuple[np.ndarray, float]:
     Returns the taps and the neglected-tail magnitude (sum of the next
     100 impulse-response samples) as the truncation error.
     """
+    from scipy import signal as sp_signal
+
     impulse = np.zeros(n_taps + 100)
     impulse[0] = 1.0
     w_full = sp_signal.lfilter([1.0], b, impulse)

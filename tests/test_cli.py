@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mdsim
 from mdsim.cli import main
 from mdsim.harness import SimConfig, parse_config
 
@@ -60,6 +66,28 @@ def test_sweep_runs_small_config(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("scheme,states")
     assert len(lines) == 3
+
+
+def test_pam_sweep_imports_no_scipy(tmp_path):
+    """Only the CPM chain calls scipy, so a process that sweeps a PAM
+    chain from the CLI never imports scipy.signal or scipy.linalg."""
+    cfg = tmp_path / "pam.cfg"
+    cfg.write_text(
+        "chain = pam_isi\ncode = 5,7\ntaps = 1,0.5\n"
+        "schemes = MD,STD,RSSE(2),DFSE(1)+VA,BCJR+VA\nebn0_db = 9\n"
+        "min_errors = 10\nmax_bits = 2000\nblock_bits = 500\nseed = 4\n"
+        f"output = {tmp_path / 'out.csv'}\n")
+    script = ("import sys\nfrom mdsim.cli import main\n"
+              f"assert main(['sweep', '--config', {str(cfg)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(mdsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert "scipy.signal" not in loaded and "scipy.linalg" not in loaded
 
 
 def test_sweep_without_runnable_scheme_is_config_error(tmp_path, capsys):

@@ -157,12 +157,40 @@ class TestNeverEnteredStates:
             np.testing.assert_array_equal(batch.bits[k], got.bits)
             assert batch.metric[k] == got.metric
 
+    # Bits and metrics of obs() when the row order of the ACS table was
+    # the state order.  With end 4 or START no path ends there, so the
+    # traceback follows the pointers of +inf candidates: the first slot,
+    # whose predecessor is the lowest stepped state when it is not live.
+    PINNED = {
+        4: ([[0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
+             [0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
+             [0, 1, 0, 0, 0, 1, 0, 0, 0]], [np.inf] * 5),
+        START: ([[0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
+                 [0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
+                 [0, 1, 0, 0, 0, 1, 0, 0, 0]], [np.inf] * 5),
+        None: ([[1, 1, 1, 1, 0, 1, 1, 1, 1], [0, 1, 1, 1, 0, 0, 1, 0, 0],
+                [0, 1, 1, 0, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 0, 0, 1, 0],
+                [0, 1, 0, 0, 0, 1, 0, 0, 0]],
+               [8.559204378862004, 5.8261155309888135, 5.71873341860016,
+                5.556667935176927, 4.222052461052433])}
+
+    @pytest.mark.parametrize("end", [4, START, None])
+    def test_pinned_without_finite_path(self, end):
+        """The decisions where the brute force finds no path (end 4 and
+        START) and at a free end stay those of the state-ordered table."""
+        bits, metric = self.PINNED[end]
+        got = viterbi_mlse(self.TR, self.obs(), start_state=self.START,
+                           end_state=end)
+        np.testing.assert_array_equal(got.bits, bits)
+        np.testing.assert_array_equal(got.metric, metric)
+
     def test_pam_cfg_super_trellis_steps_every_branch_once(self):
         """STD of examples_cfg/pam.cfg: 512 of its 1024 states have no
         predecessor and 512 have 4, so the ACS steps 512 rows of 4 slots,
         each a branch of the trellis (no padding), and the CSV still reads
         1024 states.  The 1024 branches out of the never-entered states are
-        not live, and 256 rows have no live slot."""
+        not live, and 256 rows have no live slot: they come after the 256
+        rows with 4 live slots each, both parts in ascending state order."""
         from mdsim.equalizers import _slots
 
         h = IsiResponse([1, 0.6, 0.36, 0.216, 0.1296])
@@ -172,7 +200,10 @@ class TestNeverEnteredStates:
         assert slots.ps.shape == (512, 4)
         assert len(set(zip(slots.ps.flat, slots.pu.flat))) == 2048
         assert np.count_nonzero(~slots.live) == 1024
-        assert np.count_nonzero(~slots.live.any(1)) == 256
+        assert slots.live_rows == 256
+        assert slots.live[:256].all() and not slots.live[256:].any()
+        for part in (slots.state[:256], slots.state[256:]):
+            assert (np.diff(part) > 0).all()
 
 
 class TestCompareSelect:
@@ -266,7 +297,8 @@ class TestCompareSelect:
 
     def test_only_super_trellis_tables_mask_slots(self, monkeypatch):
         """The ACS adds no padding: a slot that is not live must get a +inf
-        branch metric.  The RSSE, DFSE and code-trellis tables are fully
+        branch metric.  The metrics are (P, B, R_live), on the rows with a
+        live slot only.  The RSSE, DFSE and code-trellis tables are fully
         live; viterbi_mlse on a trellis with masked slots gives them +inf
         hypotheses, so +inf metrics."""
         import mdsim.equalizers as eq
@@ -276,9 +308,11 @@ class TestCompareSelect:
 
         def spy(slots, steps, blocks, branch_metrics, *, base=1, memory=0):
             R, P = slots.pred.shape
+            live = slots.live[:slots.live_rows]
             prev = np.zeros((P, blocks, R), dtype=np.int64) if memory else None
-            metrics = np.reshape(branch_metrics(0, prev), (P, blocks, R))
-            seen[caller] = (slots.live.T[:, None, :], metrics)
+            metrics = branch_metrics(0, prev)
+            assert metrics.shape == (P, blocks, slots.live_rows)
+            seen[caller] = (live.T[:, None, :], metrics)
             return core(slots, steps, blocks, branch_metrics, base=base,
                         memory=memory)
 

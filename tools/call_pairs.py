@@ -2,7 +2,7 @@
 """Parent-versus-change time of one receiver call, in one process.
 
     python3 tools/call_pairs.py --parent 8ef9ed4 --scheme STD --batch 15,17
-    python3 tools/call_pairs.py --parent HEAD~1 --scheme "RSSE(8)" --batch sweep,15
+    python3 tools/call_pairs.py --parent HEAD~ --scheme "RSSE(8)" --batch sweep,15
 
 The parent side is the revision ``--parent``, exported with ``git
 archive`` into a temporary directory (as ``tools/bench_pairs.py`` does);

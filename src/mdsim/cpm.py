@@ -158,12 +158,10 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
     ``cutoff`` is the one-sided bandwidth in cycles per symbol (127 taps
     at N_os=8, scaled proportionally with the oversampling factor).
     """
-    from scipy import signal as sp_signal
-
     taps = _lowpass_taps(params.N_os, float(cutoff))
     delay = (taps.size - 1) // 2
     padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
-    return sp_signal.lfilter(taps, 1.0, padded)[delay:]
+    return np.convolve(taps, padded)[delay:padded.size]
 
 
 def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:

@@ -127,15 +127,14 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     fan-in of 2, 4 for a fan-in of 4), and nine bytes per step (the
     block's 8-byte observation and its uint8 decision).  Left out, since
     they do not grow with ``steps``: the chunk of ``POINTER_CHUNK``
-    unpacked steps (the last chunk's pointers, which stay in it unpacked,
-    are counted at their packed size) and the buffers every step reuses,
-    the (P, B*R) candidates and predecessor table, and on the R_live rows
-    with a live slot the gathered path metrics (a copy only when some
-    row is not live), the predecessor table of the gather and the
-    receiver's metrics and tiled tables: a few times ``8 * P * R`` bytes
-    a block (about 64 KB for the STD of pam.cfg).  It counts the fan-in
-    from ``next_state``: a sweep builds no predecessor table before a
-    block."""
+    unpacked steps, the padding of the last packed chunk to a whole chunk
+    (less than one packed chunk), and the buffers every step reuses, the
+    (P, B*R) predecessor table and, on the R_live rows that a step forms,
+    the (P, B, R_live) candidates, the predecessor table of the gather
+    and the receiver's metrics and tiled tables: a few times ``8 * P *
+    R`` bytes a block (about 50 KB for the STD of pam.cfg).  It counts the
+    fan-in from ``next_state``: a sweep builds no predecessor table
+    before a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
     rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
@@ -149,9 +148,10 @@ class _Slots(NamedTuple):
     predecessor slots in the order of ``trellis.predecessors``.  A slot
     is live when it is a branch from a stepped state; the others
     (padding, and branches from never-entered states) are masked to
-    +inf.  The ``live_rows`` rows with a live slot come first, then the
-    rows without one, each part in ascending state order, so that the
-    branch metrics of a step need only the first ``live_rows`` rows."""
+    +inf.  The ``live_rows`` rows that have a live slot or hold the start
+    state come first, then the others, each part in ascending state
+    order, so that a step forms the candidates and branch metrics of the
+    first ``live_rows`` rows only."""
 
     state: np.ndarray  # (R,) the state of each row
     ps: np.ndarray     # (R, P) predecessor state of each slot
@@ -160,7 +160,7 @@ class _Slots(NamedTuple):
     # lowest stepped state
     pred: np.ndarray
     live: np.ndarray   # (R, P) bool
-    live_rows: int     # rows with a live slot
+    live_rows: int     # rows with a live slot, and the start row
     start: int         # row of the start state
     end: int | None    # row of the end state, None for a free end
 
@@ -179,22 +179,25 @@ def _slots(trellis: TrellisSpec, start_state: int = 0,
            end_state: int | None = 0) -> _Slots:
     """The table :func:`_viterbi` steps; receivers read each slot's branch
     hypothesis from its ``ps`` and ``pu``.  A stable sort of the stepped
-    states puts those with a live slot first and keeps each part in state
-    order.  A row without a live slot is +inf after step 0, so a step
-    forms no candidate for it."""
+    states puts those with a live slot, and the start state, first and
+    keeps each part in state order.  Any other row is +inf from the start
+    and keeps the slot-0 pointer of a row of +inf candidates, so a step
+    forms no candidate for it.  The start row is formed even without a
+    live slot, so that its metric turns +inf at step 0."""
     _check_states(trellis.num_states, start_state, end_state)
     ps, pu, valid = trellis.predecessors
     step = _stepped(valid.sum(1), start_state, end_state)
     live = valid & step[ps]
-    has_live = live.any(1)
+    live_row = live.any(1)
+    live_row[start_state] = True
     state = np.flatnonzero(step)
-    state = state[np.argsort(~has_live[state], kind="stable")]
+    state = state[np.argsort(~live_row[state], kind="stable")]
     row_of = np.zeros(trellis.num_states, dtype=np.int64)
     row_of[state] = np.arange(state.size)
     ps, pu, live = ps[state], pu[state], live[state]
     pred = np.where(live, row_of[ps], row_of[state.min()])
     return _Slots(state, ps, pu, pred, live,
-                  int(np.count_nonzero(has_live)),
+                  int(np.count_nonzero(live_row)),
                   int(row_of[start_state]),
                   None if end_state is None else int(row_of[end_state]))
 
@@ -208,39 +211,39 @@ def _tiled(table: np.ndarray, blocks: int, dtype=None) -> np.ndarray:
                     dtype=dtype, order="C")
 
 
-# Rows from which a fan-in of 4 selects by a pairwise tournament: below
-# it one argmin costs less than the tournament's nine calls.  On pam.cfg
-# blocks the tournament took 1.05 of argmin's time per DFSE(2) call at
-# 512 rows and 0.81 at 1024; 0.82 per STD call at 512 rows.
+# Formed rows (blocks times R_live) from which a fan-in of 4 selects by a
+# pairwise tournament: on few rows one argmin costs less than the
+# tournament's nine calls.  On pam.cfg blocks at 10 dB (median of 21
+# interleaved calls), the tournament took 1.20 of argmin's time per
+# DFSE(2) call at 64 rows (B = 4), 0.92 at 512 and 0.74 at 1024, and per
+# STD call 1.01 at 512 rows, 0.86 at 768 and 0.78 at 1024.  The crossover
+# lies below 1024, but moving it is a speed change of its own.
 TOURNAMENT_ROWS = 1024
 
 
-def _select(cand: np.ndarray, out: np.ndarray, pm: np.ndarray,
-            row: np.ndarray) -> np.ndarray | None:
-    """The first minimum over the P slots of each row of the (P, rows)
-    candidates ``cand``, in which slot p of every row is contiguous:
-    writes its slot into the pointer row ``out`` (bool for a fan-in of 2,
-    else uint8) and its value into ``pm``.  ``row`` is ``arange(rows)``.
-    Returns the flat index ``slot * rows + row`` of each kept candidate
-    when it forms one (argmin), else None.
+def _select(cand: np.ndarray, out: np.ndarray, pm: np.ndarray) -> None:
+    """The first minimum over the P slots of the (P, ...) candidates
+    ``cand``, in which each slot is one contiguous array: writes its slot
+    into the pointers ``out`` (bool for a fan-in of 2, else uint8) and its
+    value into ``pm``, both of the shape of one slot and either of them
+    may be a strided view.
 
     A fan-in of 2 compares the two slots with a strict ``<`` and keeps
-    their ``np.minimum``; a fan-in of 4 on ``TOURNAMENT_ROWS`` rows or more
-    plays the pairs (0, 1) and (2, 3) that way, then the pair winners with
-    ``m23 < m01``, and merges the pointers in uint8: ``j23 = (c3 < c2) | 2``
-    replaces ``out`` where ``m23 < m01`` by ``out ^= (j23 ^ out) * won``.
-    Its pair minima go into the candidate rows 0 and 2.  Any other table
-    takes ``argmin``.  Each gives argmin's slot: the earlier of two equal
-    candidates wins, +inf ones included, so on ``m23 == m01`` the pair
-    (0, 1) wins.
+    their ``np.minimum``; a fan-in of 4 over ``TOURNAMENT_ROWS`` rows or
+    more plays the pairs (0, 1) and (2, 3) that way, then the pair winners
+    with ``m23 < m01``, and merges the pointers in uint8: ``j23 = (c3 <
+    c2) | 2`` replaces ``out`` where ``m23 < m01`` by ``out ^= (j23 ^ out)
+    * won``.  Its pair minima go into the candidate slots 0 and 2.  Any
+    other table takes ``argmin`` and ``np.minimum.reduce``.  Each gives
+    argmin's slot: the earlier of two equal candidates wins, +inf ones
+    included, so on ``m23 == m01`` the pair (0, 1) wins.
     """
-    P, rows = cand.shape
+    P = len(cand)
     if P == 2:
         c0, c1 = cand[0], cand[1]  # unpacking cand is 4x slower
         np.less(c1, c0, out=out)
         np.minimum(c0, c1, out=pm)
-        return None
-    if P == 4 and rows >= TOURNAMENT_ROWS:
+    elif P == 4 and cand[0].size >= TOURNAMENT_ROWS:
         c0, c1, c2, c3 = cand[0], cand[1], cand[2], cand[3]
         np.less(c1, c0, out=out.view(bool))
         j23 = np.less(c3, c2).view(np.uint8)
@@ -251,13 +254,9 @@ def _select(cand: np.ndarray, out: np.ndarray, pm: np.ndarray,
         j23 *= np.less(m23, m01).view(np.uint8)
         out ^= j23
         np.minimum(m01, m23, out=pm)
-        return None
-    k = cand.argmin(0)
-    out[:] = k
-    k *= rows
-    k += row
-    cand.take(k, out=pm, mode="wrap")
-    return k
+    else:
+        out[...] = cand.argmin(0)
+        np.minimum.reduce(cand, axis=0, out=pm)
 
 
 # Steps of traceback pointers that the add-compare-select writes unpacked,
@@ -277,46 +276,46 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     never-entered states.  The B blocks run as one block-diagonal table
     of B*R rows: block b's copy of row i is row b*R + i, and its
     predecessors are offset by b*R, so each numpy call of a step serves
-    every block.  A step's candidates are slot-major, one reused (P, B*R)
-    array in which slot p of every row is contiguous.  Only the first
-    R_live = ``slots.live_rows`` rows of each block have a live slot, so
-    only their candidates are formed: a step gathers their predecessors'
-    path metrics into a reused (P, B, R_live) buffer and adds
-    ``branch_metrics(t, idx)``, the (P, B, R_live) metrics of step t on
-    those rows, +inf on a slot that is not live, into their columns of
-    the candidates.  The other rows' candidates are set to +inf once per
-    call, and the compare-select still steps them, so their metrics stay
-    +inf.  When every row is live (the window and code trellises), the
-    buffer is the candidate array itself, gathered and added in place.
-    ``branch_metrics`` may return the same buffer at every step.  ``idx``
-    holds, in the (P, B, R) layout, each slot's hypothesis index: the
-    survivor register of the slot's predecessor (its last ``memory``
-    inputs as base-``base`` digits, newest in the least significant
-    digit) with the slot's input appended as the newest digit (None
-    without registers).  A state's new register is the index of the slot
-    it keeps, less its oldest digit.  :func:`_select` compares the
-    candidates in slot order and keeps the first minimum, so ties go to
-    the lower predecessor state, then the lower input.  With a free end
-    each block's traceback starts from its best final metric, the first
-    in state order.
+    every block.  Only the first R_live = ``slots.live_rows`` rows of
+    each block are formed: a step gathers their predecessors' path
+    metrics into one reused (P, B, R_live) candidate array, slot-major
+    (each slot contiguous), adds ``branch_metrics(t, idx)`` in place, the
+    (P, B, R_live) metrics of step t on those rows, +inf on a slot that
+    is not live, and :func:`_select` writes the minima and pointers into
+    (B, R_live) views of the path metrics and of the pointer chunk.  The
+    other rows keep their +inf metric and slot-0 pointer; they keep their
+    rows in the path metrics, the pointers and the traceback, so no state
+    is pruned.  ``branch_metrics`` may return the same buffer at every
+    step.  ``idx`` holds, in the (P, B, R) layout, each slot's hypothesis
+    index: the survivor register of the slot's predecessor (its last
+    ``memory`` inputs as base-``base`` digits, newest in the least
+    significant digit) with the slot's input appended as the newest digit
+    (None without registers).  A state's new register is the index of
+    the slot it keeps, less its oldest digit.  Registers are used only on
+    window trellises (RSSE, DFSE), where every row is live.
+    :func:`_select` compares the candidates in slot order and keeps the
+    first minimum, so ties go to the lower predecessor state, then the
+    lower input.  With a free end each block's traceback starts from its
+    best final metric, the first in state order.
 
     The pointers of C = ``POINTER_CHUNK`` steps go into one reused
-    (C, B*R) chunk, bool for a fan-in of 2, else uint8.  When the next
-    chunk starts, the chunk is stored packed into fields of ``bits =
+    (C, B, R) chunk, bool for a fan-in of 2, else uint8.  When its steps
+    are done, the chunk is stored packed into fields of ``bits =
     _pointer_bits(P)`` bits, ``per = 8 // bits`` steps to a byte,
     step-strided: with G = C / per, step ``i * G + g`` of the chunk goes
     in bits ``i * bits`` of byte row ``g``.  Packing is one multiply by
     ``2**(i * bits)`` and one ``bitwise_or.reduce`` over the first axis
     of a (per, G, B*R) view of the chunk; unpacking is one ``right_shift``
-    and a mask back into that view.  The last chunk is never packed: the
-    traceback starts in the chunk buffer that still holds it, then
-    unpacks each earlier chunk into it as it enters it.  Each step of
-    the traceback writes its decisions, the inputs of the kept slots,
-    straight into a (T, B) uint8 array, which is returned transposed.
+    and a mask back into that view.  Every chunk, the last included, is
+    packed, and the traceback unpacks each into the chunk as it enters
+    it.  Each step of the traceback writes its decisions, the inputs of
+    the kept slots, straight into a (T, B) uint8 array, which is
+    returned transposed.
 
     ``base**memory`` must be a power of two: the register wrap is a mask.
     """
     R, P = slots.pred.shape
+    live = slots.live_rows
     rows = blocks * R
     bits = _pointer_bits(P)
     per = 8 // bits
@@ -331,54 +330,49 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     # a trellis of I inputs has a state of fan-in I or more, and
     # _pointer_bits holds the fan-in to 256, so every input fits a uint8
     pu8 = _tiled(slots.pu, blocks, np.uint8).reshape(-1)
-    row = np.arange(rows)
-    slot_off = rows * np.arange(P)  # flat offset of each slot's candidates
-    cand = np.empty((P, rows))
-    # the candidates of the live rows; the other rows' stay +inf, as the
-    # compare-select writes only minima of candidates into them
-    live = slots.live_rows
-    fed = cand.reshape(P, blocks, R)[:, :, :live]
-    cand.reshape(P, blocks, R)[:, :, live:] = np.inf
+    slot_off = rows * np.arange(P)  # flat offset of each slot in (P, B*R)
+    cand = np.empty((P, blocks, live))
     live_ps = np.ascontiguousarray(by_block[:, :, :live])  # a copy if live < R
-    gathered = fed if live == R else np.empty(fed.shape)
-    pm = np.full(rows, np.inf)
-    pm[slots.start::R] = 0.0
+    pm = np.full((blocks, R), np.inf)
+    pm[:, slots.start] = 0.0
+    pm_live = pm[:, :live]
     idx = None
-    if memory:
+    if memory:  # every row is live
         pu = _tiled(slots.pu, blocks)
         idx = np.empty((P, blocks, R), dtype=np.int64)
         if P == 2:
-            idx0, idx1 = idx.reshape(P, rows)
-        reg = np.zeros(rows, dtype=np.int64)
+            idx0, idx1 = idx
+        row = np.arange(rows).reshape(blocks, R)
+        reg = np.zeros((blocks, R), dtype=np.int64)
     wrap = base**memory - 1  # drops a register's oldest digit
-    chunk = np.zeros((POINTER_CHUNK, rows), dtype=bool if P == 2 else np.uint8)
+    chunk = np.zeros((POINTER_CHUNK, blocks, R),
+                     dtype=bool if P == 2 else np.uint8)
     strided = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
     starts = range(0, steps, POINTER_CHUNK)
-    packed = np.empty((len(starts) - 1, *strided.shape[1:]), dtype=np.uint8)
+    packed = np.empty((len(starts), *strided.shape[1:]), dtype=np.uint8)
 
     for c, t0 in enumerate(starts):
-        if c:
-            strided *= weights
-            np.bitwise_or.reduce(strided, axis=0, out=packed[c - 1])
-        for t, back in zip(range(t0, steps), chunk):
+        for t, back in zip(range(t0, steps), chunk[:, :, :live]):
             if memory:
                 reg.take(by_block, out=idx, mode="wrap")
                 idx *= base
                 idx += pu
-            pm.take(live_ps, out=gathered, mode="wrap")  # "raise" buffers
-            np.add(gathered, branch_metrics(t, idx), out=fed)
-            k = _select(cand, back, pm, row)
+            pm.take(live_ps, out=cand, mode="wrap")  # "raise" buffers
+            cand += branch_metrics(t, idx)
+            _select(cand, back, pm_live)
             if memory:
                 if P == 2:
                     reg = np.where(back, idx1, idx0)
                 else:
-                    if k is None:
-                        k = slot_off.take(back)
-                        k += row
+                    k = slot_off.take(back)
+                    k += row
                     idx.take(k, out=reg, mode="wrap")
                 reg &= wrap
+        # the steps past the block's end in its last chunk hold stale
+        # pointers, which the multiply keeps out of the fields before them
+        strided *= weights
+        np.bitwise_or.reduce(strided, axis=0, out=packed[c])
 
-    pm = pm.reshape(blocks, R)
     if slots.end is None:  # the first best state in state order
         by_state = np.argsort(slots.state)
         s = by_state[np.argmin(pm[:, by_state], axis=1)]
@@ -388,9 +382,8 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     s = s + R * np.arange(blocks)
     decided = np.empty((steps, blocks), dtype=np.uint8)
     for c, t0 in reversed(list(enumerate(starts))):
-        if c < len(packed):
-            np.right_shift(packed[c], shifts, out=strided)
-            strided &= (1 << bits) - 1
+        np.right_shift(packed[c], shifts, out=strided)
+        strided &= (1 << bits) - 1
         t1 = min(t0 + POINTER_CHUNK, steps)
         for back, out in zip(chunk[t1 - t0 - 1::-1], decided[t0:t1][::-1]):
             k = slot_off.take(back.take(s))

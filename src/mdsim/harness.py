@@ -384,10 +384,10 @@ def _make_block(ctx: _ChainContext, cfg: SimConfig, n0: float,
 # the observation and the uint8 decision.  Left out, since they do not
 # grow with the block's steps, are the chunk of POINTER_CHUNK unpacked
 # steps and the candidate and metric buffers that every step reuses (a
-# few (P, B, R) arrays, or (P, B, R_live) on the rows with a live slot),
-# so a call holds more: by tracemalloc, one call of each pam.cfg
-# receiver at its batch peaks at 0.99 (DFSE(2)+VA), 1.14 (RSSE(8)), 1.24
-# (RSSE(16)), 1.49 (BCJR+VA), 1.52 (MD) and 1.81 (STD) times
+# few (P, B, R) arrays, or (P, B, R_live) on the rows a step forms), so
+# a call holds more: by tracemalloc, one call of each pam.cfg receiver
+# at its batch peaks at 0.99 (DFSE(2)+VA), 1.14 (RSSE(8)), 1.26
+# (RSSE(16)), 1.49 (BCJR+VA), 1.52 (MD) and 1.71 (STD) times
 # BATCH_BYTES, and tests/test_harness.py holds every one below 2.
 # A larger batch decodes faster per block.  README *Rounds* quotes every
 # pam.cfg batch, and tests/test_readme.py checks them.

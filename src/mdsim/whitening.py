@@ -93,7 +93,7 @@ class WhiteningDesign:
     WMF taps (:func:`wmf_taps`) and their neglected tail, the noise behind
     the WMF at ``calibration_ebn0_db`` (lags 0..L_nw of its ACF over the
     lag-0 ``noise_variance``), the whitening filter ``f`` (``f[0] = 1``)
-    with its reflection coefficients, and the overall ISI ``b (*) f``."""
+    and the overall ISI ``b (*) f``."""
 
     b: np.ndarray
     wmf: np.ndarray
@@ -102,7 +102,6 @@ class WhiteningDesign:
     noise_variance: float
     calibration_ebn0_db: float
     f: np.ndarray
-    reflection: np.ndarray
     overall: IsiResponse
 
     @property
@@ -257,12 +256,12 @@ def _from_measurement(b, wmf, wmf_tail: float, noise_acf, L_nw: int,
         raise ValueError(f"noise_variance = {noise_variance:g} at "
                          f"calibration_ebn0_db = {eb_n0_db:g} is {per_n0:g} N0,"
                          " not finite and positive")
-    f, reflection = yule_walker(noise_acf, L_nw)
+    f, _ = yule_walker(noise_acf, L_nw)
     return WhiteningDesign(
         b=b, wmf=wmf, wmf_tail=wmf_tail,
         noise_acf=np.asarray(noise_acf, dtype=np.float64)[: L_nw + 1],
         noise_variance=noise_variance, calibration_ebn0_db=eb_n0_db, f=f,
-        reflection=reflection, overall=overall_isi(b, f))
+        overall=overall_isi(b, f))
 
 
 def save_whitening_design(path, design: WhiteningDesign) -> None:

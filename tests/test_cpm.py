@@ -241,3 +241,25 @@ def test_lowpass_group_delay_compensated():
     assert int(np.argmax(corr)) == 3
     # in-band distortion stays small
     assert np.abs(b - a).max() < 0.15
+
+
+@pytest.mark.parametrize("params", [
+    P3RC, CpmParams(L_cpm=1, pulse="LREC"),
+    CpmParams(M=2, L_cpm=2, N_os=16)], ids=["3RC", "1REC", "2RC-M2-Nos16"])
+def test_lowpass_is_the_causal_fir_bit_for_bit(params):
+    """The lowpass convolves with numpy, and gives lfilter's samples (taps
+    over 1.0, the group delay dropped) bit for bit on noisy blocks, so the
+    CPM golden and sweeps keep every bit."""
+    from mdsim.cpm import _lowpass_taps
+
+    for seed in range(5):
+        w = add_waveform_awgn(cpm_modulate(params, random_symbols(
+            params, 300, seed)), params, 0.3, seed)
+        for cutoff in (0.6, 1.1):
+            taps = _lowpass_taps(params.N_os, cutoff)
+            delay = (taps.size - 1) // 2
+            padded = np.concatenate([w, np.zeros(delay, dtype=complex)])
+            want = sp_signal.lfilter(taps, 1.0, padded)[delay:]
+            got = receive_lowpass(w, params, cutoff)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))

@@ -32,7 +32,7 @@ def test_trellis_lines_print_what_they_show(capsys):
 
 def test_rounds_quote_the_pam_cfg_batches():
     """*Rounds* names each pam.cfg scheme's blocks per call ("STD decodes
-    15", "MD 73", ...); they are the batches the sweep builds."""
+    17", "MD 137", ...); they are the batches the sweep builds."""
     rounds = re.search(r"^- \*\*Rounds\*\*(.*?)^- \*\*", README.read_text(),
                        re.MULTILINE | re.DOTALL).group(1)
     quoted = dict(re.findall(r"\b(STD|MD|RSSE\(\d+\)|DFSE\(\d+\)\+VA|BCJR\+VA)"

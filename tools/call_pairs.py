@@ -22,12 +22,13 @@ workload at seed 1.
 ``--scheme`` names one receiver as the CSV does, with or without its
 ``MD-`` prefix (``STD``, ``MD``, ``RSSE(8)``, ``DFSE(2)+VA``,
 ``BCJR+VA``).  ``--batch`` lists the blocks per call; ``sweep`` is the
-receiver's batch in the config's sweep.  Per batch, one untimed call of each side
-checks that they give the same bits and, for the Viterbi receivers, the
-same metrics; then ``--pairs`` pairs of timed calls follow, alternating
-which side runs first.  The output is one line per batch: each side's
-median ms per call, and the median and quartiles of the per-pair ratio
-change / parent.  The exit status is 1 when the sides differ.
+receiver's batch in the config's sweep.  Per batch, one untimed call of
+each side checks that they give the same bits and, for the Viterbi
+receivers, the same metrics; then ``--pairs`` pairs of timed calls
+follow, alternating which side runs first.  The output is one line per
+batch: each side's median ms per call, and the median and quartiles of
+the per-pair ratio change / parent.  The exit status is 1 when the sides
+differ.
 """
 
 from __future__ import annotations

@@ -113,16 +113,11 @@ def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> np.ndarray:
     train[::nos] = symbols if n_sym else 0.0
     active = np.convolve(train, r)[:n_samples]
 
-    # saturated part: symbols whose pulse has fully passed hold a[k]/2
-    phase = active
-    if n_sym:
-        cum = np.cumsum(symbols) * 0.5
-        hold = np.zeros(n_samples)
-        # symbol k saturates at sample k*nos + span
-        idx = np.arange(n_sym) * nos + span
-        idx = idx[idx < n_samples]
-        hold[idx] = np.diff(np.concatenate([[0.0], cum[: idx.size]]))
-        phase = active + np.cumsum(hold)
+    # saturated part: symbols whose pulse has fully passed hold a[k]/2;
+    # symbol k saturates at sample k*nos + span
+    hold = np.zeros(n_samples)
+    hold[span::nos] = 0.5 * symbols
+    phase = active + np.cumsum(hold)
 
     phase = 2.0 * np.pi * params.h_index * phase + theta0
     return np.exp(1j * phase)

@@ -266,7 +266,7 @@ POINTER_CHUNK = 64
 
 
 def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
-             *, base: int = 1, memory: int = 0) -> DecodeResult:
+             *, memory: int = 0) -> DecodeResult:
     """Add-compare-select over the table ``slots`` for ``steps`` steps on
     ``blocks`` independent blocks, then one traceback; returns the (B, T)
     uint8 input sequences and their (B,) metrics.
@@ -288,11 +288,12 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     is pruned.  ``branch_metrics`` may return the same buffer at every
     step.  ``idx`` holds, in the (P, B, R) layout, each slot's hypothesis
     index: the survivor register of the slot's predecessor (its last
-    ``memory`` inputs as base-``base`` digits, newest in the least
-    significant digit) with the slot's input appended as the newest digit
-    (None without registers).  A state's new register is the index of
-    the slot it keeps, less its oldest digit.  Registers are used only on
-    window trellises (RSSE, DFSE), where every row is live.
+    ``memory`` inputs as base-P digits, newest in the least significant
+    digit) with the slot's input appended as the newest digit (None
+    without registers).  A state's new register is the index of the slot
+    it keeps, less its oldest digit.  Registers are used only on window
+    trellises (RSSE, DFSE), where every row is live and the fan-in P is
+    the number of inputs: 2 for RSSE, M for DFSE.
     :func:`_select` compares the candidates in slot order and keeps the
     first minimum, so ties go to the lower predecessor state, then the
     lower input.  With a free end each block's traceback starts from its
@@ -312,7 +313,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     the kept slots, straight into a (T, B) uint8 array, which is
     returned transposed.
 
-    ``base**memory`` must be a power of two: the register wrap is a mask.
+    ``P**memory`` must be a power of two: the register wrap is a mask.
     """
     R, P = slots.pred.shape
     live = slots.live_rows
@@ -344,7 +345,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
             idx0, idx1 = idx
         row = np.arange(rows).reshape(blocks, R)
         reg = np.zeros((blocks, R), dtype=np.int64)
-    wrap = base**memory - 1  # drops a register's oldest digit
+    wrap = P**memory - 1  # drops a register's oldest digit
     chunk = np.zeros((POINTER_CHUNK, blocks, R),
                      dtype=bool if P == 2 else np.uint8)
     strided = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
@@ -355,7 +356,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
         for t, back in zip(range(t0, steps), chunk[:, :, :live]):
             if memory:
                 reg.take(by_block, out=idx, mode="wrap")
-                idx *= base
+                idx *= P
                 idx += pu
             pm.take(live_ps, out=cand, mode="wrap")  # "raise" buffers
             cand += branch_metrics(t, idx)
@@ -512,7 +513,7 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
         return np.multiply(d, d, out=d)
 
     # Flushed blocks terminate in hyperstate 0.
-    res = _viterbi(slots, *cols.shape[:2], metrics, base=2, memory=mem)
+    res = _viterbi(slots, *cols.shape[:2], metrics, memory=mem)
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
@@ -575,7 +576,7 @@ def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
         np.subtract(cols[t], d, out=d)
         return np.multiply(d, d, out=d)
 
-    res = _viterbi(slots, *cols.shape[:2], metrics, base=M, memory=L)
+    res = _viterbi(slots, *cols.shape[:2], metrics, memory=L)
     return _unbatch(obs, res.bits)
 
 
@@ -586,36 +587,26 @@ class BcjrResult:
 
 
 def _contiguous_sum(t: np.ndarray, axis: int) -> np.ndarray:
-    """The sum of ``t`` over ``axis`` in the order in which numpy sums a
-    contiguous axis of n terms: in order for n < 8; else 8 running sums
-    over every 8th term, added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the rest in order; for n > 128, the two halves apart, the first
-    a multiple of 8.  Over an outer axis numpy adds the slices in order,
-    which rounds differently from n = 8 on."""
-    n = t.shape[axis]
-    if n < 8 or axis in (-1, t.ndim - 1):
+    """The sum of ``t`` over ``axis``, rounded as numpy rounds the sum of
+    a contiguous axis: an outer ``axis`` of 8 terms or more is summed on a
+    C-order copy in which it is the last.  Over an outer axis numpy adds
+    the slices in order, and over a contiguous one of 8 terms or more it
+    adds them pairwise, so the two round differently from 8 terms on;
+    below 8 both add in order.  The last axis is summed as it lies, as
+    the scipy loop sums it on the same layout (a boolean selection of
+    the last axis, as the LLRs take, leaves it outer in memory)."""
+    if t.shape[axis] < 8 or axis in (-1, t.ndim - 1):
         return t.sum(axis)
-    if axis:
-        return _contiguous_sum(np.moveaxis(t, axis, 0), 0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _contiguous_sum(t[:half], 0) + _contiguous_sum(t[half:], 0)
-    r = t[:8].copy()
-    for i in range(8, n - n % 8, 8):
-        r += t[i:i + 8]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(n - n % 8, n):
-        out += t[i]
-    return out
+    return np.ascontiguousarray(np.moveaxis(t, axis, -1)).sum(-1)
 
 
 def _logsumexp(a: np.ndarray, axis: int, *, in_order: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, rounded as scipy.special.logsumexp
     (1.17) rounds it: the m tied maxima leave the sum, which becomes
-    log1p(rest / m) + log(m) + max.  The terms are added in the order
-    in which numpy adds them over a contiguous axis
-    (:func:`_contiguous_sum`) or, with ``in_order``, over an outer one
-    (slice by slice), wherever ``axis`` lies in ``a``.  Without a tied
+    log1p(rest / m) + log(m) + max.  The terms are summed as numpy sums
+    a contiguous axis (:func:`_contiguous_sum`, pairwise from 8 terms
+    on) or, with ``in_order``, as it sums an outer one (slice by slice),
+    wherever ``axis`` lies in ``a``.  Without a tied
     maximum m is 1, and the division and log(m) are skipped: they change
     no bit.  An all -inf slice gives -inf; its terms are -inf - -inf =
     NaN until the maximum mask zeroes them, so callers hold

@@ -89,8 +89,6 @@ class IsiResponse:
         response with negligible tail taps; the discarded energy acts as
         a small model mismatch at the receivers.
         """
-        if threshold <= 0:
-            return self
         mags = np.abs(self.taps)
         keep = np.nonzero(mags >= threshold * mags.max())[0]
         n = int(keep[-1]) + 1 if keep.size else 1
@@ -124,9 +122,8 @@ def edge_offsets(taps, M: int) -> np.ndarray:
     table lookups, decoders subtract it from the first L observations.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    L = taps.size - 1
-    # offsets[k] = (M-1) * sum_{l>k} h[l], k = 0..L-1
-    return (M - 1) * np.cumsum(taps[:0:-1])[::-1] if L > 0 else np.zeros(0)
+    # offsets[k] = (M-1) * sum_{l>k} h[l], k = 0..L-1; none for L = 0
+    return (M - 1) * np.cumsum(taps[:0:-1])[::-1]
 
 
 def serial_reference(code: ConvCode, h: IsiResponse, M: int, bits) -> np.ndarray:

@@ -76,23 +76,6 @@ class TrellisSpec:
             a.setflags(write=False)
         return ps, pu, valid
 
-    @property
-    def scalar_output(self) -> bool:
-        return self.outputs.ndim == 2
-
-    def dump(self) -> str:
-        """Diagnostic text: one `state input next output` line per branch."""
-        lines = []
-        for s in range(self.num_states):
-            for u in range(self.num_inputs):
-                out = self.outputs[s, u]
-                if self.scalar_output:
-                    out_txt = f"{float(out):+.12g}"
-                else:
-                    out_txt = "".join(str(int(b)) for b in np.atleast_1d(out))
-                lines.append(f"{s} {u} {int(self.next_state[s, u])} {out_txt}")
-        return "\n".join(lines) + "\n"
-
 
 def window_next_state(base: int, digits: int) -> np.ndarray:
     """Successors in a trellis whose state is the last ``digits`` inputs,

@@ -221,8 +221,7 @@ def estimate_noise_acf(params: CpmParams, eb_n0_db: float, L_max: int,
     d_ref = transmit_receive(params, symbols, cutoff=cutoff)
     d_noisy = transmit_receive(params, symbols, n0=n0, noise_seed=(seed, 1),
                                theta0=theta0, cutoff=cutoff)
-    m = min(d_ref.size, d_noisy.size)
-    resid = apply_wmf(d_noisy[:m], wmf) - apply_wmf(d_ref[:m], wmf)
+    resid = apply_wmf(d_noisy, wmf) - apply_wmf(d_ref, wmf)
     resid = resid[guard: resid.size - guard]
 
     n = resid.size

@@ -332,15 +332,14 @@ class TestCompareSelect:
         seen = {}
         core = eq._viterbi
 
-        def spy(slots, steps, blocks, branch_metrics, *, base=1, memory=0):
+        def spy(slots, steps, blocks, branch_metrics, *, memory=0):
             R, P = slots.pred.shape
             live = slots.live[:slots.live_rows]
             prev = np.zeros((P, blocks, R), dtype=np.int64) if memory else None
             metrics = branch_metrics(0, prev)
             assert metrics.shape == (P, blocks, slots.live_rows)
             seen[caller] = (live.T[:, None, :], metrics)
-            return core(slots, steps, blocks, branch_metrics, base=base,
-                        memory=memory)
+            return core(slots, steps, blocks, branch_metrics, memory=memory)
 
         monkeypatch.setattr(eq, "_viterbi", spy)
         batched, never = TestBatchedEqualsPerBlock, TestNeverEnteredStates

@@ -646,7 +646,7 @@ def bcjr_bytes(isi_trellis: TrellisSpec, steps: int) -> int:
     return 16 * (steps + 1) * isi_trellis.num_states
 
 
-def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
+def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance,
                   *, start_state: int = 0,
                   end_state: int | None = None) -> BcjrResult:
     """Symbol-by-symbol MAP over an ISI trellis, log domain, exact log-sum-exp.
@@ -659,12 +659,20 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     every window trellis.  The posterior joint metrics are (S, T, B, M),
     reduced over the states.  Symbol posteriors are marginalized to bit
     LLRs through the natural map (MSB first), one LLR per coded bit.
+    ``noise_variance`` is one variance for the batch or a (B,) array of
+    one per block; each block's branch metrics are scaled by its own
+    ``-0.5 / variance``, so a block decodes as it does alone at its
+    variance.
     """
     cols = np.ascontiguousarray(_as_blocks(obs).T)  # (T, B)
     T, B = cols.shape
     S, M = isi_trellis.num_states, isi_trellis.num_inputs
     _check_states(S, start_state, end_state)
-    if not (np.isfinite(noise_variance) and noise_variance > 0):
+    var = np.asarray(noise_variance, dtype=np.float64)
+    if var.shape not in ((), (B,)):
+        raise ValueError(f"noise_variance must be a scalar or one per block "
+                         f"({B}), not shape {var.shape}")
+    if not (np.isfinite(var).all() and (var > 0).all()):
         raise ValueError(f"noise_variance must be finite and positive, "
                          f"not {noise_variance!r}")
     hyp = isi_trellis.outputs
@@ -672,7 +680,7 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance: float,
     ps, pu, valid = isi_trellis.predecessors
     if not valid.all():
         raise ValueError("BCJR needs num_inputs predecessors per state")
-    inv2v = -0.5 / float(noise_variance)
+    inv2v = np.broadcast_to(-0.5 / var, (B,))[:, None]  # (B, 1)
 
     def branch_metrics(y, h):
         g = y - h

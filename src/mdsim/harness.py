@@ -398,12 +398,14 @@ BATCH_BYTES = 9 << 18  # 2.25 MiB
 class _Receiver:
     """One scheme's receiver, built once per sweep, and the one place its
     states and batch come from.  ``decode(obs, n0)`` decodes a (B, T)
-    batch of blocks sent at noise density ``n0``; ``states`` sums the
-    states of the trellises it searches, and ``batch`` is the blocks per
-    call that their byte estimates fit in BATCH_BYTES (at least one)."""
+    batch of blocks, block b sent at noise density ``n0[b]`` (a (B,)
+    array: a call may carry the blocks of several Eb/N0 points), which
+    only BCJR+VA reads; ``states`` sums the states of the trellises it
+    searches, and ``batch`` is the blocks per call that their byte
+    estimates fit in BATCH_BYTES (at least one)."""
 
     scheme: SchemeSpec
-    decode: Callable[[np.ndarray, float], np.ndarray]
+    decode: Callable[[np.ndarray, np.ndarray], np.ndarray]
     states: int
     batch: int
 
@@ -463,7 +465,7 @@ def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
             window_bytes = bcjr_bytes(window, steps)
 
             def equalize(obs, n0):
-                var = max(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
+                var = np.maximum(ctx.noise_var_cal * (n0 / ctx.n0_cal), 1e-12)
                 return bcjr_equalize(window, obs, var).bit_llrs
         vtr = code_trellis()
         return receiver(lambda obs, n0: soft_viterbi_decode(
@@ -490,7 +492,9 @@ def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
 
 @dataclass
 class _Tally:
-    """Errors, bits and decode seconds of one receiver at one Eb/N0 point."""
+    """Errors, bits and decode seconds of one receiver at one Eb/N0 point.
+    It counts its point's blocks in order from block 0, so ``bits //
+    block_bits`` is the next block it counts."""
 
     receiver: _Receiver
     errors: int = 0
@@ -500,23 +504,27 @@ class _Tally:
     def done(self, cfg: SimConfig) -> bool:
         return self.errors >= cfg.min_errors or self.bits >= cfg.max_bits
 
-    def decode(self, cfg: SimConfig, info: np.ndarray, obs: np.ndarray,
-               n0: float) -> None:
-        """Decode a round of blocks, the receiver's batch at a time, and
-        count them in order until the stop rule holds.  Blocks decoded past
-        that one are discarded; ``seconds`` includes them."""
-        batch = self.receiver.batch
-        t0 = time.perf_counter()
-        for i in range(0, len(info), batch):
+    def wants(self, cfg: SimConfig, end: int) -> int:
+        """The block after the last one this tally takes from a round that
+        ends before block ``end``: all of the round until it has seen
+        errors, and then at most the blocks that its error rate so far
+        says it needs to reach ``min_errors``."""
+        counted = self.bits // cfg.block_bits
+        if self.errors:
+            # counted + ceil((min_errors - errors) / (errors / counted))
+            end = min(end, counted + -(-(cfg.min_errors - self.errors)
+                                       * counted // self.errors))
+        return end
+
+    def count(self, cfg: SimConfig, info: np.ndarray,
+              decoded: np.ndarray) -> None:
+        """Count decoded blocks against the sent ``info`` in order until
+        the stop rule holds; the blocks past that one are discarded."""
+        for row, sent in zip(decoded, info):
             if self.done(cfg):
                 break
-            decoded = self.receiver.decode(obs[i:i + batch], n0)
-            for row, sent in zip(decoded, info[i:i + batch]):
-                if self.done(cfg):
-                    break
-                self.errors += int(np.count_nonzero(row[:sent.size] != sent))
-                self.bits += sent.size
-        self.seconds += time.perf_counter() - t0
+            self.errors += int(np.count_nonzero(row[:sent.size] != sent))
+            self.bits += sent.size
 
     def record(self, cfg: SimConfig, ebn0_db: float) -> BerRecord:
         ber = self.errors / self.bits if self.bits else 0.0
@@ -527,57 +535,128 @@ class _Tally:
                          ci_hi=hi, seed=cfg.seed, seconds=self.seconds)
 
 
+@dataclass
+class _Point:
+    """One Eb/N0 point of a sweep: its noise density and one tally per
+    receiver.  ``info`` and ``obs`` hold its blocks ``base`` to
+    ``next_block`` (exclusive), the first a live tally has yet to count
+    and the next the point makes; ``size`` is the new blocks of its last
+    round."""
+
+    index: int
+    ebn0_db: float
+    n0: float
+    tallies: list[_Tally]
+    base: int = 0
+    next_block: int = 0
+    size: int = 0
+    info: np.ndarray | None = None
+    obs: np.ndarray | None = None
+
+    def live(self, cfg: SimConfig) -> list[_Tally]:
+        return [t for t in self.tallies if not t.done(cfg)]
+
+    def hold(self, ctx: _ChainContext, cfg: SimConfig, start: int,
+             end: int) -> None:
+        """Hold blocks ``start`` to ``end``: drop the held blocks before
+        ``start`` and make those from ``next_block`` on.  Only a tally that
+        took less than the last round leaves blocks to keep, and only
+        then are old and new blocks copied into one array."""
+        held = []
+        if start < self.next_block:
+            held.append((self.info[start - self.base:],
+                         self.obs[start - self.base:]))
+        if end > self.next_block:
+            held.append(tuple(map(np.stack, zip(*(
+                _make_block(ctx, cfg, self.n0, self.index, i)
+                for i in range(self.next_block, end))))))
+        self.info, self.obs = held[0] if len(held) == 1 else map(
+            np.concatenate, zip(*held))
+        self.base, self.next_block = start, max(end, self.next_block)
+
+    def blocks(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """The held info and observations of blocks ``start`` to ``end``."""
+        held = slice(start - self.base, end - self.base)
+        return self.info[held], self.obs[held]
+
+
 def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
                 last: int) -> int:
-    """Blocks of the round that starts at block ``first``.  A point's first
-    round (``first`` = 0) opens at ``last``, the fewest blocks that any
-    tally counted at the previous point (0 at the first point: one
-    block), since BER falls as Eb/N0 rises; a later round is twice the
-    ``last`` one.  Either is raised up to block ceil(min_errors /
-    block_bits), before which no tally can stop on errors, and held to
-    at most the largest batch of the ``live`` tallies and the blocks left
-    before ``max_bits``.  Once every live tally has seen errors, also at
-    most the largest number of blocks that one of them needs at its error
-    rate so far to reach ``min_errors``, so that points stopping on errors
-    waste little; a tally close to its stop does not shrink the round of
-    the others, since blocks past a tally's stop cost little to discard."""
-    size = last if first == 0 else 2 * last
-    size = max(size, -(-cfg.min_errors // cfg.block_bits) - first)
-    size = min(size, max(t.receiver.batch for t in live),
+    """New blocks of a point's round, from block ``first`` on, after a
+    round of ``last`` new blocks.  No tally can stop on errors before
+    block ceil(min_errors / block_bits), so a point opens as if its last
+    round had been that many blocks: its first round (``first`` = 0) is
+    twice that, a later round twice the ``last`` one, and either at least
+    the blocks left before that block.  Either is held to at most the
+    largest batch of the ``live`` tallies and the blocks left before
+    ``max_bits``.  Each tally then takes of the round only the blocks
+    that its own error rate asks for (:meth:`_Tally.wants`), and the point
+    makes only the blocks that some tally takes, so that points and
+    tallies stopping on errors waste little; a tally close to its stop
+    does not shrink the round of the others."""
+    floor = -(-cfg.min_errors // cfg.block_bits)
+    size = max(2 * (last if first else floor), floor - first, 1)
+    return min(size, max(t.receiver.batch for t in live),
                -(-cfg.max_bits // cfg.block_bits) - first)
-    if all(t.errors for t in live):
-        # ceil((min_errors - errors) / (errors / first))
-        size = min(size, max(-(-(cfg.min_errors - t.errors) * first // t.errors)
-                             for t in live))
-    return max(size, 1)
+
+
+def _decode_round(cfg: SimConfig, receiver: _Receiver, parts) -> None:
+    """Decode one round of ``receiver``: ``parts`` holds, in point order,
+    each of its live tallies with the (info, obs, n0) of the blocks that
+    the tally takes from its point's round.  The blocks go out in calls
+    of the receiver's batch, which may carry the blocks of several
+    points; a call leaves out the tallies that are done.  Each tally's
+    ``seconds`` gains its share of a call, by blocks."""
+    while parts := [p for p in parts if len(p[1]) and not p[0].done(cfg)]:
+        takes, room = [], receiver.batch  # the next call's blocks per part
+        for _, info, _, _ in parts:
+            takes.append(min(room, len(info)))
+            room -= takes[-1]
+        t0 = time.perf_counter()
+        obs = [o[:k] for (_, _, o, _), k in zip(parts, takes) if k]
+        obs = obs[0] if len(obs) == 1 else np.concatenate(obs)
+        decoded = receiver.decode(obs, np.repeat([p[3] for p in parts], takes))
+        at = 0
+        for (tally, info, _, _), k in zip(parts, takes):
+            tally.count(cfg, info[:k], decoded[at:at + k])
+            at += k
+        seconds = time.perf_counter() - t0
+        for (tally, _, _, _), k in zip(parts, takes):
+            tally.seconds += seconds * k / len(obs)
+        parts = [(t, info[k:], o[k:], n0)
+                 for (t, info, o, n0), k in zip(parts, takes)]
 
 
 def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     """Simulate every (scheme, Eb/N0) point to its stop rule, each point
     decoding the same blocks with the receivers of
-    :func:`_build_receivers`."""
+    :func:`_build_receivers`.  The points run side by side: each round
+    makes the next blocks of every point that has a live tally, and each
+    receiver decodes the blocks of all its live points together."""
     ctx = resolve_chain(cfg, log)
     receivers = _build_receivers(ctx, cfg, log)
-    records: list[BerRecord] = []
-    counted = 0  # the fewest blocks a tally counted at the last point
-    for point_idx, ebn0 in enumerate(cfg.ebn0_db):
-        n0 = ctx.eb * 10.0 ** (-ebn0 / 10.0)
-        tallies = [_Tally(r) for r in receivers]
-        # Blocks go out in rounds; every tally not yet done decodes all of
-        # a round, so each round starts at the same block for all of them.
-        block_idx, size = 0, counted
-        while live := [t for t in tallies if not t.done(cfg)]:
-            size = _round_size(cfg, live, block_idx, size)
-            info, obs = zip(*(_make_block(ctx, cfg, n0, point_idx, i)
-                              for i in range(block_idx, block_idx + size)))
-            info, obs = np.stack(info), np.stack(obs)
-            for t in live:
-                t.decode(cfg, info, obs, n0)
-            block_idx += size
-        counted = min(t.bits for t in tallies) // cfg.block_bits
-        records += [t.record(cfg, ebn0) for t in tallies]
-        log(f"Eb/N0 = {ebn0:g} dB: " + ", ".join(
-            f"{t.receiver.scheme.label()} ber={t.errors / max(t.bits, 1):.3e}"
-            for t in tallies))
+    points = [_Point(i, ebn0, ctx.eb * 10.0 ** (-ebn0 / 10.0),
+                     [_Tally(r) for r in receivers])
+              for i, ebn0 in enumerate(cfg.ebn0_db)]
+    while rounds := [(p, live) for p in points if (live := p.live(cfg))]:
+        parts = []
+        for p, live in rounds:
+            end = p.next_block + _round_size(cfg, live, p.next_block, p.size)
+            spans = [(t, t.bits // cfg.block_bits, t.wants(cfg, end))
+                     for t in live]
+            start, end = (min(s for _, s, _ in spans),
+                          max(e for _, _, e in spans))
+            p.size = max(end - p.next_block, 0)
+            p.hold(ctx, cfg, start, end)
+            parts += [(t, *p.blocks(s, e), p.n0) for t, s, e in spans]
+        for r in receivers:
+            _decode_round(cfg, r, [part for part in parts
+                                   if part[0].receiver is r])
+        for p, _ in rounds:
+            if not p.live(cfg):
+                log(f"Eb/N0 = {p.ebn0_db:g} dB: " + ", ".join(
+                    f"{t.receiver.scheme.label()} "
+                    f"ber={t.errors / max(t.bits, 1):.3e}" for t in p.tallies))
+    records = [t.record(cfg, p.ebn0_db) for p in points for t in p.tallies]
     records.sort(key=lambda r: (r.scheme, r.ebn0_db))
     return records

@@ -1012,6 +1012,31 @@ class TestBatchedEqualsPerBlock:
             self.check(lambda x: (lambda r: (r.symbol_posteriors, r.bit_llrs))(
                 bcjr_equalize(tr, x, var, end_state=end)), batch, obs)
 
+    @pytest.mark.parametrize("end", [0, None])
+    def test_bcjr_per_block_noise_variance(self, end):
+        """A batch of blocks at three noise variances, as a sweep's call
+        that carries the blocks of three Eb/N0 points, gives each block
+        the posteriors and LLRs of its own call at its own variance."""
+        tr = build_isi_trellis(self.H3, 4, memory=2)
+        obs = self.obs()
+        var = np.array([0.5, 0.5, 2.0, 2.0, 2.0, 0.3, 0.3])
+        got = bcjr_equalize(tr, obs, var, end_state=end)
+        for k, row in enumerate(obs):
+            want = bcjr_equalize(tr, row, var[k], end_state=end)
+            for g, w in ((got.symbol_posteriors[k], want.symbol_posteriors),
+                         (got.bit_llrs[k], want.bit_llrs)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bcjr_rejects_a_bad_block_variance(self, bad):
+        tr = build_isi_trellis(self.H3, 4, memory=1)
+        var = np.ones(self.BLOCKS)
+        var[3] = bad
+        with pytest.raises(ValueError, match="noise_variance"):
+            bcjr_equalize(tr, self.obs(), var)
+        with pytest.raises(ValueError, match="noise_variance"):
+            bcjr_equalize(tr, self.obs(), np.ones(self.BLOCKS - 1))
+
     def test_one_block_shapes(self):
         obs = self.obs()
         res = viterbi_mlse(self.MT3.trellis, obs[0])

@@ -389,20 +389,24 @@ class TestSweep:
                            "block_bits = 200\nseed = 4\n")
         batched, counted_blocks, calls = self.sweep_calls(monkeypatch,
                                                           tmp_path, cfg)
-        sizes = [n for per_point in calls.values() for n in per_point]
+        sizes = [sum(call.values()) for per_scheme in calls.values()
+                 for call in per_scheme]
         assert max(sizes) > 1
         assert sum(sizes) > counted_blocks  # blocks past a stop were discarded
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         csv, blocks, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert (csv, blocks) == (batched, counted_blocks)
-        sizes = [n for per_point in calls.values() for n in per_point]
+        sizes = [sum(call.values()) for per_scheme in calls.values()
+                 for call in per_scheme]
         assert set(sizes) == {1}
         assert sum(sizes) == counted_blocks
 
     @staticmethod
     def sweep_calls(monkeypatch, tmp_path, cfg):
         """The sweep's CSV bytes, the blocks its records count, and per
-        (scheme, point) the blocks of each decoder call in call order."""
+        scheme its decoder calls in call order, each as {point index:
+        blocks} over the points whose blocks the call carries."""
+        from collections import Counter
         from dataclasses import replace
 
         import mdsim.harness as harness
@@ -411,8 +415,9 @@ class TestSweep:
 
         def counted(receiver):
             def decode(obs, n0):
-                calls.setdefault((receiver.scheme.label(), n0),
-                                 []).append(len(obs))
+                assert np.shape(n0) == (len(obs),)
+                calls.setdefault(receiver.scheme.label(), []).append(
+                    Counter(n0.tolist()))
                 return receiver.decode(obs, n0)
             return replace(receiver, decode=decode)
 
@@ -421,16 +426,23 @@ class TestSweep:
         path = tmp_path / "out.csv"
         records = run_ber_sweep(cfg)
         write_csv(path, records)
+        # a point's blocks are sent at its own N0, which falls as Eb/N0 rises
+        n0s = sorted({n0 for per_scheme in calls.values()
+                      for call in per_scheme for n0 in call}, reverse=True)
+        calls = {label: [{n0s.index(n0): k for n0, k in call.items()}
+                         for call in per_scheme]
+                 for label, per_scheme in calls.items()}
         return (path.read_bytes(), sum(r.bits for r in records) // cfg.block_bits,
                 calls)
 
     def test_bit_capped_rounds_start_at_full_batches(self, monkeypatch,
                                                      tmp_path):
         """No tally can stop on errors before block ceil(min_errors /
-        block_bits), so a bit-capped point skips the 1, 2, 4 ramp: its
-        blocks go out in one round of the largest batch, each decoder is
-        called ceil(blocks / batch) times, and the CSV is that of one
-        block per call."""
+        block_bits), so a bit-capped point skips the 2, 4, 8 ramp: its
+        blocks go out in one round of the largest batch, both points'
+        rounds in the same calls, so each decoder is called ceil(2 *
+        blocks / batch) times, and the CSV is that of one block per
+        call."""
         import mdsim.harness as harness
         from mdsim.conv_code import ConvCode
         from mdsim.equalizers import (
@@ -457,36 +469,38 @@ class TestSweep:
         assert 1 < batch["STD"] < batch["MD"] < blocks == batch["MD-RSSE(4)"]
 
         csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        assert len(calls) == 3 * 2
-        for (label, _), sizes in calls.items():
+        assert set(calls) == set(batch)
+        both = 2 * blocks
+        for label, per_scheme in calls.items():
             b = batch[label]
-            assert sizes == [b] * (blocks // b) + [blocks % b] * (blocks % b > 0)
+            assert [sum(call.values()) for call in per_scheme] == \
+                [b] * (both // b) + [both % b] * (both % b > 0)
+            assert sum(call.get(0, 0) for call in per_scheme) == blocks
+        # a call that ends point 0's blocks short of the batch fills up
+        # with point 1's
+        assert any(call == {0: blocks % batch["MD"], 1: batch["MD"]
+                            - blocks % batch["MD"]} for call in calls["MD"])
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         one_by_one, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        assert set(map(tuple, calls.values())) == {(1,) * blocks}
+        assert [len(per_scheme) for per_scheme in calls.values()] == [both] * 3
+        assert {sum(call.values()) for per_scheme in calls.values()
+                for call in per_scheme} == {1}
         assert one_by_one == csv
 
-    def test_error_stopped_rounds_open_with_one_block(self, monkeypatch,
-                                                      tmp_path):
+    def test_error_stopped_points_open_with_two_blocks(self, monkeypatch,
+                                                       tmp_path):
         """With min_errors <= block_bits one block could stop a point, so
-        the first point opens with a one-block round, then 2, 4, ...  A
-        later point opens at the fewest blocks any scheme counted at the
-        point before, each decoder's first call at most its batch."""
+        every point opens with a round of twice that, 2 blocks, then 4,
+        8, ... all in the same decoder calls, until the blocks left before
+        max_bits hold the round."""
         cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD\n"
                            "ebn0_db = 12,14\nmin_errors = 150\n"
                            "max_bits = 3000\nblock_bits = 200\n")
         csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        assert len(calls) == 2 * 2
-        counted = self.counted_blocks(csv, cfg)
-        batch = {r.scheme.label(): r.batch for r in _build_receivers(
-            resolve_chain(cfg, print), cfg, print)}
-        for (label, n0), sizes in calls.items():
-            point = self.point_of(calls, label, n0)
-            if point == 0:
-                assert sizes[:3] == [1, 2, 4]
-            else:
-                last = min(counted[cfg.ebn0_db[point - 1]].values())
-                assert sizes[0] == min(last, batch[label])
+        assert self.counted_blocks(csv, cfg) == {
+            12.0: {"MD": 15, "STD": 15}, 14.0: {"MD": 15, "STD": 15}}
+        rounds = [{0: k, 1: k} for k in (2, 4, 8, 1)]
+        assert calls == {"MD": rounds, "STD": rounds}
 
     @staticmethod
     def counted_blocks(csv, cfg):
@@ -499,30 +513,27 @@ class TestSweep:
         return blocks
 
     @staticmethod
-    def point_of(calls, label, n0):
-        """The index of the point sent at noise density ``n0``: N0 falls as
-        Eb/N0 rises."""
-        return sorted((n for lab, n in calls if lab == label),
-                      reverse=True).index(n0)
+    def rounds_of(calls, point):
+        """Per scheme, the blocks of point ``point`` in each call that
+        carries some."""
+        return {label: [call[point] for call in per_scheme if point in call]
+                for label, per_scheme in calls.items()}
 
-    def test_serial_points_open_at_the_last_points_blocks(self, monkeypatch,
-                                                          tmp_path):
-        """The serial receivers are called per round, so a point that
-        needs several blocks should not ramp 1, 2, 4 again: its first
-        round carries the fewest blocks counted at the point before, and
-        the CSV is that of one block per call."""
+    SERIAL = ("taps = 1,0.5,0.25\nschemes = DFSE(1)+VA,BCJR+VA\n"
+              "min_errors = 60\nmax_bits = 20000\nblock_bits = 200\n"
+              "seed = 4\n")
+
+    def test_serial_points_open_together(self, monkeypatch, tmp_path):
+        """The serial receivers pay per call, so the points' rounds go out
+        side by side: each serial receiver's first call carries the two
+        opening blocks of both points, and the CSV is that of one block
+        per call."""
         import mdsim.harness as harness
 
-        cfg = parse_config("taps = 1,0.5,0.25\n"
-                           "schemes = DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
-                           "min_errors = 60\nmax_bits = 20000\n"
-                           "block_bits = 200\nseed = 4\n")
+        cfg = parse_config(self.SERIAL + "ebn0_db = 6,8\n")
         csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        last = min(self.counted_blocks(csv, cfg)[6.0].values())
-        assert last == 3
-        opened = {label: sizes[0] for (label, n0), sizes in calls.items()
-                  if self.point_of(calls, label, n0) == 1}
-        assert opened == {"DFSE(1)+VA": last, "BCJR+VA": last}
+        assert {label: per_scheme[0] for label, per_scheme in calls.items()} \
+            == {"DFSE(1)+VA": {0: 2, 1: 2}, "BCJR+VA": {0: 2, 1: 2}}
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert one_by_one == csv
@@ -530,21 +541,42 @@ class TestSweep:
     def test_a_scheme_near_its_stop_does_not_shrink_the_round(
             self, monkeypatch, tmp_path):
         """The error-rate cap of a round is the largest need of the live
-        schemes.  At 8 dB DFSE(1)+VA needs one block after the opening 3;
-        with the smallest need as the cap, BCJR+VA was called with 3, 1,
-        2, 4 and 5 blocks.  The counts are those of one block per call."""
+        schemes, and each scheme takes of it only its own need.  At 8 dB,
+        after the opening 2 blocks, DFSE(1)+VA asks for 3 more (it stops
+        at block 4), while BCJR+VA takes a round of 4, twice the last one:
+        with the smallest need as the cap, it would have been called with
+        3.  The counts are those of one block per call."""
         import mdsim.harness as harness
 
-        cfg = parse_config("taps = 1,0.5,0.25\n"
-                           "schemes = DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
-                           "min_errors = 60\nmax_bits = 20000\n"
-                           "block_bits = 200\nseed = 4\n")
+        cfg = parse_config(self.SERIAL + "ebn0_db = 6,8\n")
         csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        at_8db = {label: sizes for (label, n0), sizes in calls.items()
-                  if self.point_of(calls, label, n0) == 1}
-        assert at_8db == {"DFSE(1)+VA": [3, 6], "BCJR+VA": [3, 6, 8]}
+        assert self.rounds_of(calls, 1) == {"DFSE(1)+VA": [2, 3],
+                                            "BCJR+VA": [2, 4, 8, 1]}
         assert self.counted_blocks(csv, cfg)[8.0] == {"DFSE(1)+VA": 4,
                                                       "BCJR+VA": 15}
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert one_by_one == csv
+
+    def test_three_serial_points_share_calls(self, monkeypatch, tmp_path):
+        """Three points side by side: each serial receiver's first call
+        carries the opening blocks of every point, it makes fewer calls
+        than the three points swept one at a time, and the CSV is that of
+        one block per call."""
+        import mdsim.harness as harness
+
+        cfg = parse_config(self.SERIAL + "ebn0_db = 6,7,8\n")
+        csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        for per_scheme in calls.values():
+            assert per_scheme[0] == {0: 2, 1: 2, 2: 2}
+        alone = {}
+        for ebn0 in cfg.ebn0_db:
+            _, _, one = self.sweep_calls(monkeypatch, tmp_path, parse_config(
+                self.SERIAL + f"ebn0_db = {ebn0}\n"))
+            for label, per_scheme in one.items():
+                alone[label] = alone.get(label, 0) + len(per_scheme)
+        assert all(len(calls[label]) < alone[label] for label in alone), \
+            (calls, alone)
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert one_by_one == csv

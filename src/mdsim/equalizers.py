@@ -646,7 +646,8 @@ def bcjr_bytes(isi_trellis: TrellisSpec, steps: int) -> int:
     return 16 * (steps + 1) * isi_trellis.num_states
 
 
-def bcjr_equalize(isi_trellis: TrellisSpec, obs, noise_variance,
+def bcjr_equalize(isi_trellis: TrellisSpec, obs,
+                  noise_variance: float | np.ndarray,
                   *, start_state: int = 0,
                   end_state: int | None = None) -> BcjrResult:
     """Symbol-by-symbol MAP over an ISI trellis, log domain, exact log-sum-exp.

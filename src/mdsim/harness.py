@@ -535,6 +535,26 @@ class _Tally:
                          ci_hi=hi, seed=cfg.seed, seconds=self.seconds)
 
 
+def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
+                last: int) -> int:
+    """New blocks of a point's round, from block ``first`` on, after a
+    round of ``last`` new blocks.  No tally can stop on errors before
+    block ceil(min_errors / block_bits), so a point opens as if its last
+    round had been that many blocks: a round is twice the last one (twice
+    that floor when ``first`` = 0) and at least the blocks left before
+    the floor.  It is held to at most the largest batch of the ``live``
+    tallies and the blocks left before ``max_bits``.  Each tally then
+    takes of the round only the blocks that its own error rate asks for
+    (:meth:`_Tally.wants`), and the point makes only the blocks that some
+    tally takes, so that points and tallies stopping on errors waste
+    little; a tally close to its stop does not shrink the round of the
+    others."""
+    floor = -(-cfg.min_errors // cfg.block_bits)
+    size = max(2 * (last if first else floor), floor - first, 1)
+    return min(size, max(t.receiver.batch for t in live),
+               -(-cfg.max_bits // cfg.block_bits) - first)
+
+
 @dataclass
 class _Point:
     """One Eb/N0 point of a sweep: its noise density and one tally per
@@ -556,12 +576,20 @@ class _Point:
     def live(self, cfg: SimConfig) -> list[_Tally]:
         return [t for t in self.tallies if not t.done(cfg)]
 
-    def hold(self, ctx: _ChainContext, cfg: SimConfig, start: int,
-             end: int) -> None:
-        """Hold blocks ``start`` to ``end``: drop the held blocks before
-        ``start`` and make those from ``next_block`` on.  Only a tally that
-        took less than the last round leaves blocks to keep, and only
-        then are old and new blocks copied into one array."""
+    def next_round(self, ctx: _ChainContext, cfg: SimConfig) -> list[tuple]:
+        """Make the point's next round, and give each live tally's take of
+        it as (tally, info, obs, n0): the blocks from the tally's next one
+        to the end that :meth:`_Tally.wants`.  The point then holds the
+        blocks from the first that a live tally takes; so a tally that
+        took less than a round takes the blocks it skipped from there,
+        and only then are held and new blocks copied into one array."""
+        live = self.live(cfg)
+        end = self.next_block + _round_size(cfg, live, self.next_block,
+                                            self.size)
+        spans = [(t, t.bits // cfg.block_bits, t.wants(cfg, end))
+                 for t in live]
+        start = min(s for _, s, _ in spans)
+        end = max(e for _, _, e in spans)
         held = []
         if start < self.next_block:
             held.append((self.info[start - self.base:],
@@ -572,32 +600,10 @@ class _Point:
                 for i in range(self.next_block, end))))))
         self.info, self.obs = held[0] if len(held) == 1 else map(
             np.concatenate, zip(*held))
+        self.size = max(end - self.next_block, 0)
         self.base, self.next_block = start, max(end, self.next_block)
-
-    def blocks(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """The held info and observations of blocks ``start`` to ``end``."""
-        held = slice(start - self.base, end - self.base)
-        return self.info[held], self.obs[held]
-
-
-def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
-                last: int) -> int:
-    """New blocks of a point's round, from block ``first`` on, after a
-    round of ``last`` new blocks.  No tally can stop on errors before
-    block ceil(min_errors / block_bits), so a point opens as if its last
-    round had been that many blocks: its first round (``first`` = 0) is
-    twice that, a later round twice the ``last`` one, and either at least
-    the blocks left before that block.  Either is held to at most the
-    largest batch of the ``live`` tallies and the blocks left before
-    ``max_bits``.  Each tally then takes of the round only the blocks
-    that its own error rate asks for (:meth:`_Tally.wants`), and the point
-    makes only the blocks that some tally takes, so that points and
-    tallies stopping on errors waste little; a tally close to its stop
-    does not shrink the round of the others."""
-    floor = -(-cfg.min_errors // cfg.block_bits)
-    size = max(2 * (last if first else floor), floor - first, 1)
-    return min(size, max(t.receiver.batch for t in live),
-               -(-cfg.max_bits // cfg.block_bits) - first)
+        return [(t, self.info[s - start:e - start],
+                 self.obs[s - start:e - start], self.n0) for t, s, e in spans]
 
 
 def _decode_round(cfg: SimConfig, receiver: _Receiver, parts) -> None:
@@ -614,6 +620,7 @@ def _decode_round(cfg: SimConfig, receiver: _Receiver, parts) -> None:
             room -= takes[-1]
         t0 = time.perf_counter()
         obs = [o[:k] for (_, _, o, _), k in zip(parts, takes) if k]
+        # one point's blocks go as a view of its round, not a copy
         obs = obs[0] if len(obs) == 1 else np.concatenate(obs)
         decoded = receiver.decode(obs, np.repeat([p[3] for p in parts], takes))
         at = 0
@@ -638,21 +645,12 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     points = [_Point(i, ebn0, ctx.eb * 10.0 ** (-ebn0 / 10.0),
                      [_Tally(r) for r in receivers])
               for i, ebn0 in enumerate(cfg.ebn0_db)]
-    while rounds := [(p, live) for p in points if (live := p.live(cfg))]:
-        parts = []
-        for p, live in rounds:
-            end = p.next_block + _round_size(cfg, live, p.next_block, p.size)
-            spans = [(t, t.bits // cfg.block_bits, t.wants(cfg, end))
-                     for t in live]
-            start, end = (min(s for _, s, _ in spans),
-                          max(e for _, _, e in spans))
-            p.size = max(end - p.next_block, 0)
-            p.hold(ctx, cfg, start, end)
-            parts += [(t, *p.blocks(s, e), p.n0) for t, s, e in spans]
+    while running := [p for p in points if p.live(cfg)]:
+        parts = [part for p in running for part in p.next_round(ctx, cfg)]
         for r in receivers:
             _decode_round(cfg, r, [part for part in parts
                                    if part[0].receiver is r])
-        for p, _ in rounds:
+        for p in running:
             if not p.live(cfg):
                 log(f"Eb/N0 = {p.ebn0_db:g} dB: " + ", ".join(
                     f"{t.receiver.scheme.label()} "

@@ -492,7 +492,9 @@ class TestSweep:
         """With min_errors <= block_bits one block could stop a point, so
         every point opens with a round of twice that, 2 blocks, then 4,
         8, ... all in the same decoder calls, until the blocks left before
-        max_bits hold the round."""
+        max_bits hold the round; the CSV is that of one block per call."""
+        import mdsim.harness as harness
+
         cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD\n"
                            "ebn0_db = 12,14\nmin_errors = 150\n"
                            "max_bits = 3000\nblock_bits = 200\n")
@@ -501,6 +503,9 @@ class TestSweep:
             12.0: {"MD": 15, "STD": 15}, 14.0: {"MD": 15, "STD": 15}}
         rounds = [{0: k, 1: k} for k in (2, 4, 8, 1)]
         assert calls == {"MD": rounds, "STD": rounds}
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert one_by_one == csv
 
     @staticmethod
     def counted_blocks(csv, cfg):

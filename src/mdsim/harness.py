@@ -639,13 +639,20 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     decoding the same blocks with the receivers of
     :func:`_build_receivers`.  The points run side by side: each round
     makes the next blocks of every point that has a live tally, and each
-    receiver decodes the blocks of all its live points together."""
+    receiver decodes the blocks of all its live points together.  In a
+    bit-capped sweep, where no tally can stop on errors before its last
+    block, the points run one after another instead: a round then holds
+    one point's blocks, made after the last point's are decoded."""
     ctx = resolve_chain(cfg, log)
     receivers = _build_receivers(ctx, cfg, log)
     points = [_Point(i, ebn0, ctx.eb * 10.0 ** (-ebn0 / 10.0),
                      [_Tally(r) for r in receivers])
               for i, ebn0 in enumerate(cfg.ebn0_db)]
+    bit_capped = (-(-cfg.min_errors // cfg.block_bits)
+                  >= -(-cfg.max_bits // cfg.block_bits))
     while running := [p for p in points if p.live(cfg)]:
+        if bit_capped:
+            running = running[:1]
         parts = [part for p in running for part in p.next_round(ctx, cfg)]
         for r in receivers:
             _decode_round(cfg, r, [part for part in parts

@@ -439,10 +439,10 @@ class TestSweep:
                                                      tmp_path):
         """No tally can stop on errors before block ceil(min_errors /
         block_bits), so a bit-capped point skips the 2, 4, 8 ramp: its
-        blocks go out in one round of the largest batch, both points'
-        rounds in the same calls, so each decoder is called ceil(2 *
-        blocks / batch) times, and the CSV is that of one block per
-        call."""
+        blocks go out in one round of the largest batch.  The points of a
+        bit-capped sweep run one after another, so no call carries two
+        points, each decoder is called ceil(blocks / batch) times per
+        point, and the CSV is that of one block per call."""
         import mdsim.harness as harness
         from mdsim.conv_code import ConvCode
         from mdsim.equalizers import (
@@ -470,19 +470,15 @@ class TestSweep:
 
         csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert set(calls) == set(batch)
-        both = 2 * blocks
         for label, per_scheme in calls.items():
             b = batch[label]
-            assert [sum(call.values()) for call in per_scheme] == \
-                [b] * (both // b) + [both % b] * (both % b > 0)
-            assert sum(call.get(0, 0) for call in per_scheme) == blocks
-        # a call that ends point 0's blocks short of the batch fills up
-        # with point 1's
-        assert any(call == {0: blocks % batch["MD"], 1: batch["MD"]
-                            - blocks % batch["MD"]} for call in calls["MD"])
+            sizes = [b] * (blocks // b) + [blocks % b] * (blocks % b > 0)
+            assert per_scheme == [{0: k} for k in sizes] + \
+                [{1: k} for k in sizes]
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         one_by_one, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        assert [len(per_scheme) for per_scheme in calls.values()] == [both] * 3
+        assert [len(per_scheme) for per_scheme in calls.values()] == \
+            [2 * blocks] * 3
         assert {sum(call.values()) for per_scheme in calls.values()
                 for call in per_scheme} == {1}
         assert one_by_one == csv

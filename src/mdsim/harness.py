@@ -504,18 +504,6 @@ class _Tally:
     def done(self, cfg: SimConfig) -> bool:
         return self.errors >= cfg.min_errors or self.bits >= cfg.max_bits
 
-    def wants(self, cfg: SimConfig, end: int) -> int:
-        """The block after the last one this tally takes from a round that
-        ends before block ``end``: all of the round until it has seen
-        errors, and then at most the blocks that its error rate so far
-        says it needs to reach ``min_errors``."""
-        counted = self.bits // cfg.block_bits
-        if self.errors:
-            # counted + ceil((min_errors - errors) / (errors / counted))
-            end = min(end, counted + -(-(cfg.min_errors - self.errors)
-                                       * counted // self.errors))
-        return end
-
     def count(self, cfg: SimConfig, info: np.ndarray,
               decoded: np.ndarray) -> None:
         """Count decoded blocks against the sent ``info`` in order until
@@ -543,67 +531,48 @@ def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
     round had been that many blocks: a round is twice the last one (twice
     that floor when ``first`` = 0) and at least the blocks left before
     the floor.  It is held to at most the largest batch of the ``live``
-    tallies and the blocks left before ``max_bits``.  Each tally then
-    takes of the round only the blocks that its own error rate asks for
-    (:meth:`_Tally.wants`), and the point makes only the blocks that some
-    tally takes, so that points and tallies stopping on errors waste
-    little; a tally close to its stop does not shrink the round of the
-    others."""
+    tallies, the blocks left before ``max_bits``, and, once every live
+    tally has seen errors, the largest of their needs: the blocks that a
+    tally's error rate so far says it needs to reach ``min_errors``.  So
+    a point stopping on errors wastes little, and a tally close to its
+    stop does not shrink the round of the others."""
     floor = -(-cfg.min_errors // cfg.block_bits)
     size = max(2 * (last if first else floor), floor - first, 1)
-    return min(size, max(t.receiver.batch for t in live),
+    # ceil((min_errors - errors) / (errors / first)); no errors, no cap
+    need = max(-(-(cfg.min_errors - t.errors) * first // t.errors)
+               if t.errors else math.inf for t in live)
+    return min(size, need, max(t.receiver.batch for t in live),
                -(-cfg.max_bits // cfg.block_bits) - first)
 
 
 @dataclass
 class _Point:
     """One Eb/N0 point of a sweep: its noise density and one tally per
-    receiver.  ``info`` and ``obs`` hold its blocks ``base`` to
-    ``next_block`` (exclusive), the first a live tally has yet to count
-    and the next the point makes; ``size`` is the new blocks of its last
-    round."""
+    receiver.  ``next_block`` is the next block the point makes, and
+    every live tally has counted the blocks before it; ``size`` is the
+    blocks of its last round."""
 
     index: int
     ebn0_db: float
     n0: float
     tallies: list[_Tally]
-    base: int = 0
     next_block: int = 0
     size: int = 0
-    info: np.ndarray | None = None
-    obs: np.ndarray | None = None
 
     def live(self, cfg: SimConfig) -> list[_Tally]:
         return [t for t in self.tallies if not t.done(cfg)]
 
     def next_round(self, ctx: _ChainContext, cfg: SimConfig) -> list[tuple]:
-        """Make the point's next round, and give each live tally's take of
-        it as (tally, info, obs, n0): the blocks from the tally's next one
-        to the end that :meth:`_Tally.wants`.  The point then holds the
-        blocks from the first that a live tally takes; so a tally that
-        took less than a round takes the blocks it skipped from there,
-        and only then are held and new blocks copied into one array."""
+        """Make the point's next round, the blocks from ``next_block`` on,
+        and give the whole of it to each live tally as (tally, info, obs,
+        n0)."""
         live = self.live(cfg)
-        end = self.next_block + _round_size(cfg, live, self.next_block,
-                                            self.size)
-        spans = [(t, t.bits // cfg.block_bits, t.wants(cfg, end))
-                 for t in live]
-        start = min(s for _, s, _ in spans)
-        end = max(e for _, _, e in spans)
-        held = []
-        if start < self.next_block:
-            held.append((self.info[start - self.base:],
-                         self.obs[start - self.base:]))
-        if end > self.next_block:
-            held.append(tuple(map(np.stack, zip(*(
-                _make_block(ctx, cfg, self.n0, self.index, i)
-                for i in range(self.next_block, end))))))
-        self.info, self.obs = held[0] if len(held) == 1 else map(
-            np.concatenate, zip(*held))
-        self.size = max(end - self.next_block, 0)
-        self.base, self.next_block = start, max(end, self.next_block)
-        return [(t, self.info[s - start:e - start],
-                 self.obs[s - start:e - start], self.n0) for t, s, e in spans]
+        self.size = _round_size(cfg, live, self.next_block, self.size)
+        info, obs = map(np.stack, zip(*(
+            _make_block(ctx, cfg, self.n0, self.index, i)
+            for i in range(self.next_block, self.next_block + self.size))))
+        self.next_block += self.size
+        return [(t, info, obs, self.n0) for t in live]
 
 
 def _decode_round(cfg: SimConfig, receiver: _Receiver, parts) -> None:
@@ -638,7 +607,8 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     """Simulate every (scheme, Eb/N0) point to its stop rule, each point
     decoding the same blocks with the receivers of
     :func:`_build_receivers`.  The points run side by side: each round
-    makes the next blocks of every point that has a live tally, and each
+    makes the next blocks of every point that has a live tally, every
+    live tally of a point takes all of its point's round, and each
     receiver decodes the blocks of all its live points together.  In a
     bit-capped sweep, where no tally can stop on errors before its last
     block, the points run one after another instead: a round then holds

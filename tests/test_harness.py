@@ -401,6 +401,34 @@ class TestSweep:
         assert set(sizes) == {1}
         assert sum(sizes) == counted_blocks
 
+    def test_error_stopped_sweep_makes_each_block_once(self, monkeypatch):
+        """Every live scheme decodes its point's whole round, so no block is
+        made twice: each point makes its blocks 0, 1, ... once each, as
+        far as its neediest scheme counts."""
+        from collections import Counter
+
+        import mdsim.harness as harness
+
+        cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2),"
+                           "DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
+                           "min_errors = 60\nmax_bits = 20000\n"
+                           "block_bits = 200\nseed = 4\n")
+        made = Counter()
+        make_block = harness._make_block
+
+        def spy(ctx, cfg, n0, point, block):
+            made[point, block] += 1
+            return make_block(ctx, cfg, n0, point, block)
+
+        monkeypatch.setattr(harness, "_make_block", spy)
+        records = run_ber_sweep(cfg)
+        assert set(made.values()) == {1}
+        for point, ebn0 in enumerate(cfg.ebn0_db):
+            blocks = sorted(b for p, b in made if p == point)
+            assert blocks == list(range(len(blocks)))
+            assert len(blocks) >= max(r.bits // cfg.block_bits
+                                      for r in records if r.ebn0_db == ebn0)
+
     @staticmethod
     def sweep_calls(monkeypatch, tmp_path, cfg):
         """The sweep's CSV bytes, the blocks its records count, and per
@@ -542,22 +570,38 @@ class TestSweep:
     def test_a_scheme_near_its_stop_does_not_shrink_the_round(
             self, monkeypatch, tmp_path):
         """The error-rate cap of a round is the largest need of the live
-        schemes, and each scheme takes of it only its own need.  At 8 dB,
-        after the opening 2 blocks, DFSE(1)+VA asks for 3 more (it stops
-        at block 4), while BCJR+VA takes a round of 4, twice the last one:
+        schemes, and every live scheme decodes the whole round.  At 8 dB,
+        after the opening 2 blocks, DFSE(1)+VA needs 3 more (it stops at
+        block 4), while BCJR+VA needs a round of 4, twice the last one:
         with the smallest need as the cap, it would have been called with
-        3.  The counts are those of one block per call."""
+        3.  DFSE(1)+VA decodes the round of 4 too, and drops the blocks
+        past its stop.  The counts are those of one block per call."""
         import mdsim.harness as harness
 
         cfg = parse_config(self.SERIAL + "ebn0_db = 6,8\n")
         csv, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
-        assert self.rounds_of(calls, 1) == {"DFSE(1)+VA": [2, 3],
+        assert self.rounds_of(calls, 1) == {"DFSE(1)+VA": [2, 4],
                                             "BCJR+VA": [2, 4, 8, 1]}
         assert self.counted_blocks(csv, cfg)[8.0] == {"DFSE(1)+VA": 4,
                                                       "BCJR+VA": 15}
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert one_by_one == csv
+
+    def test_a_scheme_short_of_its_stop_decodes_the_round_of_another(
+            self, monkeypatch, tmp_path):
+        """The serial receivers of pam.cfg at seed 2: BCJR+VA's error rate
+        asks for one block too few at some point, but DFSE(2)+VA's need
+        holds the round, and BCJR+VA decodes all of it.  Taking only its
+        own need, it made a fourth call for that block (6, 7, 3 and 1
+        blocks)."""
+        text = (Path(__file__).parents[1] / "examples_cfg" / "pam.cfg"
+                ).read_text()
+        cfg = parse_config(text + "schemes = DFSE(2)+VA,BCJR+VA\n"
+                           "ebn0_db = 8,10,12\nmin_errors = 200\n"
+                           "max_bits = 300000\nseed = 2\n")
+        _, _, calls = self.sweep_calls(monkeypatch, tmp_path, cfg)
+        assert [sum(call.values()) for call in calls["BCJR+VA"]] == [6, 7, 8]
 
     def test_three_serial_points_share_calls(self, monkeypatch, tmp_path):
         """Three points side by side: each serial receiver's first call

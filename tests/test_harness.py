@@ -378,15 +378,16 @@ class TestSweep:
         # DFSE(2) and BCJR (bcjr_memory = 2) share theirs
         assert calls == {"build_conv_trellis": 1, "build_isi_trellis": 2}
 
+    MIXED = ("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2),DFSE(1)+VA,BCJR+VA\n"
+             "ebn0_db = 6,8\nmin_errors = 60\nmax_bits = 20000\n"
+             "block_bits = 200\nseed = 4\n")
+
     def test_rounds_match_block_by_block(self, monkeypatch, tmp_path):
         """Batched rounds give the CSV of one block per decoder call, also
         where a point stops on min_errors in the middle of a round."""
         import mdsim.harness as harness
 
-        cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2),"
-                           "DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
-                           "min_errors = 60\nmax_bits = 20000\n"
-                           "block_bits = 200\nseed = 4\n")
+        cfg = parse_config(self.MIXED)
         batched, counted_blocks, calls = self.sweep_calls(monkeypatch,
                                                           tmp_path, cfg)
         sizes = [sum(call.values()) for per_scheme in calls.values()
@@ -409,10 +410,7 @@ class TestSweep:
 
         import mdsim.harness as harness
 
-        cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2),"
-                           "DFSE(1)+VA,BCJR+VA\nebn0_db = 6,8\n"
-                           "min_errors = 60\nmax_bits = 20000\n"
-                           "block_bits = 200\nseed = 4\n")
+        cfg = parse_config(self.MIXED)
         made = Counter()
         make_block = harness._make_block
 
@@ -572,9 +570,9 @@ class TestSweep:
         """The error-rate cap of a round is the largest need of the live
         schemes, and every live scheme decodes the whole round.  At 8 dB,
         after the opening 2 blocks, DFSE(1)+VA needs 3 more (it stops at
-        block 4), while BCJR+VA needs a round of 4, twice the last one:
-        with the smallest need as the cap, it would have been called with
-        3.  DFSE(1)+VA decodes the round of 4 too, and drops the blocks
+        block 4), while BCJR+VA needs at least 4, so the round is 4, twice
+        the last one: with the smallest need as the cap, it would have
+        been 3.  DFSE(1)+VA decodes the round of 4 too, and drops the blocks
         past its stop.  The counts are those of one block per call."""
         import mdsim.harness as harness
 

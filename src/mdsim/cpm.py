@@ -98,19 +98,21 @@ def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> np.ndarray:
     saturating at 1/2 once its pulse has passed.
     """
     symbols = np.asarray(symbols, dtype=np.float64)
-    if symbols.size and not np.all(np.isin(symbols, params.alphabet)):
+    if not symbols.size:
+        raise ValueError("symbols must not be empty")
+    if not np.all(np.isin(symbols, params.alphabet)):
         raise ValueError(f"symbols must lie in {{±1..±{params.M - 1}}}")
     n_sym = symbols.size
     nos = params.N_os
     span = params.L_cpm * nos
-    n_samples = (n_sym - 1) * nos + span + 1 if n_sym else 1
+    n_samples = (n_sym - 1) * nos + span + 1
 
     # active-pulse part: q(t) minus its saturated tail has finite support
     t_sup = np.arange(span + 1) * params.dt
     r = params.phase_pulse(t_sup)
     r[-1] = 0.0  # the saturation step is accounted for separately
-    train = np.zeros((n_sym - 1) * nos + 1 if n_sym else 1)
-    train[::nos] = symbols if n_sym else 0.0
+    train = np.zeros((n_sym - 1) * nos + 1)
+    train[::nos] = symbols
     active = np.convolve(train, r)[:n_samples]
 
     # saturated part: symbols whose pulse has fully passed hold a[k]/2;
@@ -125,8 +127,11 @@ def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> np.ndarray:
 
 def add_waveform_awgn(samples: np.ndarray, params: CpmParams, n0: float,
                       seed) -> np.ndarray:
-    """Complex AWGN with per-real-dimension variance N0*N_os/2."""
-    if n0 <= 0:
+    """Complex AWGN with per-real-dimension variance N0*N_os/2; the
+    samples unchanged when ``n0`` is 0."""
+    if n0 < 0:
+        raise ValueError(f"n0 must be >= 0, got {n0}")
+    if n0 == 0:
         return samples
     sigma = math.sqrt(n0 * params.N_os / 2.0)
     rng = make_rng(*np.atleast_1d(seed))
@@ -189,18 +194,15 @@ def diff_demodulate(rx: np.ndarray, params: CpmParams) -> np.ndarray:
     """Phase extraction, continuation, and scaled first difference.
 
     Output sample i sits at t = (i + 1/2)*dt and approximates the
-    instantaneous superposition sum_k a[k] g(t - k).  Warns when any
-    wrapped phase step exceeds pi/2 (undersampling or heavy noise).
+    instantaneous superposition sum_k a[k] g(t - k).  Warns when a step
+    of the continued phase exceeds pi/2 (undersampling or heavy noise);
+    continuation keeps every step within [-pi, pi].
     """
-    ang = np.angle(rx)
-    steps = np.diff(ang)
-    wrapped = np.mod(steps + np.pi, 2.0 * np.pi) - np.pi
-    if wrapped.size and np.max(np.abs(wrapped)) > np.pi / 2:
-        warnings.warn("wrapped phase step exceeds pi/2; "
+    step = np.diff(np.unwrap(np.angle(rx)))
+    if step.size and np.max(np.abs(step)) > np.pi / 2:
+        warnings.warn("continued phase step exceeds pi/2; "
                       "phase continuation may be unreliable", stacklevel=2)
-    phase = np.unwrap(ang)
-    td = params.dt
-    return np.diff(phase) / (2.0 * np.pi * params.h_index * td)
+    return step / (2.0 * np.pi * params.h_index * params.dt)
 
 
 def _mf_taps(params: CpmParams) -> np.ndarray:
@@ -236,10 +238,9 @@ def transmit_receive(params: CpmParams, symbols, *, n0: float = 0.0,
                      noise_seed=0, theta0: float = 0.0,
                      cutoff: float | None = None) -> np.ndarray:
     """Full noiseless-or-noisy front end to symbol-spaced matched-filter
-    samples."""
+    samples; :func:`add_waveform_awgn` adds no noise when ``n0`` is 0."""
     wave = cpm_modulate(params, symbols, theta0)
-    if n0 > 0:
-        wave = add_waveform_awgn(wave, params, n0, noise_seed)
+    wave = add_waveform_awgn(wave, params, n0, noise_seed)
     if cutoff is not None:
         wave = receive_lowpass(wave, params, cutoff)
     y = diff_demodulate(wave, params)

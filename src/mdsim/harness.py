@@ -515,7 +515,7 @@ class _Tally:
             self.bits += sent.size
 
     def record(self, cfg: SimConfig, ebn0_db: float) -> BerRecord:
-        ber = self.errors / self.bits if self.bits else 0.0
+        ber = self.errors / self.bits
         lo, hi = wilson_interval(self.errors, self.bits)
         return BerRecord(scheme=self.receiver.scheme.label(),
                          states=self.receiver.states, ebn0_db=ebn0_db,
@@ -529,15 +529,15 @@ def _round_size(cfg: SimConfig, live: list[_Tally], first: int,
     round of ``last`` new blocks.  No tally can stop on errors before
     block ceil(min_errors / block_bits), so a point opens as if its last
     round had been that many blocks: a round is twice the last one (twice
-    that floor when ``first`` = 0) and at least the blocks left before
-    the floor.  It is held to at most the largest batch of the ``live``
-    tallies, the blocks left before ``max_bits``, and, once every live
-    tally has seen errors, the largest of their needs: the blocks that a
-    tally's error rate so far says it needs to reach ``min_errors``.  So
-    a point stopping on errors wastes little, and a tally close to its
-    stop does not shrink the round of the others."""
+    that floor when ``first`` = 0).  It is held to at most the largest
+    batch of the ``live`` tallies, the blocks left before ``max_bits``,
+    and, once every live tally has seen errors, the largest of their
+    needs: the blocks that a tally's error rate so far says it needs to
+    reach ``min_errors``.  So a point stopping on errors wastes little,
+    and a tally close to its stop does not shrink the round of the
+    others."""
     floor = -(-cfg.min_errors // cfg.block_bits)
-    size = max(2 * (last if first else floor), floor - first, 1)
+    size = 2 * (last or floor)
     # ceil((min_errors - errors) / (errors / first)); no errors, no cap
     need = max(-(-(cfg.min_errors - t.errors) * first // t.errors)
                if t.errors else math.inf for t in live)
@@ -631,7 +631,7 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
             if not p.live(cfg):
                 log(f"Eb/N0 = {p.ebn0_db:g} dB: " + ", ".join(
                     f"{t.receiver.scheme.label()} "
-                    f"ber={t.errors / max(t.bits, 1):.3e}" for t in p.tallies))
+                    f"ber={t.errors / t.bits:.3e}" for t in p.tallies))
     records = [t.record(cfg, p.ebn0_db) for p in points for t in p.tallies]
     records.sort(key=lambda r: (r.scheme, r.ebn0_db))
     return records

@@ -118,10 +118,9 @@ class WhiteningDesign:
         return self.noise_variance * gain
 
 
-def yule_walker(noise_acf, L_nw: int) -> tuple[np.ndarray, np.ndarray]:
+def yule_walker(noise_acf, L_nw: int) -> np.ndarray:
     """The prediction-error (whitening) filter ``f``, ``f[k] = -p[k]`` for
-    the prediction coefficients p of order ``L_nw`` by Levinson-Durbin,
-    and the reflection coefficients."""
+    the prediction coefficients p of order ``L_nw`` by Levinson-Durbin."""
     phi = np.asarray(noise_acf, dtype=np.float64)
     if L_nw < 0:
         raise ValueError("whitening order must be >= 0")
@@ -138,16 +137,14 @@ def yule_walker(noise_acf, L_nw: int) -> tuple[np.ndarray, np.ndarray]:
 
     f = np.array([1.0])
     err = phi[0]
-    refl = np.empty(L_nw)
     for mth in range(1, L_nw + 1):
         k = float(np.dot(f, phi[mth:0:-1])) / err
-        refl[mth - 1] = k
         fz = np.concatenate([f, [0.0]])
         f = fz - k * fz[::-1]
         err *= 1.0 - k * k
         if err <= 0:
             raise ValueError("prediction error vanished; ACF not positive definite")
-    return f, refl
+    return f
 
 
 def overall_isi(b, f) -> IsiResponse:
@@ -255,7 +252,7 @@ def _from_measurement(b, wmf, wmf_tail: float, noise_acf, L_nw: int,
         raise ValueError(f"noise_variance = {noise_variance:g} at "
                          f"calibration_ebn0_db = {eb_n0_db:g} is {per_n0:g} N0,"
                          " not finite and positive")
-    f, _ = yule_walker(noise_acf, L_nw)
+    f = yule_walker(noise_acf, L_nw)
     return WhiteningDesign(
         b=b, wmf=wmf, wmf_tail=wmf_tail,
         noise_acf=np.asarray(noise_acf, dtype=np.float64)[: L_nw + 1],

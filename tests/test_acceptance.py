@@ -210,9 +210,9 @@ def test_criterion_04_brute_force_optimality(capsys):
 
 # --------------------------------------------------------------------------
 def test_criterion_05_yule_walker(capsys):
-    f, _ = yule_walker([1.0, 0.5], 1)
+    f = yule_walker([1.0, 0.5], 1)
     assert np.abs(f - [1.0, -0.5]).max() < 1e-12
-    f, _ = yule_walker([1.0, 0.5, 0.25], 2)
+    f = yule_walker([1.0, 0.5, 0.25], 2)
     assert np.abs(f - [1.0, -0.5, 0.0]).max() < 1e-12
 
     rng = make_rng(55)
@@ -222,7 +222,7 @@ def test_criterion_05_yule_walker(capsys):
         w = rng.random(order + 1) + 0.2
         full = np.convolve(w, w[::-1])
         phi = full[order:] / full[order]
-        f, _ = yule_walker(phi, order)
+        f = yule_walker(phi, order)
         dense = np.linalg.solve(sp_linalg.toeplitz(phi[:order]),
                                 phi[1: order + 1])
         dev = np.abs(-f[1:] - dense).max()

@@ -181,9 +181,11 @@ def _older_format(lines, **edits):
     kv = dict(ln.split(" = ") for ln in lines)
     acf = sampled_pulse_acf(SimConfig(chain="cpm").cpm_params())
     b = spectral_factorize(acf)
-    f, reflection = yule_walker([float(v) for v in kv["noise_acf"].split(",")], 1)
+    phi = [float(v) for v in kv["noise_acf"].split(",")]
+    f = yule_walker(phi, 1)
     kv.update(order="1", acf=fmt(acf), b=fmt(b), p=fmt(-f[1:]), f=fmt(f),
-              reflection=fmt(reflection), overall=fmt(np.convolve(b, f)))
+              reflection=fmt([phi[1] / phi[0]]),  # the order-1 coefficient
+              overall=fmt(np.convolve(b, f)))
     kv.update(edits)
     return [f"{key} = {kv[key]}" for key in (
         "order", "noise_variance", "calibration_ebn0_db", "acf", "b",

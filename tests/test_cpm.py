@@ -1,6 +1,8 @@
 """Waveform-level checks: pulse normalization, constant envelope, the
 differential receiver inverting the modulator, and FM-noise shape."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -98,6 +100,14 @@ class TestModulator:
         with pytest.raises(ValueError):
             cpm_modulate(P3RC, [2])
 
+    def test_rejects_an_empty_sequence(self):
+        """An empty sequence is a ValueError naming ``symbols``; the front
+        end failed on it deep in numpy ("a cannot be empty")."""
+        with pytest.raises(ValueError, match="symbols"):
+            cpm_modulate(P3RC, [])
+        with pytest.raises(ValueError, match="symbols"):
+            transmit_receive(P3RC, [])
+
 
 class TestBandwidth:
     def test_golden_value(self):
@@ -172,6 +182,31 @@ class TestDemodulator:
         with pytest.warns(UserWarning, match="phase step"):
             diff_demodulate(w, P3RC)
 
+    def test_warns_only_on_a_step_above_half_pi(self):
+        """Unit-envelope samples whose phase steps are at most 0.3*pi,
+        apart from one largest step: 0.49*pi does not warn, -0.51*pi
+        does."""
+        steps = 0.3 * np.pi * (2.0 * make_rng(12).random(200) - 1.0)
+        steps[77] = 0.49 * np.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diff_demodulate(np.exp(1j * (0.4 + np.cumsum(steps))), P3RC)
+        steps[77] = -0.51 * np.pi
+        with pytest.warns(UserWarning, match="phase step"):
+            diff_demodulate(np.exp(1j * (0.4 + np.cumsum(steps))), P3RC)
+
+    def test_noisy_block_is_the_scaled_continued_step(self):
+        """On a noisy block whose continued phase slips, the output is the
+        first difference of the continued phase, scaled, bit for bit."""
+        w = cpm_modulate(P3RC, random_symbols(P3RC, 1000, 13))
+        rx = receive_lowpass(add_waveform_awgn(w, P3RC, 3.0, seed=14), P3RC,
+                             b999_bandwidth(P3RC))
+        with pytest.warns(UserWarning, match="phase step"):
+            y = diff_demodulate(rx, P3RC)
+        np.testing.assert_array_equal(
+            y, np.diff(np.unwrap(np.angle(rx)))
+            / (2 * np.pi * P3RC.h_index * P3RC.dt))
+
 
 class TestMatchedFilter:
     def test_isolated_symbol_traces_acf(self):
@@ -211,6 +246,15 @@ class TestNoise:
         a = add_waveform_awgn(w, P3RC, 0.1, seed=5)
         b = add_waveform_awgn(w, P3RC, 0.1, seed=5)
         np.testing.assert_array_equal(a, b)
+
+    def test_rejects_a_negative_n0(self):
+        """A negative noise density is a ValueError, as on the PAM chain
+        (``channel.fir_awgn_channel``); it added no noise."""
+        sym = random_symbols(P3RC, 50, 9)
+        with pytest.raises(ValueError, match="n0 must be >= 0"):
+            add_waveform_awgn(cpm_modulate(P3RC, sym), P3RC, -1.0, 0)
+        with pytest.raises(ValueError, match="n0 must be >= 0"):
+            transmit_receive(P3RC, sym, n0=-1.0)
 
     def test_fm_noise_psd_rises_with_frequency(self):
         """Differential detection of a noisy carrier: noise PSD grows with

@@ -624,6 +624,26 @@ class TestSweep:
         one_by_one, _, _ = self.sweep_calls(monkeypatch, tmp_path, cfg)
         assert one_by_one == csv
 
+    def test_rounds_below_the_floor_are_the_batch(self):
+        """One live tally whose batch (30) is below a third of the floor
+        (100 blocks): every round up to and past the floor is that batch,
+        though the blocks left before the floor (100 - first) outgrow
+        twice the last round."""
+        from types import SimpleNamespace
+
+        from mdsim.harness import _Tally, _round_size
+
+        cfg = SimConfig(min_errors=1000, max_bits=10**7, block_bits=10)
+        tally = _Tally(SimpleNamespace(batch=30))
+        first = last = 0
+        rounds = []
+        while first < 150:
+            tally.errors = first  # one error a block: a need of 1000 - first
+            last = _round_size(cfg, [tally], first, last)
+            rounds.append(last)
+            first += last
+        assert rounds == [30] * 5
+
     def test_stop_rule_respected(self):
         recs = run_ber_sweep(PAM_CFG)
         for r in recs:

@@ -24,3 +24,37 @@ def test_sweep_calls_counts_the_records_blocks(monkeypatch):
     assert set(calls) == set(want)
     for label, sizes in calls.items():
         assert sum(sizes) >= counted[label]
+
+
+def _run(**values):
+    """A hand-made ``bench/run.py`` result with the given metric values."""
+    return {"exit": 0, "env": {"host": "x"}, "correct": True, "attempted": 3,
+            "failed": 0,
+            "metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_bench_pairs_report_counts_wins_and_skips_missing(monkeypatch):
+    """``report`` counts a tie for neither side, counts the larger value as
+    the win of a ``better: higher`` metric, and leaves out a metric that
+    one side's runs never reported; ``summary`` of one run gives its
+    value as both quartiles."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    metrics = {"sweep_s": {"unit": "s", "better": "lower"},
+               "ratio": {"unit": "ratio", "better": "higher"},
+               "peak_rss_mb": {"unit": "MB", "better": "lower"}}
+    runs = {"parent": [_run(sweep_s=2.0, ratio=0.5, peak_rss_mb=9.0),
+                       _run(sweep_s=2.0, ratio=0.5),
+                       _run(sweep_s=2.0, ratio=0.5)],
+            "change": [_run(sweep_s=1.0, ratio=0.5),
+                       _run(sweep_s=2.0, ratio=0.9),
+                       _run(sweep_s=3.0, ratio=0.1)]}
+    row = bench_pairs.report(runs, metrics)
+    assert set(row["metrics"]) == {"sweep_s", "ratio"}
+    assert row["metrics"]["sweep_s"]["change_wins"] == 1
+    assert row["metrics"]["ratio"]["change_wins"] == 1
+    assert row["metrics"]["sweep_s"]["pairs"] == 3
+    assert row["metrics"]["sweep_s"]["change"]["median"] == 2.0
+    assert row["parent"]["attempted"] == 9
+    assert bench_pairs.summary([4.0]) == {"median": 4.0, "q1": 4.0,
+                                          "q3": 4.0, "runs": [4.0]}

@@ -11,6 +11,7 @@ from scipy import linalg as sp_linalg
 
 from mdsim.channel import make_rng, normal_from_uniform
 from mdsim.cpm import CpmParams, b999_bandwidth, transmit_receive
+from mdsim.matched_encoder import IsiResponse
 from mdsim.whitening import (
     WhiteningDesign,
     apply_whitening,
@@ -107,25 +108,26 @@ class TestSpectralFactorize:
 
 class TestYuleWalker:
     def test_single_tap_predictor(self):
-        f, _ = yule_walker([1.0, 0.5], 1)
+        f = yule_walker([1.0, 0.5], 1)
         np.testing.assert_allclose(-f[1:], [0.5], atol=1e-12)
         np.testing.assert_allclose(f, [1.0, -0.5], atol=1e-12)
 
     def test_ar1_consistent_acf(self):
-        f, _ = yule_walker([1.0, 0.5, 0.25], 2)
+        f = yule_walker([1.0, 0.5, 0.25], 2)
         np.testing.assert_allclose(-f[1:], [0.5, 0.0], atol=1e-12)
         np.testing.assert_allclose(f, [1.0, -0.5, 0.0], atol=1e-12)
 
     def test_sign_relation(self):
         phi = np.array([1.0, -0.55, 0.1, -0.02])
-        f, _ = yule_walker(phi, 3)
+        f = yule_walker(phi, 3)
         assert f.size == 4
         assert f[0] == 1.0
 
     def test_reflection_magnitudes(self):
+        """Every reflection coefficient has |k_m| < 1 exactly when the
+        prediction-error filter is minimum phase."""
         phi, _ = _measured_noise_acf()
-        _, reflection = yule_walker(phi, 10)
-        assert np.all(np.abs(reflection) < 1.0)
+        assert IsiResponse(yule_walker(phi, 10)).minimum_phase
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
@@ -135,7 +137,7 @@ class TestYuleWalker:
         w = rng.random(order + 1) + 0.2
         full = np.convolve(w, w[::-1])
         phi = full[order:] / full[order]
-        f, _ = yule_walker(phi, order)
+        f = yule_walker(phi, order)
         dense = np.linalg.solve(sp_linalg.toeplitz(phi[:order]), phi[1: order + 1])
         np.testing.assert_allclose(-f[1:], dense, atol=1e-10)
 
@@ -143,11 +145,8 @@ class TestYuleWalker:
         phi, _ = _measured_noise_acf()
         errs = []
         for order in range(0, 11):
-            _, reflection = yule_walker(phi, order)
-            err = phi[0]
-            for k in reflection:
-                err *= 1 - k * k
-            errs.append(err)
+            # the prediction error variance, phi[0] - sum_k p[k] phi[k]
+            errs.append(float(np.dot(yule_walker(phi, order), phi[:order + 1])))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_rejects_short_acf(self):
@@ -214,7 +213,7 @@ class TestApplyWhitening:
 
     @pytest.mark.slow
     def test_reduces_lag1_correlation(self):
-        phi, (f, _) = _measured_design()
+        phi, f = _measured_design()
         resid = _fresh_residual(seed=5150)
         before = _acf(resid, f.size - 1)
         after = _acf(np.convolve(resid, f)[: resid.size], f.size - 1)
@@ -236,8 +235,7 @@ def _measured_noise_acf():
 
 def _measured_design():
     phi, _ = _measured_noise_acf()
-    design = yule_walker(phi, 10)
-    return phi, design
+    return phi, yule_walker(phi, 10)
 
 
 def _fresh_residual(seed):
@@ -281,7 +279,7 @@ class TestNoiseMeasurement:
 
 
 def test_design_save_load_roundtrip(tmp_path):
-    phi, (f, _) = _measured_design()
+    phi, f = _measured_design()
     wmf, tail = wmf_taps(B3RC, 20)
     design = WhiteningDesign(
         b=B3RC, wmf=wmf, wmf_tail=tail, noise_acf=phi, noise_variance=0.3,
@@ -300,7 +298,7 @@ def test_design_save_load_roundtrip(tmp_path):
     assert loaded.overall.minimum_phase is True
     # a lower order uses the first lags of the file
     low = load_whitening_design(path, P3RC, 3, 20)
-    np.testing.assert_array_equal(low.f, yule_walker(phi, 3)[0])
+    np.testing.assert_array_equal(low.f, yule_walker(phi, 3))
 
 
 @pytest.mark.slow

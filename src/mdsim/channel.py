@@ -40,6 +40,8 @@ def fir_awgn_channel(symbols, h: IsiResponse, n0: float, seed: int) -> np.ndarra
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
     symbols = np.asarray(symbols, dtype=np.float64)
+    if not symbols.size:
+        raise ValueError("symbols must not be empty")
     clean = np.convolve(symbols, h.taps)[: symbols.size]
     if n0 == 0:
         return clean

@@ -69,9 +69,9 @@ class ConvCode:
 def conv_encode(code: ConvCode, bits) -> np.ndarray:
     """Encode ``bits`` from the all-zero state; returns n output bits per input bit."""
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("bits must be a 1-D sequence")
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
+    if bits.ndim != 1 or not bits.size:
+        raise ValueError("bits must be a non-empty 1-D sequence")
+    if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0/1")
     out = np.zeros((bits.size, code.n), dtype=np.int64)
     for i in range(code.n):

@@ -82,11 +82,13 @@ def compensate_edges(obs, taps, M: int) -> np.ndarray:
 
 def _as_blocks(obs) -> np.ndarray:
     """``obs`` as a float (B, T) array: a (T,) block is a batch of one.
-    A block needs a step and a batch a block."""
+    A block needs a step and a batch a block, and every value is finite."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim not in (1, 2) or obs.size == 0:
         raise ValueError("need a (T,) block or a (B, T) batch with T, B >= 1, "
                          f"not shape {obs.shape}")
+    if not np.isfinite(obs).all():
+        raise ValueError("need finite values in every block, not NaN or inf")
     return obs.reshape(-1, obs.shape[-1])
 
 

@@ -504,14 +504,12 @@ class _Tally:
     def done(self, cfg: SimConfig) -> bool:
         return self.errors >= cfg.min_errors or self.bits >= cfg.max_bits
 
-    def count(self, cfg: SimConfig, info: np.ndarray,
+    def count(self, cfg: SimConfig, sent: np.ndarray,
               decoded: np.ndarray) -> None:
-        """Count decoded blocks against the sent ``info`` in order until
-        the stop rule holds; the blocks past that one are discarded."""
-        for row, sent in zip(decoded, info):
-            if self.done(cfg):
-                break
-            self.errors += int(np.count_nonzero(row[:sent.size] != sent))
+        """Count one decoded block against its ``sent`` info bits, unless
+        the stop rule already holds: a block past the stop is discarded."""
+        if not self.done(cfg):
+            self.errors += int(np.count_nonzero(decoded[:sent.size] != sent))
             self.bits += sent.size
 
     def record(self, cfg: SimConfig, ebn0_db: float) -> BerRecord:
@@ -564,43 +562,34 @@ class _Point:
 
     def next_round(self, ctx: _ChainContext, cfg: SimConfig) -> list[tuple]:
         """Make the point's next round, the blocks from ``next_block`` on,
-        and give the whole of it to each live tally as (tally, info, obs,
-        n0)."""
+        as one stacked info and one stacked obs array, and give each of
+        its blocks to each live tally as (tally, info row, obs row, n0):
+        tally by tally, each in block order."""
         live = self.live(cfg)
         self.size = _round_size(cfg, live, self.next_block, self.size)
         info, obs = map(np.stack, zip(*(
             _make_block(ctx, cfg, self.n0, self.index, i)
             for i in range(self.next_block, self.next_block + self.size))))
         self.next_block += self.size
-        return [(t, info, obs, self.n0) for t in live]
+        return [(t, *block, self.n0) for t in live for block in zip(info, obs)]
 
 
-def _decode_round(cfg: SimConfig, receiver: _Receiver, parts) -> None:
-    """Decode one round of ``receiver``: ``parts`` holds, in point order,
-    each of its live tallies with the (info, obs, n0) of the blocks that
-    the tally takes from its point's round.  The blocks go out in calls
-    of the receiver's batch, which may carry the blocks of several
-    points; a call leaves out the tallies that are done.  Each tally's
-    ``seconds`` gains its share of a call, by blocks."""
-    while parts := [p for p in parts if len(p[1]) and not p[0].done(cfg)]:
-        takes, room = [], receiver.batch  # the next call's blocks per part
-        for _, info, _, _ in parts:
-            takes.append(min(room, len(info)))
-            room -= takes[-1]
+def _decode_round(cfg: SimConfig, receiver: _Receiver, blocks) -> None:
+    """Decode one round of ``receiver``: ``blocks`` holds, in point and
+    block order, the (tally, info, obs, n0) of every block of its live
+    tallies.  A call is the next ``batch`` blocks whose tally is not
+    done, so it may carry the blocks of several points.  Each block's
+    tally gains the call's seconds divided by its blocks."""
+    while blocks := [b for b in blocks if not b[0].done(cfg)]:
+        call, blocks = blocks[:receiver.batch], blocks[receiver.batch:]
         t0 = time.perf_counter()
-        obs = [o[:k] for (_, _, o, _), k in zip(parts, takes) if k]
-        # one point's blocks go as a view of its round, not a copy
-        obs = obs[0] if len(obs) == 1 else np.concatenate(obs)
-        decoded = receiver.decode(obs, np.repeat([p[3] for p in parts], takes))
-        at = 0
-        for (tally, info, _, _), k in zip(parts, takes):
-            tally.count(cfg, info[:k], decoded[at:at + k])
-            at += k
-        seconds = time.perf_counter() - t0
-        for (tally, _, _, _), k in zip(parts, takes):
-            tally.seconds += seconds * k / len(obs)
-        parts = [(t, info[k:], o[k:], n0)
-                 for (t, info, o, n0), k in zip(parts, takes)]
+        tallies, info, obs, n0 = zip(*call)
+        decoded = receiver.decode(np.stack(obs), np.array(n0))
+        for tally, sent, row in zip(tallies, info, decoded):
+            tally.count(cfg, sent, row)
+        seconds = (time.perf_counter() - t0) / len(call)
+        for tally in tallies:
+            tally.seconds += seconds
 
 
 def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
@@ -623,10 +612,9 @@ def run_ber_sweep(cfg: SimConfig, log=lambda msg: None) -> list[BerRecord]:
     while running := [p for p in points if p.live(cfg)]:
         if bit_capped:
             running = running[:1]
-        parts = [part for p in running for part in p.next_round(ctx, cfg)]
+        blocks = [b for p in running for b in p.next_round(ctx, cfg)]
         for r in receivers:
-            _decode_round(cfg, r, [part for part in parts
-                                   if part[0].receiver is r])
+            _decode_round(cfg, r, [b for b in blocks if b[0].receiver is r])
         for p in running:
             if not p.live(cfg):
                 log(f"Eb/N0 = {p.ebn0_db:g} dB: " + ", ".join(

@@ -192,6 +192,8 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
 def matched_encode(mt: MatchedTrellis, bits) -> np.ndarray:
     """Walk the joint trellis from the zero state; equals serial_reference."""
     bits = np.asarray(bits, dtype=np.int64)
+    if not bits.size:
+        raise ValueError("bits must not be empty")
     mem = mt.nu + mt.L
     # Window integers w[k] = sum_m c[k-m] 2^m are a sliding dot product.
     pow2 = (1 << np.arange(mem + 1)).astype(np.float64)

@@ -35,17 +35,10 @@ def sampled_pulse_acf(params: CpmParams) -> np.ndarray:
     t = (np.arange(n) + 0.5) * dt
     g = params.freq_pulse(t)
     gamma = 1.0 / math.sqrt(params.pulse_energy())
-    lags = np.arange(-(L - 1), L)
-    acf = np.empty(lags.size)
-    for i, lag in enumerate(lags):
-        shift = int(round(lag / dt))
-        if shift >= 0:
-            acf[i] = np.sum(g[: n - shift] * g[shift:]) * dt
-        else:
-            acf[i] = np.sum(g[-shift:] * g[: n + shift]) * dt
-    acf *= gamma
-    # enforce exact evenness against quadrature round-off
-    return 0.5 * (acf + acf[::-1])
+    # lags 0..L-1, mirrored: a lag's products are its negative's swapped
+    shifts = (int(round(lag / dt)) for lag in range(L))
+    acf = np.array([np.sum(g[: n - s] * g[s:]) * dt for s in shifts]) * gamma
+    return np.concatenate([acf[:0:-1], acf])
 
 
 def spectral_factorize(acf) -> np.ndarray:

@@ -49,3 +49,9 @@ def test_normal_from_uniform_moments():
 def test_noise_model_validation():
     with pytest.raises(ValueError, match="n0"):
         fir_awgn_channel(np.ones(4), IsiResponse([1.0]), -1.0, 0)
+
+
+def test_rejects_empty_symbols():
+    """An empty sequence is refused by name, not by np.convolve."""
+    with pytest.raises(ValueError, match="symbols"):
+        fir_awgn_channel([], IsiResponse([1.0, 0.5]), 0.1, 1)

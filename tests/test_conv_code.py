@@ -117,6 +117,12 @@ def test_rejects_bad_inputs():
         conv_encode(CODE_57, [0, 2, 1])
 
 
+def test_rejects_empty_bits():
+    """An empty sequence is refused by name, not by np.convolve."""
+    with pytest.raises(ValueError, match="bits"):
+        conv_encode(CODE_57, [])
+
+
 def test_parse_octal_generators():
     assert parse_octal_generators("5,7") == [0o5, 0o7]
     assert parse_octal_generators("133, 171") == [0o133, 0o171]

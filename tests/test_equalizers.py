@@ -785,21 +785,34 @@ def test_size_check_messages(build, message):
     assert str(exc.value) == message
 
 
+# every decoder that takes observations (or LLRs), on one argument
+DECODERS = {
+    "viterbi_mlse": lambda obs: viterbi_mlse(STD, obs),
+    "rsse": lambda obs: rsse_decode(MT, PartitionSpec(2), obs),
+    "dfse": lambda obs: dfse_equalize(H, 4, 1, obs),
+    "bcjr": lambda obs: bcjr_equalize(build_isi_trellis(H, 4), obs, 1.0),
+    "soft_viterbi": lambda obs: soft_viterbi_decode(CODE, obs),
+}
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
-@pytest.mark.parametrize("receiver", ["viterbi_mlse", "rsse", "dfse",
-                                      "bcjr", "soft_viterbi"])
+@pytest.mark.parametrize("receiver", DECODERS)
 def test_rejects_empty_input(receiver, shape):
     """A block with no step or a batch with no block is refused by name,
     not by a reshape error or a division by zero."""
-    decode = {
-        "viterbi_mlse": lambda obs: viterbi_mlse(STD, obs),
-        "rsse": lambda obs: rsse_decode(MT, PartitionSpec(2), obs),
-        "dfse": lambda obs: dfse_equalize(H, 4, 1, obs),
-        "bcjr": lambda obs: bcjr_equalize(build_isi_trellis(H, 4), obs, 1.0),
-        "soft_viterbi": lambda obs: soft_viterbi_decode(CODE, obs),
-    }[receiver]
     with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
-        decode(np.zeros(shape))
+        DECODERS[receiver](np.zeros(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("receiver", DECODERS)
+def test_rejects_non_finite_input(receiver, value):
+    """A NaN or infinite observation is refused, not decoded to all-zero
+    bits or NaN LLRs; one bad value in a batch is enough."""
+    obs = np.zeros((2, 12))
+    obs[1, 5] = value
+    with pytest.raises(ValueError, match="finite"):
+        DECODERS[receiver](obs)
 
 
 @pytest.mark.parametrize("taps", ["1,0.5", "1,0.5,0.25", "1,0.6,0.36,0.216,0.1296"])

@@ -684,6 +684,41 @@ def test_csv_timing_column(tmp_path):
     assert not row.endswith(",0.000")
 
 
+def test_call_seconds_are_shared_by_blocks(monkeypatch):
+    """A call's seconds go to its blocks' records, each block an equal
+    share: on a clock that each call moves by its blocks, every record
+    holds a whole number of seconds, at least the blocks it counts, and
+    a scheme's records add up to the blocks of its calls."""
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    import mdsim.harness as harness
+
+    clock, calls = [0.0], {}
+
+    def timed(receiver):
+        def decode(obs, n0):
+            clock[0] += len(obs)
+            calls[receiver.scheme.label()] = (
+                calls.get(receiver.scheme.label(), 0) + len(obs))
+            return receiver.decode(obs, n0)
+        return replace(receiver, decode=decode)
+
+    monkeypatch.setattr(harness, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(harness, "_build_receivers", lambda *args: [
+        timed(r) for r in _build_receivers(*args)])
+    cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,DFSE(1)+VA,BCJR+VA\n"
+                       "ebn0_db = 6,8\nmin_errors = 60\nmax_bits = 4000\n"
+                       "block_bits = 200\nseed = 4\n")
+    records = run_ber_sweep(cfg)
+    seconds = {}
+    for r in records:
+        assert r.seconds == int(r.seconds) >= r.bits // cfg.block_bits
+        seconds[r.scheme] = seconds.get(r.scheme, 0) + r.seconds
+    assert seconds == calls
+
+
 @pytest.mark.slow
 def test_whitening_file_reuse_reproduces_inline_calibration(tmp_path):
     """A sweep given a saved design file must match the sweep that

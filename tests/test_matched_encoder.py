@@ -103,6 +103,11 @@ class TestSerialReference:
         with pytest.raises(ValueError):
             serial_reference(CODE_57, IsiResponse([1.0]), 8, [1, 0])
 
+    def test_rejects_empty_bits(self):
+        """An empty sequence is refused by name, not by np.convolve."""
+        with pytest.raises(ValueError, match="bits"):
+            serial_reference(CODE_57, IsiResponse([1.0, 0.5]), 4, [])
+
 
 class TestMatchedTrellis:
     def test_state_counts(self):
@@ -160,6 +165,12 @@ class TestEncodeOracle:
         mt = build_matched_trellis(CODE_57, h, 4)
         out = matched_encode(mt, np.zeros(10, dtype=int))
         np.testing.assert_allclose(out[h.L:], offset_constant(h, 4))
+
+    def test_rejects_empty_bits(self):
+        """An empty sequence is refused by name, not by np.convolve."""
+        mt = build_matched_trellis(CODE_57, IsiResponse([1.0, 0.5]), 4)
+        with pytest.raises(ValueError, match="bits"):
+            matched_encode(mt, [])
 
     def test_generalizes_beyond_two_bit_planes(self):
         # M = 8 (three generators, weights 4/2/1 on the bit planes)

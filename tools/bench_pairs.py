@@ -4,10 +4,14 @@
     python3 tools/bench_pairs.py --parent 07c3992 --out BENCH_pr6.json \
         --workloads cpm-md,pam-viterbi,pam-serial,cpm-md:5
 
-The parent side is the revision ``--parent``, exported with ``git
-archive`` into a temporary directory, so that it holds exactly that
-commit's files; the change side is the checkout that holds this script,
-as it stands.  Each side runs its own ``bench/run.py`` in a fresh
+Both sides are exported with ``git archive`` into one temporary
+directory, so that each holds exactly one commit's files and both run
+from the same kind of place: the parent side is the revision
+``--parent``; the change side is the checkout that holds this script,
+as it stands, by the commit ``git stash create`` makes of its tracked
+changes (its HEAD when it has none).  An untracked file under ``src/``,
+``bench/`` or ``tools/`` would be left out of that export, so the
+script stops on one.  Each side runs its own ``bench/run.py`` in a fresh
 process.  For every workload the runs go in pairs, alternating which
 side runs first, and every pair uses the same seed and the run length
 ``run_seconds`` of BENCHMARK.json.  There are ``PAIRS`` pairs.
@@ -15,7 +19,8 @@ side runs first, and every pair uses the same seed and the run length
 The output holds, per workload and seed and per end-to-end metric of
 BENCHMARK.json, each side's runs, median and quartiles and the number of
 pairs the change won (ties count for neither side), as well as the
-seeds, the failed counts and the environment each side's bench reported.
+seeds, the failed counts, each run's probed and timed sweeps, and the
+environment each side's bench reported.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+# the directories a bench or call run reads its code from
+SOURCES = ("src/", "bench/", "tools/")
 
 
 def git(*args: str) -> str:
@@ -50,8 +57,22 @@ def export(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
+def change_commit() -> str:
+    """The commit of the checkout as it stands: the one ``git stash
+    create`` makes of its tracked changes, without touching the working
+    tree, or HEAD when it has none.  Stops, naming the file, when an
+    untracked file under SOURCES would be left out of its export."""
+    for line in git("status", "--porcelain").splitlines():
+        if line.startswith("?? ") and line[3:].startswith(SOURCES):
+            raise SystemExit(f"error: untracked file {line[3:]} would be "
+                             "left out of the change side; add or remove it")
+    return git("stash", "create") or git("rev-parse", "HEAD")
+
+
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run: its result line and reported environment."""
+    """One ``bench/run.py`` run: its result line, reported environment,
+    and from its detail record the sweeps it timed and how many of them
+    took a host-speed probe (an unprobed sweep reports raw wall time)."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds)],
@@ -63,9 +84,14 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+    detail = next((Path(ln.rpartition("detail in ")[2]) for ln in lines
+                   if "detail in " in ln), None)
+    sweeps = (json.loads(detail.read_text(encoding="utf-8"))["sweeps"]
+              if detail and detail.is_file() else [])
     if proc.returncode:
         print(proc.stderr[-2000:], file=sys.stderr)
-    return {"exit": proc.returncode, "env": env, **result}
+    return {"exit": proc.returncode, "env": env, "sweeps": len(sweeps),
+            "probed_sweeps": sum(s["probes"] > 0 for s in sweeps), **result}
 
 
 def summary(values: list[float]) -> dict:
@@ -90,12 +116,12 @@ def main(argv=None) -> int:
     reference = json.loads((ROOT / "bench" / "reference.json")
                            .read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    parent_commit = git("rev-parse", args.parent)
+    commits = {"parent": git("rev-parse", args.parent),
+               "change": change_commit()}
     out = {
-        "parent": {"rev": args.parent, "commit": parent_commit},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain",
-                                                   "--untracked-files=no"))},
+        "parent": {"rev": args.parent, "commit": commits["parent"]},
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "commit": commits["change"]},
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {seconds:g}",
         "pairs": PAIRS,
@@ -103,9 +129,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        export(parent_commit, parent)
-        sides = {"parent": parent, "change": ROOT}
+        sides = {side: Path(tmp) / side for side in commits}
+        for side, commit in commits.items():
+            export(commit, sides[side])
         for item in args.workloads.split(","):
             workload, _, seed = item.partition(":")
             seed = int(seed) if seed else reference[workload]["seed"]
@@ -133,6 +159,8 @@ def report(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
     row = {side: {"failed": sum(r["failed"] for r in rs),
                   "attempted": sum(r["attempted"] for r in rs),
                   "incorrect_runs": sum(not r["correct"] for r in rs),
+                  "probed_sweeps": [f"{r['probed_sweeps']}/{r['sweeps']}"
+                                    for r in rs],
                   "env": rs[0]["env"]}
            for side, rs in runs.items()}
     row["metrics"] = {}

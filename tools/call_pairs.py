@@ -6,10 +6,10 @@
     python3 tools/call_pairs.py --parent HEAD~ --scheme MD \
         --config examples_cfg/cpm.cfg
 
-The parent side is the revision ``--parent``, exported with ``git
-archive`` into a temporary directory (as ``tools/bench_pairs.py`` does);
-the change side is ``src/`` of the checkout that holds this script, as
-it stands.  Both packages are loaded into this process, under the names
+Both sides are exported with ``git archive`` into one temporary
+directory, as ``tools/bench_pairs.py`` exports them: the parent side is
+the revision ``--parent``, the change side the checkout that holds this
+script, as it stands.  Both packages are loaded into this process, under the names
 ``mdsim_parent`` and ``mdsim_change``, and each builds the receivers of
 ``--config`` (default ``examples_cfg/pam.cfg``) with its own harness.
 The blocks are the sweep's blocks at 10 dB for a PAM chain and at 14 dB
@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, export, git  # noqa: E402
+from bench_pairs import ROOT, change_commit, export, git  # noqa: E402
 
 # the Eb/N0 of the blocks, by chain: on pam.cfg the point between the
 # pam-viterbi workload's two, on cpm.cfg the cpm-md workload's point
@@ -123,13 +123,17 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default="examples_cfg/pam.cfg",
                     help="sweep config, relative to the repository root")
     args = ap.parse_args(argv)
+    if args.pairs < 2:  # the quartiles of the ratios need two
+        ap.error("--pairs must be at least 2")
 
     differ = False
+    commits = {"parent": git("rev-parse", args.parent),
+               "change": change_commit()}
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = Path(tmp) / "parent"
-        export(git("rev-parse", args.parent), parent_dir)
-        sides = {"parent": load(parent_dir / "src", "mdsim_parent"),
-                 "change": load(ROOT / "src", "mdsim_change")}
+        sides = {}
+        for side, commit in commits.items():
+            export(commit, Path(tmp) / side)
+            sides[side] = load(Path(tmp) / side / "src", f"mdsim_{side}")
         change = sides["change"]
         cfg = change.parse_config((ROOT / args.config)
                                   .read_text(encoding="utf-8"))

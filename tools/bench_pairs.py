@@ -37,8 +37,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-# the directories a bench or call run reads its code from
-SOURCES = ("src/", "bench/", "tools/")
 
 
 def git(*args: str) -> str:
@@ -61,9 +59,11 @@ def change_commit() -> str:
     """The commit of the checkout as it stands: the one ``git stash
     create`` makes of its tracked changes, without touching the working
     tree, or HEAD when it has none.  Stops, naming the file, when an
-    untracked file under SOURCES would be left out of its export."""
+    untracked file under a directory that a bench or call run reads its
+    code from would be left out of its export."""
     for line in git("status", "--porcelain").splitlines():
-        if line.startswith("?? ") and line[3:].startswith(SOURCES):
+        if line.startswith("?? ") and line[3:].startswith(
+                ("src/", "bench/", "tools/")):
             raise SystemExit(f"error: untracked file {line[3:]} would be "
                              "left out of the change side; add or remove it")
     return git("stash", "create") or git("rev-parse", "HEAD")

@@ -9,15 +9,15 @@
 Both sides are exported with ``git archive`` into one temporary
 directory, as ``tools/bench_pairs.py`` exports them: the parent side is
 the revision ``--parent``, the change side the checkout that holds this
-script, as it stands.  Both packages are loaded into this process, under the names
-``mdsim_parent`` and ``mdsim_change``, and each builds the receivers of
-``--config`` (default ``examples_cfg/pam.cfg``) with its own harness.
-The blocks are the sweep's blocks at 10 dB for a PAM chain and at 14 dB
-for a CPM chain (point 0 of a one-point config, the whitening of a CPM
-chain calibrated where the config's own grid puts it), made by the
-change's harness, so both sides decode the same observations.  On
-``examples_cfg/cpm.cfg`` those are the blocks of the bench's cpm-md
-workload at seed 1.
+script, as it stands.  Both packages are loaded into this process,
+under the names ``mdsim_parent`` and ``mdsim_change``, and each builds
+the receivers of ``--config`` (default ``examples_cfg/pam.cfg``) with
+its own harness.  The blocks are the sweep's blocks at 10 dB for a PAM
+chain and at 14 dB for a CPM chain (point 0 of a one-point config, the
+whitening of a CPM chain calibrated where the config's own grid puts
+it), made by the change's harness, so both sides decode the same
+observations.  On ``examples_cfg/cpm.cfg`` those are the blocks of the
+bench's cpm-md workload at seed 1.
 
 ``--scheme`` names one receiver as the CSV does, with or without its
 ``MD-`` prefix (``STD``, ``MD``, ``RSSE(8)``, ``DFSE(2)+VA``,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import make_rng, normal_from_uniform
+from .channel import _box_muller, _check_n0, make_rng
 
 # scipy.signal is imported inside the functions that call it, so that a
 # process that runs no CPM chain (a PAM sweep, the CLI) starts without
@@ -113,31 +113,40 @@ def cpm_modulate(params: CpmParams, symbols, theta0: float = 0.0) -> np.ndarray:
     r[-1] = 0.0  # the saturation step is accounted for separately
     train = np.zeros((n_sym - 1) * nos + 1)
     train[::nos] = symbols
-    active = np.convolve(train, r)[:n_samples]
+    phase = np.convolve(train, r)  # n_samples long
+    del train
 
     # saturated part: symbols whose pulse has fully passed hold a[k]/2;
     # symbol k saturates at sample k*nos + span
     hold = np.zeros(n_samples)
     hold[span::nos] = 0.5 * symbols
-    phase = active + np.cumsum(hold)
+    np.cumsum(hold, out=hold)
+    phase += hold
+    del hold
 
-    phase = 2.0 * np.pi * params.h_index * phase + theta0
-    return np.exp(1j * phase)
+    # exp(1j * (2*pi*h*phase + theta0)), one operation at a time in place
+    phase *= 2.0 * np.pi * params.h_index
+    phase += theta0
+    out = np.empty(n_samples, dtype=complex)
+    np.multiply(1j, phase, out=out)
+    return np.exp(out, out=out)
 
 
 def add_waveform_awgn(samples: np.ndarray, params: CpmParams, n0: float,
                       seed) -> np.ndarray:
     """Complex AWGN with per-real-dimension variance N0*N_os/2; the
-    samples unchanged when ``n0`` is 0."""
-    if n0 < 0:
-        raise ValueError(f"n0 must be >= 0, got {n0}")
+    samples unchanged when ``n0`` is 0.  The real parts take the first
+    ``samples.size`` normals of the stream, the imaginary parts the next."""
+    _check_n0(n0)
     if n0 == 0:
         return samples
     sigma = math.sqrt(n0 * params.N_os / 2.0)
     rng = make_rng(*np.atleast_1d(seed))
-    n = samples.size
-    noise = normal_from_uniform(rng, 2 * n)
-    return samples + sigma * (noise[:n] + 1j * noise[n:])
+    noisy = np.empty(samples.size, dtype=complex)
+    _box_muller(rng, noisy.real, noisy.imag)
+    noisy *= sigma
+    noisy += samples
+    return noisy
 
 
 @functools.lru_cache(maxsize=16)
@@ -160,18 +169,35 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
     """
     taps = _lowpass_taps(params.N_os, float(cutoff))
     delay = (taps.size - 1) // 2
-    padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
-    # lfilter's samples, bit for bit.  Copied out of the full convolution,
-    # which is freed here: returning a view of it raised the peak RSS of
-    # cpm.cfg's inline calibration from 247 to 266 MB.
-    return np.convolve(taps, padded)[delay:padded.size].copy()
+    n = samples.size
+    # lfilter's samples, bit for bit: the causal FIR over the samples
+    # followed by ``delay`` zeros, its first ``delay`` outputs dropped.
+    if n <= 2 * (taps.size - 1):
+        padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
+        return np.convolve(taps, padded)[delay:n + delay]
+    # A long block is convolved as it is, with no padded copy.  Its
+    # last ``delay`` outputs would be partial sums there; they are the
+    # full-length dot products over the last taps.size - 1 samples and
+    # the zeros, as in a short padded convolution of those alone.  The
+    # padded path above also takes n = taps.size - 1 and taps.size, where
+    # this form differs from it in the last bits.
+    full = np.convolve(taps, samples)
+    tail = np.concatenate([samples[n - (taps.size - 1):],
+                           np.zeros(delay, dtype=complex)])
+    full[n:n + delay] = np.convolve(taps, tail)[taps.size - 1:-(taps.size - 1)]
+    # A view: copying it out had the same tracemalloc peak, but raised
+    # the peak RSS of cpm.cfg's inline calibration from 184 to 196 MB.
+    return full[delay:n + delay]
 
 
 def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:
     """One-sided bandwidth containing ``fraction`` of the signal power.
 
     Welch estimate over a seeded waveform of 100 000 random symbols.
+    ``fraction`` must lie in (0, 1].
     """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     from scipy import signal as sp_signal
 
     rng = make_rng(20_999)
@@ -198,11 +224,27 @@ def diff_demodulate(rx: np.ndarray, params: CpmParams) -> np.ndarray:
     of the continued phase exceeds pi/2 (undersampling or heavy noise);
     continuation keeps every step within [-pi, pi].
     """
-    step = np.diff(np.unwrap(np.angle(rx)))
+    p = np.angle(rx)
+    # np.unwrap(p) (numpy 2.4), each step in place on two buffers
+    dd = np.diff(p)
+    fix = np.subtract(dd, -np.pi)
+    np.mod(fix, 2.0 * np.pi, out=fix)
+    fix += -np.pi
+    np.copyto(fix, np.pi, where=(fix == -np.pi) & (dd > 0))
+    fix -= dd
+    np.abs(dd, out=dd)
+    np.copyto(fix, 0, where=dd < np.pi)
+    np.cumsum(fix, out=fix)
+    np.add(p[1:], fix, out=p[1:])
+    del fix
+    # the first difference of the continued phase, into the freed dd
+    step = np.subtract(p[1:], p[:-1], out=dd)
+    del p
     if step.size and np.max(np.abs(step)) > np.pi / 2:
         warnings.warn("continued phase step exceeds pi/2; "
                       "phase continuation may be unreliable", stacklevel=2)
-    return step / (2.0 * np.pi * params.h_index * params.dt)
+    step /= 2.0 * np.pi * params.h_index * params.dt
+    return step
 
 
 def _mf_taps(params: CpmParams) -> np.ndarray:
@@ -230,8 +272,8 @@ def matched_filter_downsample(sig, params: CpmParams) -> np.ndarray:
     z = np.convolve(sig, taps)
     # Symbol k peaks at t = k + L, i.e. z index (k+L)*N_os - 1.
     first = params.L_cpm * params.N_os - 1
-    d = z[first:: params.N_os]
-    return d
+    # a copy, so that the convolution is freed
+    return z[first:: params.N_os].copy()
 
 
 def transmit_receive(params: CpmParams, symbols, *, n0: float = 0.0,

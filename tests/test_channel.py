@@ -51,6 +51,14 @@ def test_noise_model_validation():
         fir_awgn_channel(np.ones(4), IsiResponse([1.0]), -1.0, 0)
 
 
+@pytest.mark.parametrize("n0", [float("nan"), float("inf")])
+def test_rejects_a_non_finite_n0(n0):
+    """A NaN or infinite noise density is refused by name, as a negative
+    one is; an infinite one gave infinite observations."""
+    with pytest.raises(ValueError, match="n0 must be >= 0 and finite"):
+        fir_awgn_channel(np.ones(4), IsiResponse([1.0]), n0, 1)
+
+
 def test_rejects_empty_symbols():
     """An empty sequence is refused by name, not by np.convolve."""
     with pytest.raises(ValueError, match="symbols"):

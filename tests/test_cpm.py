@@ -1,6 +1,7 @@
 """Waveform-level checks: pulse normalization, constant envelope, the
 differential receiver inverting the modulator, and FM-noise shape."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from scipy import stats
 from mdsim.channel import make_rng
 from mdsim.cpm import (
     CpmParams,
+    _lowpass_taps,
+    _mf_taps,
     add_waveform_awgn,
     b999_bandwidth,
     cpm_modulate,
@@ -124,6 +127,13 @@ class TestBandwidth:
 
     def test_monotone_in_fraction(self):
         assert b999_bandwidth(P3RC, fraction=0.99) <= b999_bandwidth(P3RC)
+
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5, float("nan")])
+    def test_rejects_a_fraction_outside_0_1(self, fraction):
+        """A power fraction outside (0, 1] is refused by name; 0 and -1
+        read 0.0 and 1.5 read the Nyquist edge without it."""
+        with pytest.raises(ValueError, match="fraction"):
+            b999_bandwidth(P3RC, fraction)
 
 
 class TestDemodulator:
@@ -256,6 +266,14 @@ class TestNoise:
         with pytest.raises(ValueError, match="n0 must be >= 0"):
             transmit_receive(P3RC, sym, n0=-1.0)
 
+    @pytest.mark.parametrize("n0", [math.nan, math.inf])
+    def test_rejects_a_non_finite_n0(self, n0):
+        """A NaN or infinite noise density is refused by name, as a
+        negative one is; it gave NaN or infinite samples."""
+        w = cpm_modulate(P3RC, random_symbols(P3RC, 50, 9))
+        with pytest.raises(ValueError, match="n0 must be >= 0 and finite"):
+            add_waveform_awgn(w, P3RC, n0, 1)
+
     def test_fm_noise_psd_rises_with_frequency(self):
         """Differential detection of a noisy carrier: noise PSD grows with
         |f| up to the lowpass edge (the f^2 shape)."""
@@ -307,3 +325,123 @@ def test_lowpass_is_the_causal_fir_bit_for_bit(params):
             got = receive_lowpass(w, params, cutoff)
             np.testing.assert_array_equal(got.view(np.uint64),
                                           want.view(np.uint64))
+
+
+# The front end's plain numpy expressions, each a whole-array temporary
+# at a time: the oracle of the in-place steps of mdsim.cpm.
+
+def plain_modulate(params, symbols, theta0):
+    symbols = np.asarray(symbols, dtype=np.float64)
+    nos, span = params.N_os, params.L_cpm * params.N_os
+    n_samples = (symbols.size - 1) * nos + span + 1
+    r = params.phase_pulse(np.arange(span + 1) * params.dt)
+    r[-1] = 0.0
+    train = np.zeros((symbols.size - 1) * nos + 1)
+    train[::nos] = symbols
+    hold = np.zeros(n_samples)
+    hold[span::nos] = 0.5 * symbols
+    phase = np.convolve(train, r)[:n_samples] + np.cumsum(hold)
+    return np.exp(1j * (2 * np.pi * params.h_index * phase + theta0))
+
+
+def plain_normals(rng, size):
+    n_pairs = (size + 1) // 2
+    u1 = rng.random(n_pairs)
+    u2 = rng.random(n_pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
+
+
+def plain_awgn(samples, params, n0, seed):
+    sigma = math.sqrt(n0 * params.N_os / 2.0)
+    n = samples.size
+    noise = plain_normals(make_rng(*np.atleast_1d(seed)), 2 * n)
+    return samples + sigma * (noise[:n] + 1j * noise[n:])
+
+
+def plain_lowpass(samples, params, cutoff):
+    taps = _lowpass_taps(params.N_os, cutoff)
+    delay = (taps.size - 1) // 2
+    padded = np.concatenate([samples, np.zeros(delay, dtype=complex)])
+    return np.convolve(taps, padded)[delay:padded.size].copy()
+
+
+def plain_diff(rx, params):
+    return (np.diff(np.unwrap(np.angle(rx)))
+            / (2 * np.pi * params.h_index * params.dt))
+
+
+def plain_matched_filter(sig, params):
+    z = np.convolve(sig, _mf_taps(params))
+    return z[params.L_cpm * params.N_os - 1:: params.N_os]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def diff_and_warned(rx, params):
+    """diff_demodulate's output, and whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        y = diff_demodulate(rx, params)
+    return y, any("phase step" in str(w.message) for w in caught)
+
+
+FORMATS = [CpmParams(M=m, h_num=1, h_den=m, L_cpm=lc, pulse=pulse, N_os=nos)
+           for pulse in ("LRC", "LREC") for m in (2, 4, 8)
+           for lc in (1, 2, 3) for nos in (8, 16)]
+
+
+@pytest.mark.parametrize("params", FORMATS, ids=[
+    f"{p.L_cpm}{p.pulse[1:]}-M{p.M}-Nos{p.N_os}" for p in FORMATS])
+def test_front_end_is_the_plain_expressions_bit_for_bit(params):
+    """Each in-place step of the front end gives the bits of its plain
+    expression, on blocks short enough for the padded lowpass (5 and 25
+    symbols) and on a longer one, without noise and with it; and
+    diff_demodulate warns exactly when a continued step exceeds pi/2."""
+    for n_sym, seed in ((5, 1), (25, 2), (300, 3)):
+        sym = random_symbols(params, n_sym, seed)
+        theta0 = 0.3 * seed
+        w = cpm_modulate(params, sym, theta0)
+        assert_same_bits(w, plain_modulate(params, sym, theta0))
+        for n0 in (0.0, 0.5):
+            wn = add_waveform_awgn(w, params, n0, (seed, 1))
+            if n0:
+                assert_same_bits(wn, plain_awgn(w, params, n0, (seed, 1)))
+            else:
+                assert wn is w
+            lp = receive_lowpass(wn, params, 1.1)
+            assert_same_bits(lp, plain_lowpass(wn, params, 1.1))
+            y, warned = diff_and_warned(lp, params)
+            want = plain_diff(lp, params)
+            assert_same_bits(y, want)
+            assert warned == bool(np.max(np.abs(
+                want * (2 * np.pi * params.h_index * params.dt))) > np.pi / 2)
+            d = matched_filter_downsample(y, params)
+            assert_same_bits(d, plain_matched_filter(y, params))
+            assert d.base is None  # the convolution is not kept alive
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # its rule is checked above
+                chain = transmit_receive(params, sym, n0=n0,
+                                         noise_seed=(seed, 1),
+                                         theta0=theta0, cutoff=1.1)
+            assert_same_bits(chain, d)
+
+
+def test_exact_half_turn_steps_continue_as_np_unwrap():
+    """Steps of exactly +pi and -pi (the boundary that np.unwrap keeps at
+    the sign of the raw step), of exactly 2*pi, and small ones, give
+    np.unwrap's continuation bit for bit; the inputs are left as they
+    were."""
+    rx = np.array([1, -1, 1, -1, complex(-1, -0.0), 1j, -1j, 1, -1, -1,
+                   0.6 + 0.8j, 0.8 + 0.6j, -1, 1j, 1j, -1j, 1])
+    before = rx.copy()
+    phase = np.angle(rx)
+    assert np.pi in np.diff(phase) and -np.pi in np.diff(phase)
+    y, warned = diff_and_warned(rx, P3RC)
+    assert warned
+    assert_same_bits(y, plain_diff(rx, P3RC))
+    assert_same_bits(rx, before)

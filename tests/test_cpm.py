@@ -9,7 +9,7 @@ import pytest
 from scipy import signal as sp_signal
 from scipy import stats
 
-from mdsim.channel import make_rng
+from mdsim.channel import make_rng, normal_from_uniform
 from mdsim.cpm import (
     CpmParams,
     _lowpass_taps,
@@ -429,6 +429,14 @@ def test_front_end_is_the_plain_expressions_bit_for_bit(params):
                                          noise_seed=(seed, 1),
                                          theta0=theta0, cutoff=1.1)
             assert_same_bits(chain, d)
+
+
+def test_normals_are_the_plain_box_muller():
+    """The PAM chain's normals, odd counts included, are the bits of the
+    plain Box-Muller expressions."""
+    for size in (1, 2, 7, 1006):
+        assert_same_bits(normal_from_uniform(make_rng(size), size),
+                         plain_normals(make_rng(size), size))
 
 
 def test_exact_half_turn_steps_continue_as_np_unwrap():

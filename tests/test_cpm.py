@@ -439,6 +439,20 @@ def test_normals_are_the_plain_box_muller():
                          plain_normals(make_rng(size), size))
 
 
+@pytest.mark.parametrize("params", [P3RC, CpmParams(M=2, N_os=16)],
+                         ids=["Nos8", "Nos16"])
+def test_lowpass_is_the_padded_convolution_at_every_length(params):
+    """Every length from 1 sample to past twice the taps gives the bits of
+    the padded convolution, on both sides of the switch to the unpadded
+    form (which alone differs at taps.size - 1 and taps.size samples)."""
+    n_taps = _lowpass_taps(params.N_os, 1.1).size
+    rng = make_rng(31)
+    for n in range(1, 2 * n_taps + 8):
+        x = rng.random(n) + 1j * rng.random(n)
+        assert_same_bits(receive_lowpass(x, params, 1.1),
+                         plain_lowpass(x, params, 1.1))
+
+
 def test_exact_half_turn_steps_continue_as_np_unwrap():
     """Steps of exactly +pi and -pi (the boundary that np.unwrap keeps at
     the sign of the raw step), of exactly 2*pi, and small ones, give

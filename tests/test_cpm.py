@@ -399,8 +399,8 @@ FORMATS = [CpmParams(M=m, h_num=1, h_den=m, L_cpm=lc, pulse=pulse, N_os=nos)
     f"{p.L_cpm}{p.pulse[1:]}-M{p.M}-Nos{p.N_os}" for p in FORMATS])
 def test_front_end_is_the_plain_expressions_bit_for_bit(params):
     """Each in-place step of the front end gives the bits of its plain
-    expression, on blocks short enough for the padded lowpass (5 and 25
-    symbols) and on a longer one, without noise and with it; and
+    expression, on short blocks (5 and 25 symbols, shorter than the
+    lowpass taps at 5) and on a longer one, without noise and with it; and
     diff_demodulate warns exactly when a continued step exceeds pi/2."""
     for n_sym, seed in ((5, 1), (25, 2), (300, 3)):
         sym = random_symbols(params, n_sym, seed)
@@ -437,20 +437,6 @@ def test_normals_are_the_plain_box_muller():
     for size in (1, 2, 7, 1006):
         assert_same_bits(normal_from_uniform(make_rng(size), size),
                          plain_normals(make_rng(size), size))
-
-
-@pytest.mark.parametrize("params", [P3RC, CpmParams(M=2, N_os=16)],
-                         ids=["Nos8", "Nos16"])
-def test_lowpass_is_the_padded_convolution_at_every_length(params):
-    """Every length from 1 sample to past twice the taps gives the bits of
-    the padded convolution, on both sides of the switch to the unpadded
-    form (which alone differs at taps.size - 1 and taps.size samples)."""
-    n_taps = _lowpass_taps(params.N_os, 1.1).size
-    rng = make_rng(31)
-    for n in range(1, 2 * n_taps + 8):
-        x = rng.random(n) + 1j * rng.random(n)
-        assert_same_bits(receive_lowpass(x, params, 1.1),
-                         plain_lowpass(x, params, 1.1))
 
 
 def test_exact_half_turn_steps_continue_as_np_unwrap():

@@ -5,13 +5,15 @@ and soft-input Viterbi channel decoding.
 The four hard-decision receivers share one add-compare-select core
 (:func:`_viterbi`): a time loop over a predecessor table of the states
 that have a predecessor, and one traceback.  Each receiver supplies only
-its branch metrics.  The reduced receivers search a small window trellis
-(the r newest state bits for RSSE, the J newest symbols for DFSE) and
-take the older digits of each branch hypothesis from the survivor
-register of the state: an integer holding that survivor's last
+its branch metrics.  The two reduced-state receivers are one search
+(:func:`_survivor_search`) of an unlabeled window of their full trellis:
+RSSE(r) keeps the r newest bits of the merged trellis's states, DFSE(J)
+the J newest symbols of the full ISI trellis's.  A branch's hypothesis
+is its full trellis's output at the branch's register index: the
+survivor register of the state, an integer holding that survivor's last
 decisions, newest in the least significant digit, zeros before the
-block (per-survivor processing).  Ties go to the lower predecessor
-state, then the lower input.
+block, with the branch's input appended (per-survivor processing).
+Ties go to the lower predecessor state, then the lower input.
 
 All decoders use the squared Euclidean metric on real observations and a
 shared prehistory convention: trellis tables assume the pre-block symbol
@@ -40,7 +42,13 @@ from .matched_encoder import (
     symbol_index,
     symbol_value,
 )
-from .trellis import STATE_CAP, TrellisSpec, check_size, window_next_state
+from .trellis import (
+    STATE_CAP,
+    TrellisSpec,
+    check_size,
+    window_next_state,
+    window_trellis,
+)
 
 
 class DecodeResult(NamedTuple):
@@ -64,10 +72,8 @@ class PartitionSpec:
 
     @cached_property
     def window(self) -> TrellisSpec:
-        """The hyperstate trellis: a binary window of the r newest bits.
-        Branch labels come from the survivor registers, so it has none."""
-        return TrellisSpec(next_state=window_next_state(2, self.kept_bits),
-                           outputs=np.zeros((self.num_hyperstates, 2)))
+        """The hyperstate trellis: a binary window of the r newest bits."""
+        return window_trellis(2, self.kept_bits)
 
 
 def compensate_edges(obs, taps, M: int) -> np.ndarray:
@@ -268,7 +274,7 @@ POINTER_CHUNK = 64
 
 
 def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
-             *, memory: int = 0) -> DecodeResult:
+             *, memory: int | None = None) -> DecodeResult:
     """Add-compare-select over the table ``slots`` for ``steps`` steps on
     ``blocks`` independent blocks, then one traceback; returns the (B, T)
     uint8 input sequences and their (B,) metrics.
@@ -291,11 +297,13 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     step.  ``idx`` holds, in the (P, B, R) layout, each slot's hypothesis
     index: the survivor register of the slot's predecessor (its last
     ``memory`` inputs as base-P digits, newest in the least significant
-    digit) with the slot's input appended as the newest digit (None
-    without registers).  A state's new register is the index of the slot
-    it keeps, less its oldest digit.  Registers are used only on window
-    trellises (RSSE, DFSE), where every row is live and the fan-in P is
-    the number of inputs: 2 for RSSE, M for DFSE.
+    digit) with the slot's input appended as the newest digit.  A state's
+    new register is the index of the slot it keeps, less its oldest
+    digit.  A register of 0 digits is always 0, so with ``memory=0`` the
+    index is the slot's input; ``idx`` is None only without registers
+    (``memory=None``).  Registers are used only on window trellises
+    (:func:`_survivor_search`), where every row is live and the fan-in P
+    is the number of inputs: 2 for RSSE, M for DFSE.
     :func:`_select` compares the candidates in slot order and keeps the
     first minimum, so ties go to the lower predecessor state, then the
     lower input.  With a free end each block's traceback starts from its
@@ -340,14 +348,15 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     pm[:, slots.start] = 0.0
     pm_live = pm[:, :live]
     idx = None
-    if memory:  # every row is live
+    registers = memory is not None
+    if registers:  # every row is live
         pu = _tiled(slots.pu, blocks)
         idx = np.empty((P, blocks, R), dtype=np.int64)
         if P == 2:
             idx0, idx1 = idx
         row = np.arange(rows).reshape(blocks, R)
         reg = np.zeros((blocks, R), dtype=np.int64)
-    wrap = P**memory - 1  # drops a register's oldest digit
+        wrap = P**memory - 1  # drops a register's oldest digit
     chunk = np.zeros((POINTER_CHUNK, blocks, R),
                      dtype=bool if P == 2 else np.uint8)
     strided = chunk.view(np.uint8).reshape(per, -1, rows)  # (per, G, B*R)
@@ -356,14 +365,14 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
 
     for c, t0 in enumerate(starts):
         for t, back in zip(range(t0, steps), chunk[:, :, :live]):
-            if memory:
+            if registers:
                 reg.take(by_block, out=idx, mode="wrap")
                 idx *= P
                 idx += pu
             pm.take(live_ps, out=cand, mode="wrap")  # "raise" buffers
             cand += branch_metrics(t, idx)
             _select(cand, back, pm_live)
-            if memory:
+            if registers:
                 if P == 2:
                     reg = np.where(back, idx1, idx0)
                 else:
@@ -427,17 +436,6 @@ def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
     return DecodeResult(*(_unbatch(obs, x) for x in res))
 
 
-def _past_taps(taps, M: int, windows, lags) -> np.ndarray:
-    """Sum over ``lags`` (ascending) of taps[l] times the symbol sent l
-    steps back, which is digit l-1 of each M-ary window (newest least
-    significant)."""
-    levels = symbol_value(np.arange(M), M)
-    acc = np.zeros(np.shape(windows))
-    for l in lags:
-        acc += taps[l] * levels[windows // M ** (l - 1) % M]
-    return acc
-
-
 def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
                       state_cap: int = STATE_CAP) -> TrellisSpec:
     """Symbol-level ISI trellis (no code knowledge) over M-ary inputs.
@@ -452,8 +450,13 @@ def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
         raise ValueError("memory must be in [0, L]")
     S = M**mem
     check_size("ISI trellis", S, state_cap, "reduce memory or raise the cap")
-    past = _past_taps(h.taps, M, np.arange(S), range(1, mem + 1))
-    outputs = h.taps[0] * symbol_value(np.arange(M), M) + past[:, None]
+    levels = symbol_value(np.arange(M), M)
+    # past[s]: the sum over lags l = 1.. of taps[l] times the symbol sent
+    # l steps back, digit l-1 of window s, added in lag order
+    past = np.zeros(1)
+    for l in range(1, mem + 1):
+        past = np.add.outer(h.taps[l] * levels, past).reshape(-1)
+    outputs = h.taps[0] * levels + past[:, None]
     return TrellisSpec(next_state=window_next_state(M, mem), outputs=outputs)
 
 
@@ -484,6 +487,28 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
                        outputs=isi.outputs[w, x].reshape(-1, 2))
 
 
+def _survivor_search(window: TrellisSpec, full: TrellisSpec, memory: int,
+                     obs, end_state: int | None) -> DecodeResult:
+    """Per-survivor search of ``window``, the unlabeled window of the
+    ``full`` trellis, from state 0: a slot's hypothesis is the output of
+    ``full`` at its register index of ``memory`` digits plus its input,
+    which is the flat index of that branch of ``full``.  ``obs`` is one
+    (T,) block or a (B, T) batch; the bits are uint8."""
+    cols = _columns(obs)
+    slots = _slots(window, end_state=end_state)
+    flat = full.outputs.reshape(-1)
+    R, P = slots.pred.shape
+    d = np.empty((P, cols.shape[1], R))
+
+    def metrics(t, idx):
+        flat.take(idx, out=d, mode="wrap")
+        np.subtract(cols[t], d, out=d)
+        return np.multiply(d, d, out=d)
+
+    res = _viterbi(slots, *cols.shape[:2], metrics, memory=memory)
+    return DecodeResult(*(_unbatch(obs, x) for x in res))
+
+
 def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
     """Reduced-state Viterbi over the merged trellis with survivor feedback.
 
@@ -501,85 +526,35 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
         warnings.warn("ISI response not minimum phase; "
                       "state truncation loses its distance rationale",
                       stacklevel=2)
-    cols = _columns(obs)
-    slots = _slots(part.window)
-    # a hypothesis index is a merged state's nu+L bits and its input bit:
-    # the flat index of that branch's output
-    flat = mt.trellis.outputs.reshape(-1)
-    R, P = slots.pred.shape
-    d = np.empty((P, cols.shape[1], R))
-
-    def metrics(t, idx):
-        flat.take(idx, out=d, mode="wrap")
-        np.subtract(cols[t], d, out=d)
-        return np.multiply(d, d, out=d)
-
     # Flushed blocks terminate in hyperstate 0.
-    res = _viterbi(slots, *cols.shape[:2], metrics, memory=mem)
-    return DecodeResult(*(_unbatch(obs, x) for x in res))
-
-
-def build_dfse_feedback(h: IsiResponse, M: int, kept_symbols: int,
-                        state_cap: int = STATE_CAP) -> np.ndarray:
-    """Feedback of the taps beyond a DFSE window of ``kept_symbols``: entry
-    i is the sum over lags J+1..L of taps[l] times the symbol sent l steps
-    back, for the older register digits ``reg // M**J == i``.  It has
-    M^(L-J) entries, bounded by ``state_cap`` as the trellises are."""
-    L, J = h.L, kept_symbols
-    if J < 0 or J > L:
-        raise ValueError(f"kept_symbols must be in [0, {L}]")
-    n = M ** (L - J)
-    check_size("DFSE feedback table", n, state_cap,
-               "keep more symbols or raise the cap", unit="entries")
-    return _past_taps(h.taps, M, np.arange(n) * M**J, range(J + 1, L + 1))
+    return _survivor_search(part.window, mt.trellis, mem, obs, end_state=0)
 
 
 def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
                   *, end_state: int | None = None,
-                  window: TrellisSpec | None = None,
-                  feedback: np.ndarray | None = None) -> np.ndarray:
-    """Reduced-state symbol equalizer: M^J trellis states, survivor feedback
-    for the channel taps beyond the kept window.  Returns hard symbol
-    indices (natural map order) as uint8, (T,) for one block or (B, T)
-    for a batch.
+                  trellis: TrellisSpec | None = None) -> np.ndarray:
+    """Reduced-state symbol equalizer: the RSSE of the ISI trellis, whose
+    M^J states keep the J newest symbols; the taps beyond them are fed
+    back from each survivor's register.  Returns hard symbol indices
+    (natural map order) as uint8, (T,) for one block or (B, T) for a
+    batch.
 
-    ``window`` is ``build_isi_trellis(h, M, memory=kept_symbols)`` and
-    ``feedback`` is ``build_dfse_feedback(h, M, kept_symbols)``, for
-    callers that decode many blocks; each is built here when omitted.
+    ``trellis`` is ``build_isi_trellis(h, M)``, the full ISI trellis of
+    M^L states, for callers that decode many blocks; it is built here
+    when omitted.
     """
     L = h.L
     J = kept_symbols
     if J < 0 or J > L:
         raise ValueError(f"kept_symbols must be in [0, {L}]")
     _msb_weights(M)  # the survivor registers wrap by a mask
-    cols = _columns(obs)
-    if window is None:
-        window = build_isi_trellis(h, M, memory=J)
-    elif window.num_inputs != M or window.num_states != M**J:
-        raise ValueError(f"window trellis has {window.num_states} states and "
-                         f"{window.num_inputs} inputs, not M^J = {M**J} and "
-                         f"M = {M}")
-    if feedback is None:
-        feedback = build_dfse_feedback(h, M, J)
-    elif np.shape(feedback) != (M ** (L - J),):
-        raise ValueError(f"feedback table has shape {np.shape(feedback)}, "
-                         f"not (M^(L-J),) = ({M ** (L - J)},)")
-    slots = _slots(window, end_state=end_state)
-    # (P, B, M^J) hypotheses from the first J+1 taps
-    hyp = _tiled(window.outputs[slots.ps, slots.pu], cols.shape[1])
-    older = M ** (J + 1)  # the hypothesis index's digits past the window
-    past = np.empty(hyp.shape, dtype=np.int64)
-    d = np.empty(hyp.shape)
-
-    def metrics(t, idx):
-        np.floor_divide(idx, older, out=past)
-        feedback.take(past, out=d, mode="wrap")
-        np.add(d, hyp, out=d)
-        np.subtract(cols[t], d, out=d)
-        return np.multiply(d, d, out=d)
-
-    res = _viterbi(slots, *cols.shape[:2], metrics, memory=L)
-    return _unbatch(obs, res.bits)
+    if trellis is None:
+        trellis = build_isi_trellis(h, M)
+    elif trellis.outputs.shape != (M**L, M):
+        raise ValueError(f"trellis outputs {trellis.outputs.shape} are not "
+                         f"the (M^L, M) = {(M**L, M)} of the full ISI trellis")
+    res = _survivor_search(window_trellis(M, J), trellis, L, obs, end_state)
+    return res.bits
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .equalizers import (
     PartitionSpec,
     bcjr_bytes,
     bcjr_equalize,
-    build_dfse_feedback,
     build_isi_trellis,
     build_std_trellis,
     compensate_edges,
@@ -46,7 +45,7 @@ from .matched_encoder import (
     symbol_index,
     symbol_value,
 )
-from .trellis import STATE_CAP
+from .trellis import STATE_CAP, window_trellis
 from .whitening import (
     WhiteningDesign,
     apply_whitening,
@@ -422,7 +421,8 @@ def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
                      log) -> list[_Receiver]:
     """The receivers of the schemes of ``cfg``.  MD and every RSSE share
     one merged trellis, the serial schemes one code trellis and one ISI
-    trellis per window depth.  A scheme that cannot be built (over the
+    trellis per depth: every DFSE reads the full one, which BCJR shares
+    when ``bcjr_memory`` >= L.  A scheme that cannot be built (over the
     state cap, say) is disabled with a message; an RSSE or DFSE parameter
     beyond the chain's memory, or no scheme left, is a ConfigError."""
     code, isi, M, cap = ctx.code, ctx.isi, cfg.M, cfg.state_cap
@@ -452,14 +452,14 @@ def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
                             viterbi_bytes(part.window, steps))
         # The serial receivers equalize to coded-bit LLRs, then soft-VA them.
         if scheme.kind == "dfse_va":
-            window = isi_trellis(scheme.param)
-            feedback = build_dfse_feedback(isi, M, scheme.param, state_cap=cap)
+            trellis = isi_trellis(isi.L)
+            window = window_trellis(M, scheme.param)
             window_bytes = viterbi_bytes(window, steps)
             to_llrs = _hard_llrs(M)
 
             def equalize(obs, n0):
                 return to_llrs(dfse_equalize(isi, M, scheme.param, obs,
-                                             window=window, feedback=feedback))
+                                             trellis=trellis))
         else:
             window = isi_trellis(min(cfg.bcjr_memory, isi.L))
             window_bytes = bcjr_bytes(window, steps)

@@ -7,17 +7,16 @@ from functools import cached_property
 
 import numpy as np
 
-# Default bound on the states of a trellis, or the entries of a table,
-# that a ``build_*`` function allocates (config key ``state_cap``).
+# Default bound on the states of a trellis that a ``build_*`` function
+# allocates (config key ``state_cap``).
 STATE_CAP = 1 << 20
 
 
-def check_size(what: str, n: int, cap: int, hint: str,
-               unit: str = "states") -> None:
-    """Raise a ValueError naming ``what``, its size ``n`` in ``unit`` and
-    the cap, and ending in ``hint``, when ``n`` is above ``cap``."""
+def check_size(what: str, n: int, cap: int, hint: str) -> None:
+    """Raise a ValueError naming ``what``, its ``n`` states and the cap,
+    and ending in ``hint``, when ``n`` is above ``cap``."""
     if n > cap:
-        raise ValueError(f"{what} would need {n} {unit} (cap {cap}); {hint}")
+        raise ValueError(f"{what} would need {n} states (cap {cap}); {hint}")
 
 
 @dataclass(frozen=True)
@@ -81,4 +80,14 @@ def window_next_state(base: int, digits: int) -> np.ndarray:
     """Successors in a trellis whose state is the last ``digits`` inputs,
     newest in the least significant base-``base`` digit."""
     S = base**digits
-    return (np.arange(S)[:, None] * base + np.arange(base)) % S
+    # state s under input u goes to (s * base + u) % S, and s * base + u
+    # is the flat index of (s, u)
+    return np.arange(S * base).reshape(S, base) % S
+
+
+def window_trellis(base: int, digits: int) -> TrellisSpec:
+    """The unlabeled trellis of the last ``digits`` inputs: the window a
+    reduced-state receiver searches, whose branch hypotheses come from
+    its survivor registers, not from the window."""
+    next_state = window_next_state(base, digits)
+    return TrellisSpec(next_state=next_state, outputs=np.zeros(next_state.shape))

@@ -122,9 +122,8 @@ def yule_walker(noise_acf, L_nw: int) -> np.ndarray:
     if not (np.isfinite(phi).all() and phi[0] > 0):
         raise ValueError(f"noise_acf lags must be finite, lag 0 positive: {phi}")
     if L_nw > 0:
-        from scipy import linalg as sp_linalg
-
-        cond = np.linalg.cond(sp_linalg.toeplitz(phi[:L_nw]))
+        k = np.arange(L_nw)
+        cond = np.linalg.cond(phi[np.abs(np.subtract.outer(k, k))])
         if not np.isfinite(cond) or cond > 1e12:
             raise ValueError(f"Toeplitz system ill-conditioned (cond={cond:.3g})")
 

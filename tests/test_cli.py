@@ -90,6 +90,21 @@ def test_pam_sweep_imports_no_scipy(tmp_path):
     assert "scipy.signal" not in loaded and "scipy.linalg" not in loaded
 
 
+@pytest.mark.parametrize("chain, label", [
+    ("taps = 1\nschemes = DFSE(0)+VA\n", "DFSE(0)+VA"),
+    ("code = 1,1\ntaps = 1\nschemes = RSSE(0)\n", "MD-RSSE(1)"),
+], ids=["dfse", "rsse"])
+def test_sweep_memoryless_survivor_window(tmp_path, chain, label):
+    # a 1-tap channel (and a code of nu = 0) leaves registers of 0 digits
+    cfg = tmp_path / "memoryless.cfg"
+    out = tmp_path / "out.csv"
+    cfg.write_text(chain + "ebn0_db = 10\nmax_bits = 1000\n"
+                   f"block_bits = 500\noutput = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [label]
+
+
 def test_sweep_without_runnable_scheme_is_config_error(tmp_path, capsys):
     # STD (16 states) is above the cap, which disables it
     cfg = tmp_path / "none.cfg"

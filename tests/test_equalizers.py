@@ -16,7 +16,6 @@ from mdsim.equalizers import (
     PartitionSpec,
     _contiguous_sum,
     bcjr_equalize,
-    build_dfse_feedback,
     build_isi_trellis,
     build_std_trellis,
     compensate_edges,
@@ -332,10 +331,11 @@ class TestCompareSelect:
         seen = {}
         core = eq._viterbi
 
-        def spy(slots, steps, blocks, branch_metrics, *, memory=0):
+        def spy(slots, steps, blocks, branch_metrics, *, memory=None):
             R, P = slots.pred.shape
             live = slots.live[:slots.live_rows]
-            prev = np.zeros((P, blocks, R), dtype=np.int64) if memory else None
+            prev = (None if memory is None
+                    else np.zeros((P, blocks, R), dtype=np.int64))
             metrics = branch_metrics(0, prev)
             assert metrics.shape == (P, blocks, slots.live_rows)
             seen[caller] = (live.T[:, None, :], metrics)
@@ -549,6 +549,18 @@ class TestRsse:
         res = rsse_decode(MT, PartitionSpec(0), obs)
         np.testing.assert_array_equal(res.bits, tx)
 
+    def test_memoryless_trellis(self):
+        """RSSE(0) on a merged trellis of no state bits (a code of nu = 0
+        over a 1-tap channel) reads its 0-digit registers, which are 0."""
+        code, h = ConvCode([0o1, 0o1]), IsiResponse([1.0])
+        mt = build_matched_trellis(code, h, 4)
+        assert mt.trellis.num_states == 1
+        tx = (make_rng(13).random(200) < 0.5).astype(np.int64)
+        obs = noisy_obs(tx, 0.0, 0, code=code, h=h)
+        res = rsse_decode(mt, PartitionSpec(0), obs)
+        np.testing.assert_array_equal(res.bits, tx)
+        assert res.metric == 0.0
+
     def test_full_state_metric_dominates(self):
         # the full-state decoder attains the global minimum metric
         for seed in range(15):
@@ -627,33 +639,75 @@ class TestDfse:
         with pytest.raises(ValueError, match="M = 3"):
             dfse_equalize(H, 3, 1, np.zeros(8))
 
-    def test_prebuilt_window(self):
+    def test_memoryless_channel(self):
+        """DFSE(0) on a 1-tap channel reads its 0-digit registers."""
+        idx, sym = self.make_symbols(200, 14)
+        h = IsiResponse([1.0])
+        np.testing.assert_array_equal(dfse_equalize(h, 4, 0, sym), idx)
+
+    def test_prebuilt_trellis(self):
         idx, sym = self.make_symbols(200, 8)
         obs = np.convolve(sym, H.taps)[: sym.size]
         obs += 0.6 * normal_from_uniform(make_rng(9), obs.size)
-        window = build_isi_trellis(H, 4, memory=1)
+        full = build_isi_trellis(H, 4)
         np.testing.assert_array_equal(
-            dfse_equalize(H, 4, 1, obs, window=window),
+            dfse_equalize(H, 4, 1, obs, trellis=full),
             dfse_equalize(H, 4, 1, obs))
-        for J, M in ((2, 4), (1, 2)):  # wrong window depth, wrong alphabet
-            with pytest.raises(ValueError, match="window"):
-                dfse_equalize(H, M, J, obs, window=window)
+        # a truncated trellis, and the full trellis of another alphabet
+        for M, tr in ((4, build_isi_trellis(H, 4, memory=1)),
+                      (2, full)):
+            with pytest.raises(ValueError, match="full ISI trellis"):
+                dfse_equalize(H, M, 1, obs, trellis=tr)
 
-    def test_feedback_table(self):
-        # entry i is the feedback of the older digits reg // M^J = i
-        h = IsiResponse([1.0, 0.5, 0.25, 0.125])
-        table = build_dfse_feedback(h, 4, 1)
-        assert table.shape == (16,)
-        reg = np.arange(4**3)
-        want = sum(h.taps[l] * (2.0 * (reg // 4 ** (l - 1) % 4) - 3)
-                   for l in (2, 3))
-        np.testing.assert_array_equal(table[reg // 4], want)
-        np.testing.assert_array_equal(build_dfse_feedback(h, 4, 3), [0.0])
-        with pytest.raises(ValueError, match="cap 8"):
-            build_dfse_feedback(h, 4, 1, state_cap=8)
-        obs = np.zeros(10)
-        with pytest.raises(ValueError, match="feedback"):
-            dfse_equalize(h, 4, 1, obs, feedback=table[:4])
+    @staticmethod
+    def factored_dfse(h, M, J, obs, end_state):
+        """DFSE by the factored metric: the output of the M^J-state
+        window trellis (taps 0..J) plus the feedback of taps J+1..L, read
+        from a table of M^(L-J) entries at the register index's digits
+        past the window, ``feedback[idx // M^(J+1)]``."""
+        import mdsim.equalizers as eq
+
+        L = h.L
+        levels = symbol_value(np.arange(M), M)
+        window = build_isi_trellis(h, M, memory=J)
+        older = np.arange(M ** (L - J)) * M**J
+        feedback = np.zeros(older.size)
+        for l in range(J + 1, L + 1):
+            feedback += h.taps[l] * levels[older // M ** (l - 1) % M]
+        cols = eq._columns(obs)
+        slots = eq._slots(window, end_state=end_state)
+        hyp = eq._tiled(window.outputs[slots.ps, slots.pu], cols.shape[1])
+
+        def metrics(t, idx):
+            d = feedback[idx // M ** (J + 1)] + hyp
+            return (cols[t] - d) ** 2
+
+        return eq._viterbi(slots, *cols.shape[:2], metrics, memory=L).bits
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_matches_factored_metric(self, M, L, dyadic):
+        """Reading the full ISI trellis at the register index decides as
+        the window output plus the feedback of the older taps, on every
+        window depth and both ends.  Every third block is rounded to
+        integers; on taps in eighths its metrics tie."""
+        rng = make_rng(1000 * M + 10 * L + dyadic)
+        taps = rng.random(L) - 0.5
+        if dyadic:
+            taps = np.round(8 * taps) / 8
+        h = IsiResponse(np.concatenate([[1.0], taps]))
+        T, B = 24, 6
+        idx = (rng.random((B, T)) * M).astype(np.int64)
+        sym = symbol_value(idx, M)
+        obs = np.stack([np.convolve(s, h.taps)[:T] for s in sym])
+        obs += 0.4 * M * normal_from_uniform(rng, obs.size).reshape(B, T)
+        obs[::3] = np.round(obs[::3])
+        for J in range(L + 1):
+            for end in (0, None):
+                np.testing.assert_array_equal(
+                    dfse_equalize(h, M, J, obs, end_state=end),
+                    self.factored_dfse(h, M, J, obs, end))
 
 
 class TestBcjr:
@@ -773,10 +827,7 @@ def test_rejects_states_outside_the_trellis(name, state):
                                    state_cap=512),
      "merged trellis would need 1024 states (cap 512); "
      "use a serial receiver or raise the cap"),
-    (lambda: build_dfse_feedback(IsiResponse(np.ones(6)), 4, 0, state_cap=512),
-     "DFSE feedback table would need 1024 entries (cap 512); "
-     "keep more symbols or raise the cap"),
-], ids=["isi", "std", "merged", "dfse_feedback"])
+], ids=["isi", "std", "merged"])
 def test_size_check_messages(build, message):
     # STD's 1024 channel windows are over the cap too: its own check
     # comes before the ISI trellis is built

@@ -333,15 +333,16 @@ class TestSweep:
         assert [r.scheme for r in recs] == ["MD-RSSE(8)"]
 
     def test_state_cap_bounds_merged_trellis(self):
-        # nu + L = 4 state bits: MD and RSSE need the 16-state merged table
-        cfg = parse_config("taps = 1,0.5,0.25\n"
-                           "schemes = MD,RSSE(2),DFSE(1)+VA\nstate_cap = 8\n"
+        # nu + L = 3 state bits: MD and RSSE need the 8-state merged table,
+        # DFSE the 4-state ISI trellis of L = 1
+        cfg = parse_config("taps = 1,0.5\n"
+                           "schemes = MD,RSSE(2),DFSE(1)+VA\nstate_cap = 4\n"
                            "ebn0_db = 10\nmax_bits = 500\nblock_bits = 500\n")
         msgs = []
         recs = run_ber_sweep(cfg, log=msgs.append)
         for label in ("MD", "MD-RSSE(4)"):
             assert (f"scheme {label} disabled: merged trellis would need "
-                    "16 states (cap 8)") in " ".join(msgs)
+                    "8 states (cap 4)") in " ".join(msgs)
         assert [r.scheme for r in recs] == ["DFSE(1)+VA"]
 
     @pytest.mark.parametrize("schemes", ["MD,RSSE(4)", "MD,DFSE(2)+VA"])
@@ -374,9 +375,9 @@ class TestSweep:
                            "max_bits = 1500\nblock_bits = 500\n")
         recs = run_ber_sweep(cfg)
         assert sum(r.bits for r in recs) == 6 * 1500
-        # one code trellis per sweep, one ISI trellis per window depth:
-        # DFSE(2) and BCJR (bcjr_memory = 2) share theirs
-        assert calls == {"build_conv_trellis": 1, "build_isi_trellis": 2}
+        # one code trellis per sweep, one ISI trellis per depth: both
+        # DFSE and BCJR (bcjr_memory = 2 = L) read the full one
+        assert calls == {"build_conv_trellis": 1, "build_isi_trellis": 1}
 
     MIXED = ("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2),DFSE(1)+VA,BCJR+VA\n"
              "ebn0_db = 6,8\nmin_errors = 60\nmax_bits = 20000\n"

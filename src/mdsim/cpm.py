@@ -179,14 +179,11 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
     return np.convolve(taps, padded)[delay:n + delay]
 
 
-def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:
-    """One-sided bandwidth containing ``fraction`` of the signal power.
+def b999_bandwidth(params: CpmParams) -> float:
+    """One-sided bandwidth containing 99.9% of the signal power.
 
     Welch estimate over a seeded waveform of 100 000 random symbols.
-    ``fraction`` must lie in (0, 1].
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     from scipy import signal as sp_signal
 
     rng = make_rng(20_999)
@@ -201,7 +198,7 @@ def b999_bandwidth(params: CpmParams, fraction: float = 0.999) -> float:
     order = np.argsort(np.abs(f), kind="stable")
     cum = np.cumsum(pxx[order])
     total = cum[-1]
-    k = int(np.searchsorted(cum, fraction * total))
+    k = int(np.searchsorted(cum, 0.999 * total))
     return float(np.abs(f[order][min(k, f.size - 1)]))
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,11 +69,6 @@ class PartitionSpec:
     def num_hyperstates(self) -> int:
         return 1 << self.kept_bits
 
-    @cached_property
-    def window(self) -> TrellisSpec:
-        """The hyperstate trellis: a binary window of the r newest bits."""
-        return window_trellis(2, self.kept_bits)
-
 
 def compensate_edges(obs, taps, M: int) -> np.ndarray:
     """Subtract the silent-prehistory offsets from the first L observations
@@ -116,13 +110,12 @@ def _pointer_bits(fan_in: int) -> int:
                      "pointer of 8 bits")
 
 
-def _stepped(fan_in: np.ndarray, start_state: int,
-             end_state: int | None) -> np.ndarray:
+def _stepped(fan_in: np.ndarray, end_state: int | None) -> np.ndarray:
     """Mask of the states the add-compare-select steps, by each state's
-    fan-in: those with a predecessor, and the start and end states.  Any
+    fan-in: those with a predecessor, state 0 and the end state.  Any
     other state is never entered, so its metric is +inf after step 0."""
     step = fan_in > 0
-    step[start_state] = True
+    step[0] = True
     if end_state is not None:
         step[end_state] = True
     return step
@@ -145,68 +138,62 @@ def viterbi_bytes(trellis: TrellisSpec, steps: int) -> int:
     before a block."""
     fan_in = np.bincount(trellis.next_state.reshape(-1),
                          minlength=trellis.num_states)
-    rows = int(np.count_nonzero(_stepped(fan_in, 0, 0)))
+    rows = int(np.count_nonzero(_stepped(fan_in, 0)))
     per_byte = 8 // _pointer_bits(int(fan_in.max()))
     return -(-steps // per_byte) * rows + 9 * steps
 
 
 class _Slots(NamedTuple):
-    """The add-compare-select table of one trellis and start and end
-    state: a row for each of the R states it steps, holding that state's
-    predecessor slots in the order of ``trellis.predecessors``.  A slot
-    is live when it is a branch from a stepped state; the others
+    """The add-compare-select table of one trellis and end state, from
+    state 0: a row for each of the R states it steps, holding that
+    state's predecessor slots in the order of ``trellis.predecessors``.
+    A slot is live when it is a branch from a stepped state; the others
     (padding, and branches from never-entered states) are masked to
-    +inf.  The ``live_rows`` rows that have a live slot or hold the start
-    state come first, then the others, each part in ascending state
-    order, so that a step forms the candidates and branch metrics of the
-    first ``live_rows`` rows only."""
+    +inf.  The ``live_rows`` rows that have a live slot or hold state 0
+    come first, then the others, each part in ascending state order, so
+    that a step forms the candidates and branch metrics of the first
+    ``live_rows`` rows only.  State 0 is the lowest of them: row 0."""
 
     state: np.ndarray  # (R,) the state of each row
     ps: np.ndarray     # (R, P) predecessor state of each slot
     pu: np.ndarray     # (R, P) input of each slot
-    # (R, P) row of each live slot's predecessor, else the row of the
-    # lowest stepped state
+    # (R, P) row of each live slot's predecessor, else row 0
     pred: np.ndarray
     live: np.ndarray   # (R, P) bool
-    live_rows: int     # rows with a live slot, and the start row
-    start: int         # row of the start state
+    live_rows: int     # rows with a live slot, and row 0
     end: int | None    # row of the end state, None for a free end
 
 
-def _check_states(num_states: int, start_state: int,
-                  end_state: int | None) -> None:
-    """Raise a ValueError naming a start or end state that is not one of
-    the ``num_states`` states (``end_state`` None is a free end)."""
-    for name, state in (("start_state", start_state), ("end_state", end_state)):
-        if state is not None and not 0 <= state < num_states:
-            raise ValueError(f"{name} must be a state in 0..{num_states - 1}, "
-                             f"not {state}")
+def _check_end_state(num_states: int, end_state: int | None) -> None:
+    """Raise a ValueError naming an end state that is not one of the
+    ``num_states`` states (None is a free end)."""
+    if end_state is not None and not 0 <= end_state < num_states:
+        raise ValueError(f"end_state must be a state in 0..{num_states - 1}, "
+                         f"not {end_state}")
 
 
-def _slots(trellis: TrellisSpec, start_state: int = 0,
-           end_state: int | None = 0) -> _Slots:
+def _slots(trellis: TrellisSpec, end_state: int | None = 0) -> _Slots:
     """The table :func:`_viterbi` steps; receivers read each slot's branch
     hypothesis from its ``ps`` and ``pu``.  A stable sort of the stepped
-    states puts those with a live slot, and the start state, first and
-    keeps each part in state order.  Any other row is +inf from the start
-    and keeps the slot-0 pointer of a row of +inf candidates, so a step
-    forms no candidate for it.  The start row is formed even without a
-    live slot, so that its metric turns +inf at step 0."""
-    _check_states(trellis.num_states, start_state, end_state)
+    states puts those with a live slot, and state 0, first and keeps each
+    part in state order.  Any other row is +inf from step 0 on and keeps
+    the slot-0 pointer of a row of +inf candidates, so a step forms no
+    candidate for it.  State 0's row is formed even without a live slot,
+    so that its metric turns +inf at step 0."""
+    _check_end_state(trellis.num_states, end_state)
     ps, pu, valid = trellis.predecessors
-    step = _stepped(valid.sum(1), start_state, end_state)
+    step = _stepped(valid.sum(1), end_state)
     live = valid & step[ps]
     live_row = live.any(1)
-    live_row[start_state] = True
+    live_row[0] = True
     state = np.flatnonzero(step)
     state = state[np.argsort(~live_row[state], kind="stable")]
     row_of = np.zeros(trellis.num_states, dtype=np.int64)
     row_of[state] = np.arange(state.size)
     ps, pu, live = ps[state], pu[state], live[state]
-    pred = np.where(live, row_of[ps], row_of[state.min()])
+    pred = np.where(live, row_of[ps], 0)
     return _Slots(state, ps, pu, pred, live,
                   int(np.count_nonzero(live_row)),
-                  int(row_of[start_state]),
                   None if end_state is None else int(row_of[end_state]))
 
 
@@ -345,7 +332,7 @@ def _viterbi(slots: _Slots, steps: int, blocks: int, branch_metrics,
     cand = np.empty((P, blocks, live))
     live_ps = np.ascontiguousarray(by_block[:, :, :live])  # a copy if live < R
     pm = np.full((blocks, R), np.inf)
-    pm[:, slots.start] = 0.0
+    pm[:, 0] = 0.0
     pm_live = pm[:, :live]
     idx = None
     registers = memory is not None
@@ -410,18 +397,18 @@ def _unbatch(obs, x):
     return x if np.ndim(obs) == 2 else x[0]
 
 
-def viterbi_mlse(trellis: TrellisSpec, obs, *, start_state: int = 0,
+def viterbi_mlse(trellis: TrellisSpec, obs, *,
                  end_state: int | None = 0) -> DecodeResult:
     """Minimum squared-distance sequence over a scalar-output trellis.
 
-    Block decoding: known start state, full traceback at the end.  With
+    Block decoding: from state 0, full traceback at the end.  With
     ``end_state=None`` traceback starts from the best final metric.  Ties
     in add-compare-select go to the lower predecessor state index.
     ``obs`` is one (T,) block, or a (B, T) batch decoded at once; a batch
     gives (B, T) uint8 bits and (B,) metrics.
     """
     cols = _columns(obs)
-    slots = _slots(trellis, start_state, end_state)
+    slots = _slots(trellis, end_state)
     # (P, B, R_live) hypotheses of the live rows; +inf on a slot that is
     # not live gives its candidate +inf
     hyp = _tiled(np.where(slots.live, trellis.outputs[slots.ps, slots.pu],
@@ -527,7 +514,8 @@ def rsse_decode(mt: MatchedTrellis, part: PartitionSpec, obs) -> DecodeResult:
                       "state truncation loses its distance rationale",
                       stacklevel=2)
     # Flushed blocks terminate in hyperstate 0.
-    return _survivor_search(part.window, mt.trellis, mem, obs, end_state=0)
+    return _survivor_search(window_trellis(2, r), mt.trellis, mem, obs,
+                            end_state=0)
 
 
 def dfse_equalize(h: IsiResponse, M: int, kept_symbols: int, obs,
@@ -625,9 +613,11 @@ def bcjr_bytes(isi_trellis: TrellisSpec, steps: int) -> int:
 
 def bcjr_equalize(isi_trellis: TrellisSpec, obs,
                   noise_variance: float | np.ndarray,
-                  *, start_state: int = 0,
-                  end_state: int | None = None) -> BcjrResult:
+                  *, end_state: int | None = None) -> BcjrResult:
     """Symbol-by-symbol MAP over an ISI trellis, log domain, exact log-sum-exp.
+
+    The recursions start in state 0 and end in ``end_state``, or in any
+    state for None.
 
     The forward and backward recursions are independent, so one time loop
     runs both, for every block of a (B, T) batch, on a stacked (2, M, B, S)
@@ -645,7 +635,7 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs,
     cols = np.ascontiguousarray(_as_blocks(obs).T)  # (T, B)
     T, B = cols.shape
     S, M = isi_trellis.num_states, isi_trellis.num_inputs
-    _check_states(S, start_state, end_state)
+    _check_end_state(S, end_state)
     var = np.asarray(noise_variance, dtype=np.float64)
     if var.shape not in ((), (B,)):
         raise ValueError(f"noise_variance must be a scalar or one per block "
@@ -675,7 +665,7 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs,
     into = np.stack([ps.T[:, None, :] + rows, B * S + nxt.T[:, None, :] + rows])
 
     alpha = np.full((T + 1, B, S), -np.inf)
-    alpha[0, :, start_state] = 0.0
+    alpha[0, :, 0] = 0.0
     beta = np.full((T + 1, B, S), -np.inf)
     if end_state is None:
         beta[T] = 0.0
@@ -698,8 +688,8 @@ def bcjr_equalize(isi_trellis: TrellisSpec, obs,
                 cur -= cur.max(2, keepdims=True)
                 alpha[t0 + k + 1], beta[T - 1 - t0 - k] = cur
         if end_state is not None and alpha[T, 0, end_state] == -np.inf:
-            raise ValueError(f"no path of {T} step(s) joins start_state "
-                             f"{start_state} to end_state {end_state}")
+            raise ValueError(f"no path of {T} step(s) joins state 0 to "
+                             f"end_state {end_state}")
 
         # Joint [s, t, b, u] = alpha[t, b, s] + g + beta[t + 1, b, nxt[s, u]],
         # added in that order, reduced over s in order.

@@ -449,7 +449,8 @@ def _build_receivers(ctx: _ChainContext, cfg: SimConfig,
             part = PartitionSpec(scheme.param)
             return receiver(lambda obs, n0: rsse_decode(mt, part, obs).bits,
                             part.num_hyperstates,
-                            viterbi_bytes(part.window, steps))
+                            viterbi_bytes(window_trellis(2, scheme.param),
+                                          steps))
         # The serial receivers equalize to coded-bit LLRs, then soft-VA them.
         if scheme.kind == "dfse_va":
             trellis = isi_trellis(isi.L)

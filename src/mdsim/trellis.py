@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,9 +85,12 @@ def window_next_state(base: int, digits: int) -> np.ndarray:
     return np.arange(S * base).reshape(S, base) % S
 
 
+@lru_cache(maxsize=16)
 def window_trellis(base: int, digits: int) -> TrellisSpec:
     """The unlabeled trellis of the last ``digits`` inputs: the window a
     reduced-state receiver searches, whose branch hypotheses come from
-    its survivor registers, not from the window."""
+    its survivor registers, not from the window.  Built once per
+    (``base``, ``digits``), so that every call of a receiver shares one
+    window and its cached predecessor table."""
     next_state = window_next_state(base, digits)
     return TrellisSpec(next_state=next_state, outputs=np.zeros(next_state.shape))

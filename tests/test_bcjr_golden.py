@@ -11,8 +11,7 @@ on x86-64; numpy's ``exp`` and ``log1p`` may round differently on other
 builds.
 
 ``scipy_bcjr`` is also the oracle of a randomized test on dyadic data,
-where the maximum of a log-sum-exp is often tied and the first steps
-after a nonzero start state have unreachable rows.
+where the maximum of a log-sum-exp is often tied.
 
 Regenerate (only when a change of the posteriors is intended) with
 ``PYTHONPATH=src python tests/test_bcjr_golden.py``.
@@ -37,9 +36,8 @@ CASES = [(mem, end, var) for mem in range(4) for end in (None, 0)
          for var in (1e-6, 0.245, 1.0)]
 
 
-def scipy_bcjr(trellis, obs, noise_variance, *, start_state=0,
-               end_state=None):
-    """Log-domain BCJR with one scipy logsumexp call per step.
+def scipy_bcjr(trellis, obs, noise_variance, *, end_state=None):
+    """Log-domain BCJR from state 0 with one scipy logsumexp call per step.
 
     Returns the symbol posteriors, the bit LLRs, and how many of the
     log-sum-exp rows had a tied finite maximum.
@@ -65,7 +63,7 @@ def scipy_bcjr(trellis, obs, noise_variance, *, start_state=0,
     gammas = inv2v * (obs[:, None, None] - hyp[None, :, :]) ** 2
 
     alpha = np.full((T + 1, S), -np.inf)
-    alpha[0, start_state] = 0.0
+    alpha[0, 0] = 0.0
     for t in range(T):
         a = alpha[t][ps] + gammas[t][ps, pu] + pad
         alpha[t + 1] = lse(a, axis=1)
@@ -169,11 +167,9 @@ def test_bcjr_matches_scipy_oracle_bits(seed):
     s, u = rng.integers(tr.num_states, size=T), rng.integers(Mi - 1, size=T)
     obs[mid] = tr.outputs[s, u][mid] + taps[0]
     var = float(rng.choice([0.5, 1.0, 2.0]))
-    start = int(rng.integers(tr.num_states)) if seed % 2 else 0
     end = (None, 0, int(rng.integers(tr.num_states)))[seed % 3]
-    post, llrs, ties = scipy_bcjr(tr, obs, var, start_state=start,
-                                  end_state=end)
-    res = bcjr_equalize(tr, obs, var, start_state=start, end_state=end)
+    post, llrs, ties = scipy_bcjr(tr, obs, var, end_state=end)
+    res = bcjr_equalize(tr, obs, var, end_state=end)
     assert hexes(res.symbol_posteriors) == hexes(post)
     assert hexes(res.bit_llrs) == hexes(llrs)
     assert ties > 0

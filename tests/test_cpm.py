@@ -125,16 +125,6 @@ class TestBandwidth:
         frac = pxx[np.abs(f) <= B].sum() / pxx.sum()
         assert abs(frac - 0.999) < 5e-4
 
-    def test_monotone_in_fraction(self):
-        assert b999_bandwidth(P3RC, fraction=0.99) <= b999_bandwidth(P3RC)
-
-    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5, float("nan")])
-    def test_rejects_a_fraction_outside_0_1(self, fraction):
-        """A power fraction outside (0, 1] is refused by name; 0 and -1
-        read 0.0 and 1.5 read the Nyquist edge without it."""
-        with pytest.raises(ValueError, match="fraction"):
-            b999_bandwidth(P3RC, fraction)
-
 
 class TestDemodulator:
     def test_constant_phase_gives_zero(self):

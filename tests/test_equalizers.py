@@ -106,20 +106,20 @@ class TestViterbi:
 
 
 class TestNeverEnteredStates:
-    """The add-compare-select steps only the states with a predecessor and
-    the start and end states, and masks branches out of any other state.
+    """The add-compare-select steps only the states with a predecessor,
+    state 0 and the end state, and masks branches out of any other state.
     On a trellis with fan-in 0 to 3 it is still the minimum over every
-    input sequence, for start and end states without a predecessor too."""
+    input sequence, for a start state (0) and end states without a
+    predecessor too."""
 
     from mdsim.trellis import TrellisSpec
 
-    # fan-in of states 0..7: 3, 0, 3, 1, 0, 3, 3, 3; the branches out of
-    # state 4 enter states 0 and 6
-    NEXT = np.array([[0, 2], [5, 6], [0, 7], [2, 5],
-                     [6, 0], [7, 3], [2, 5], [6, 7]])
-    TR = TrellisSpec(next_state=NEXT,
-                     outputs=normal_from_uniform(make_rng(11), 16).reshape(8, 2))
-    START = 1
+    # fan-in of states 0..7: 0, 3, 3, 1, 0, 3, 3, 3; the branches out of
+    # state 4 enter states 1 and 6
+    NEXT = np.array([[5, 6], [1, 2], [1, 7], [2, 5],
+                     [6, 1], [7, 3], [2, 5], [6, 7]])
+    TR = TrellisSpec(next_state=NEXT, outputs=normal_from_uniform(
+        make_rng(11), 16).reshape(8, 2)[[1, 0, 2, 3, 4, 5, 6, 7]])
     STEPS = 9
 
     @classmethod
@@ -129,11 +129,11 @@ class TestNeverEnteredStates:
 
     @classmethod
     def brute_force(cls, obs, end):
-        """Best input sequence from START to ``end`` (None: any state),
+        """Best input sequence from state 0 to ``end`` (None: any state),
         its metric summed in step order; (None, inf) without one."""
         best, best_metric = None, np.inf
         for inputs in product((0, 1), repeat=cls.STEPS):
-            s, metric = cls.START, 0.0
+            s, metric = 0, 0.0
             for y, u in zip(obs, inputs):
                 metric += (y - cls.TR.outputs[s, u]) ** 2
                 s = cls.NEXT[s, u]
@@ -141,45 +141,37 @@ class TestNeverEnteredStates:
                 best, best_metric = np.array(inputs), metric
         return best, best_metric
 
-    @pytest.mark.parametrize("end", [0, 3, None, 4, START])
+    @pytest.mark.parametrize("end", [1, 3, None, 4, 0])
     def test_brute_force_optimality(self, end):
         obs = self.obs()
-        batch = viterbi_mlse(self.TR, obs, start_state=self.START,
-                             end_state=end)
+        batch = viterbi_mlse(self.TR, obs, end_state=end)
         for k, row in enumerate(obs):
             want, want_metric = self.brute_force(row, end)
-            got = viterbi_mlse(self.TR, row, start_state=self.START,
-                               end_state=end)
+            got = viterbi_mlse(self.TR, row, end_state=end)
             assert got.metric == pytest.approx(want_metric, rel=1e-12)
             if want is not None:
                 np.testing.assert_array_equal(got.bits, want)
             np.testing.assert_array_equal(batch.bits[k], got.bits)
             assert batch.metric[k] == got.metric
 
-    # Bits and metrics of obs() when the row order of the ACS table was
-    # the state order.  With end 4 or START no path ends there, so the
-    # traceback follows the pointers of +inf candidates: the first slot,
-    # whose predecessor is the lowest stepped state when it is not live.
+    # Bits and metrics of obs().  With end 4 or 0 no path ends there, so
+    # the traceback follows the pointers of +inf candidates: the first
+    # slot, whose predecessor is state 0 when it is not live.
     PINNED = {
-        4: ([[0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
-             [0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
-             [0, 1, 0, 0, 0, 1, 0, 0, 0]], [np.inf] * 5),
-        START: ([[0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
-                 [0, 1, 1, 1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0, 1, 0, 0],
-                 [0, 1, 0, 0, 0, 1, 0, 0, 0]], [np.inf] * 5),
+        4: ([[0] * 9] * 5, [np.inf] * 5),
+        0: ([[0] * 9] * 5, [np.inf] * 5),
         None: ([[1, 1, 1, 1, 0, 1, 1, 1, 1], [0, 1, 1, 1, 0, 0, 1, 0, 0],
                 [0, 1, 1, 0, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 0, 0, 1, 0],
                 [0, 1, 0, 0, 0, 1, 0, 0, 0]],
                [8.559204378862004, 5.8261155309888135, 5.71873341860016,
                 5.556667935176927, 4.222052461052433])}
 
-    @pytest.mark.parametrize("end", [4, START, None])
+    @pytest.mark.parametrize("end", [4, 0, None])
     def test_pinned_without_finite_path(self, end):
         """The decisions where the brute force finds no path (end 4 and
-        START) and at a free end stay those of the state-ordered table."""
+        0) and at a free end stay pinned."""
         bits, metric = self.PINNED[end]
-        got = viterbi_mlse(self.TR, self.obs(), start_state=self.START,
-                           end_state=end)
+        got = viterbi_mlse(self.TR, self.obs(), end_state=end)
         np.testing.assert_array_equal(got.bits, bits)
         np.testing.assert_array_equal(got.metric, metric)
 
@@ -356,7 +348,7 @@ class TestCompareSelect:
                         for end in (0, None)],
             "MD": [lambda: viterbi_mlse(batched.MT3.trellis, obs)],
             "masked": [lambda: viterbi_mlse(never.TR, never.obs(),
-                                            start_state=never.START)]}
+                                            end_state=1)]}
         for caller, calls in decoders.items():
             for decode in calls:
                 decode()
@@ -659,6 +651,26 @@ class TestDfse:
             with pytest.raises(ValueError, match="full ISI trellis"):
                 dfse_equalize(H, M, 1, obs, trellis=tr)
 
+    def test_window_built_once(self, monkeypatch):
+        """Calls of one window depth search one cached window trellis, so
+        its predecessor table is built once, not per call."""
+        import mdsim.equalizers as eq
+        from mdsim.trellis import window_trellis
+
+        assert window_trellis(4, 2) is window_trellis(4, 2)
+        tables = []
+        slots = eq._slots
+
+        def spy(trellis, end_state=0):
+            tables.append(trellis.predecessors)
+            return slots(trellis, end_state)
+
+        monkeypatch.setattr(eq, "_slots", spy)
+        obs = self.make_symbols(20, 15)[1]
+        for _ in range(2):
+            dfse_equalize(H, 4, 2, obs)
+        assert len(tables) == 2 and tables[0] is tables[1]
+
     @staticmethod
     def factored_dfse(h, M, J, obs, end_state):
         """DFSE by the factored metric: the output of the M^J-state
@@ -766,16 +778,15 @@ class TestBcjr:
             bcjr_equalize(tr, np.zeros(3), 1.0)
 
     def test_rejects_end_state_out_of_reach(self):
-        """From state 15 = (3, 3) of a 16-state window one step reaches only
-        states 12..15, so no path joins state 0; without the check every
+        """From state 0 = (0, 0) of a 16-state window one step reaches only
+        states 0..3, so no path joins state 15; without the check every
         posterior and LLR was NaN.  Two steps reach it."""
         tr = build_isi_trellis(IsiResponse([1, 0.5, 0.25, 0.125]), 4,
                                memory=2)
         for obs in (np.zeros(1), np.zeros((3, 1))):
-            with pytest.raises(ValueError,
-                               match="start_state 15 to end_state 0"):
-                bcjr_equalize(tr, obs, 1.0, start_state=15, end_state=0)
-        res = bcjr_equalize(tr, np.zeros(2), 1.0, start_state=15, end_state=0)
+            with pytest.raises(ValueError, match="state 0 to end_state 15"):
+                bcjr_equalize(tr, obs, 1.0, end_state=15)
+        res = bcjr_equalize(tr, np.zeros(2), 1.0, end_state=15)
         assert np.isfinite(res.bit_llrs).all()
 
     @pytest.mark.parametrize("var", [0.0, -1.0, np.nan, np.inf])
@@ -801,16 +812,15 @@ class TestBcjr:
 
 
 @pytest.mark.parametrize("state", [-1, 16])
-@pytest.mark.parametrize("name", ["start_state", "end_state"])
+@pytest.mark.parametrize("name", ["end_state"])
 def test_rejects_states_outside_the_trellis(name, state):
     """-1 would mean the last state, and 16 raise a bare IndexError."""
     tr = build_isi_trellis(H, 4)  # 16 states
     obs = np.zeros(6)
     decoders = [lambda kw: viterbi_mlse(tr, obs, **kw),
-                lambda kw: bcjr_equalize(tr, obs, 1.0, **kw)]
-    if name == "end_state":
-        decoders += [lambda kw: dfse_equalize(H, 4, 2, obs, **kw),
-                     lambda kw: soft_viterbi_decode(CODE, obs, **kw)]
+                lambda kw: bcjr_equalize(tr, obs, 1.0, **kw),
+                lambda kw: dfse_equalize(H, 4, 2, obs, **kw),
+                lambda kw: soft_viterbi_decode(CODE, obs, **kw)]
     for decode in decoders:
         with pytest.raises(ValueError, match=name):
             decode({name: state})

@@ -472,12 +472,9 @@ class TestSweep:
         point, and the CSV is that of one block per call."""
         import mdsim.harness as harness
         from mdsim.conv_code import ConvCode
-        from mdsim.equalizers import (
-            PartitionSpec,
-            build_std_trellis,
-            viterbi_bytes,
-        )
+        from mdsim.equalizers import build_std_trellis, viterbi_bytes
         from mdsim.matched_encoder import IsiResponse, build_matched_trellis
+        from mdsim.trellis import window_trellis
 
         cfg = parse_config("taps = 1,0.5,0.25\nschemes = MD,STD,RSSE(2)\n"
                            "ebn0_db = 6,8\nmin_errors = 1000000\n"
@@ -488,7 +485,7 @@ class TestSweep:
             "MD": viterbi_bytes(build_matched_trellis(code, isi, 4).trellis,
                                 steps),
             "STD": viterbi_bytes(build_std_trellis(code, isi, 4), steps),
-            "MD-RSSE(4)": viterbi_bytes(PartitionSpec(2).window, steps)}
+            "MD-RSSE(4)": viterbi_bytes(window_trellis(2, 2), steps)}
         # the smallest receiver takes all 12 blocks of a point in one call
         monkeypatch.setattr(harness, "BATCH_BYTES",
                             blocks * min(block_bytes.values()))

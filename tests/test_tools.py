@@ -113,3 +113,30 @@ def test_call_pairs_rejects_one_pair(monkeypatch):
                          "--pairs", "1"])
     assert exc.value.code == 2
     assert exported == []
+
+
+def test_code_lines_counts_code_only(monkeypatch):
+    """``code_lines`` leaves out blank lines, comment lines and the lines
+    of module, class and function docstrings, and counts every line of a
+    string that is not a docstring, and a line of code with a comment."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    code_lines = importlib.import_module("code_lines").code_lines
+    source = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+class A:
+    """A class docstring."""
+
+    # a comment line
+    def f(self):
+        """A function
+        docstring."""
+        text = """not a
+docstring"""
+        """a string statement after the first"""
+        return text
+'''
+    assert code_lines(source) == 7

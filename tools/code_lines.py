@@ -20,7 +20,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mdsim"
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-           tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+           tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:

@@ -20,10 +20,6 @@ import numpy as np
 
 from .channel import _box_muller, _check_n0, make_rng
 
-# scipy.signal is imported inside the functions that call it, so that a
-# process that runs no CPM chain (a PAM sweep, the CLI) starts without
-# it: importing it took about 1 s.
-
 
 @dataclass(frozen=True)
 class CpmParams:
@@ -152,10 +148,24 @@ def add_waveform_awgn(samples: np.ndarray, params: CpmParams, n0: float,
 @functools.lru_cache(maxsize=16)
 def _lowpass_taps(N_os: int, cutoff: float) -> np.ndarray:
     """The read-only taps of :func:`receive_lowpass`, built once per
-    (``N_os``, ``cutoff``) rather than for every block."""
-    from scipy import signal as sp_signal
+    (``N_os``, ``cutoff``) rather than for every block.
 
-    taps = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os, window="hamming")
+    A windowed sinc of ``n = 16 * N_os - 1`` taps, scaled to unit DC
+    gain: the taps of ``firwin(n, cutoff, fs=N_os, window="hamming")``
+    bit for bit.  That needs the Hamming window as ``0.54 + a1 *
+    cos(linspace(-pi, pi, n))`` with ``a1`` formed as ``1 - 0.54``; the
+    literal 0.46 and ``np.hamming`` differ in the last bit.  Raises
+    ValueError for a cutoff outside (0, N_os/2), as firwin does.
+    """
+    n = 16 * N_os - 1
+    c = cutoff / (0.5 * N_os)
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"cutoff must lie in (0, {N_os / 2:g}) cycles per "
+                         f"symbol (0 and N_os/2 excluded), got {cutoff!r}")
+    m = np.arange(n, dtype=np.float64) - 0.5 * (n - 1)
+    taps = c * np.sinc(c * m)
+    taps *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n))
+    taps /= np.sum(taps)
     taps.setflags(write=False)
     return taps
 
@@ -182,18 +192,25 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
 def b999_bandwidth(params: CpmParams) -> float:
     """One-sided bandwidth containing 99.9% of the signal power.
 
-    Welch estimate over a seeded waveform of 100 000 random symbols.
+    Welch estimate over a seeded waveform of 100 000 random symbols:
+    periodic Hann segments of 64 symbols at 50% overlap, two-sided,
+    not detrended, their periodograms averaged.
     """
-    from scipy import signal as sp_signal
-
     rng = make_rng(20_999)
     idx = (rng.random(100_000) * params.M).astype(np.int64)
     symbols = params.alphabet[idx]
     nper = 64 * params.N_os
-    f, pxx = sp_signal.welch(cpm_modulate(params, symbols), fs=params.N_os,
-                             nperseg=nper, return_onesided=False,
-                             detrend=False)
-    f = np.fft.fftshift(f)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nper) / nper)
+    # the waveform is freed once its segments are windowed, and they once
+    # transformed: two segment arrays at a time (51 instead of 63 MiB by
+    # tracemalloc at N_os = 8)
+    segments = np.lib.stride_tricks.sliding_window_view(
+        cpm_modulate(params, symbols), nper)[::nper // 2] * win
+    spec = np.fft.fft(segments)
+    del segments
+    pxx = np.mean(spec.real ** 2 + spec.imag ** 2, axis=0)
+    pxx /= params.N_os * np.sum(win ** 2)
+    f = np.fft.fftshift(np.fft.fftfreq(nper, 1.0 / params.N_os))
     pxx = np.fft.fftshift(pxx)
     order = np.argsort(np.abs(f), kind="stable")
     cum = np.cumsum(pxx[order])

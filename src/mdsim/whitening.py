@@ -17,8 +17,6 @@ from .channel import make_rng
 from .cpm import CpmParams, transmit_receive
 from .matched_encoder import IsiResponse
 
-# scipy is imported inside the functions that call it, as in .cpm.
-
 _FINE = 1024  # quadrature grid per symbol for the continuous autocorrelation
 
 
@@ -150,13 +148,27 @@ def wmf_taps(b, n_taps: int = 20) -> tuple[np.ndarray, float]:
     """Anti-causal realization of 1/B*(1/z*) truncated to ``n_taps``.
 
     Returns the taps and the neglected-tail magnitude (sum of the next
-    100 impulse-response samples) as the truncation error.
+    100 impulse-response samples) as the truncation error.  The impulse
+    response is ``lfilter([1], b, impulse)`` bit for bit: a direct-form-II
+    transposed recursion on ``b`` normalized by ``b[0]``.
+    Raises ValueError for an empty ``b`` or one whose leading
+    coefficient is 0.
     """
-    from scipy import signal as sp_signal
-
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1 or not b.size or b[0] == 0:
+        raise ValueError("b must be a 1-D sequence with a nonzero leading "
+                         "coefficient")
+    a = b / b[0]
+    k = 1.0 / b[0]
     impulse = np.zeros(n_taps + 100)
     impulse[0] = 1.0
-    w_full = sp_signal.lfilter([1.0], b, impulse)
+    w_full = np.empty_like(impulse)
+    # the delay line, with a last slot that stays 0
+    z = np.zeros(b.size)
+    for i, x in enumerate(impulse):
+        y = z[0] + k * x
+        z[:-1] = z[1:] - a[1:] * y
+        w_full[i] = y
     trunc = float(np.sum(np.abs(w_full[n_taps:])))
     return w_full[:n_taps], trunc
 

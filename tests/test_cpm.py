@@ -126,6 +126,63 @@ class TestBandwidth:
         assert abs(frac - 0.999) < 5e-4
 
 
+def scipy_b999(params):
+    """:func:`b999_bandwidth` on scipy's Welch estimate of the same
+    waveform."""
+    w = cpm_modulate(params, random_symbols(params, 100_000, 20_999))
+    f, pxx = sp_signal.welch(w, fs=params.N_os, nperseg=64 * params.N_os,
+                             return_onesided=False, detrend=False)
+    f = np.fft.fftshift(f)
+    pxx = np.fft.fftshift(pxx)
+    order = np.argsort(np.abs(f), kind="stable")
+    cum = np.cumsum(pxx[order])
+    k = int(np.searchsorted(cum, 0.999 * cum[-1]))
+    return float(np.abs(f[order][min(k, f.size - 1)]))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h_den", [4, 2])
+@pytest.mark.parametrize("L_cpm", [1, 2, 3])
+@pytest.mark.parametrize("M", [2, 4, 8])
+@pytest.mark.parametrize("pulse", ["LRC", "LREC"])
+def test_b999_is_the_scipy_welch_frequency(pulse, M, L_cpm, h_den):
+    """The numpy Welch estimate differs from scipy's in the last bits of
+    the PSD, but the bandwidth is a frequency of the FFT grid, and it is
+    the one scipy's estimate gives."""
+    params = CpmParams(M=M, h_den=h_den, L_cpm=L_cpm, pulse=pulse)
+    assert b999_bandwidth(params) == scipy_b999(params)
+
+
+@pytest.mark.parametrize("N_os", [2, 4, 8, 16, 32])
+def test_lowpass_taps_are_firwins_bits(N_os):
+    """The numpy taps are scipy's firwin taps bit for bit, at cutoffs
+    across the band."""
+    fixed = [c for c in (0.75, 1.1, B999_3RC_M4_H14) if c < N_os / 2]
+    for cutoff in [*np.linspace(0.0, N_os / 2, 65)[1:-1], *fixed]:
+        want = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os,
+                                window="hamming")
+        assert_same_bits(_lowpass_taps(N_os, float(cutoff)), want)
+
+
+@pytest.mark.parametrize("N_os", [8, 16])
+def test_lowpass_cutoff_range_is_firwins(N_os):
+    """A cutoff must lie in (0, N_os/2), both ends excluded, as firwin
+    requires; one just inside either end gives firwin's taps."""
+    half = N_os / 2
+    for cutoff in (0.0, -0.0, half, -1.0, 100.0, math.nan):
+        with pytest.raises(ValueError, match="cutoff"):
+            _lowpass_taps(N_os, cutoff)
+    for cutoff in (1e-300, np.nextafter(half, 0.0)):
+        want = sp_signal.firwin(16 * N_os - 1, cutoff, fs=N_os,
+                                window="hamming")
+        assert_same_bits(_lowpass_taps(N_os, cutoff), want)
+    # a cutoff whose ratio to N_os/2 rounds to 0 is outside for both
+    with pytest.raises(ValueError, match="cutoff"):
+        _lowpass_taps(N_os, 5e-324)
+    with pytest.raises(ValueError):
+        sp_signal.firwin(16 * N_os - 1, 5e-324, fs=N_os, window="hamming")
+
+
 class TestDemodulator:
     def test_constant_phase_gives_zero(self):
         w = np.exp(1j * 0.8) * np.ones(256)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sp_linalg
+from scipy import signal as sp_signal
 
 from mdsim.channel import make_rng, normal_from_uniform
 from mdsim.cpm import CpmParams, b999_bandwidth, transmit_receive
@@ -200,6 +201,32 @@ class TestWmf:
         _, err10 = wmf_taps(B3RC, 10)
         assert w20.size == 20
         assert 0 <= err20 < err10
+
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_taps_are_lfilters_bits(self, order):
+        """The all-pole recursion is scipy's lfilter bit for bit, taps and
+        tail, on minimum-phase filters of either leading sign."""
+        rng = make_rng(order)
+        impulse = np.zeros(120)
+        impulse[0] = 1.0
+        for trial in range(20):
+            b = random_min_phase(rng, order + 1) * (-1) ** trial
+            want = sp_signal.lfilter([1.0], b, impulse)
+            w, tail = wmf_taps(b, 20)
+            assert w.tobytes() == want[:20].tobytes()
+            assert tail == float(np.sum(np.abs(want[20:])))
+
+    def test_design_taps_are_lfilters_bits(self):
+        impulse = np.zeros(120)
+        impulse[0] = 1.0
+        want = sp_signal.lfilter([1.0], B3RC, impulse)
+        assert WMF3RC.tobytes() == want[:20].tobytes()
+
+    @pytest.mark.parametrize("b", [[], [0.0], [0.0, 1.0], [[1.0, 0.5]]],
+                             ids=["empty", "zero", "zero-lead", "2-d"])
+    def test_rejects_what_lfilter_cannot_invert(self, b):
+        with pytest.raises(ValueError, match=r"\bb\b"):
+            wmf_taps(b)
 
 
 class TestApplyWhitening:

@@ -161,7 +161,7 @@ def _lowpass_taps(N_os: int, cutoff: float) -> np.ndarray:
     c = cutoff / (0.5 * N_os)
     if not 0.0 < c < 1.0:
         raise ValueError(f"cutoff must lie in (0, {N_os / 2:g}) cycles per "
-                         f"symbol (0 and N_os/2 excluded), got {cutoff!r}")
+                         f"symbol, got {cutoff!r}")
     m = np.arange(n, dtype=np.float64) - 0.5 * (n - 1)
     taps = c * np.sinc(c * m)
     taps *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n))

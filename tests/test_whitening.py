@@ -216,12 +216,6 @@ class TestWmf:
             assert w.tobytes() == want[:20].tobytes()
             assert tail == float(np.sum(np.abs(want[20:])))
 
-    def test_design_taps_are_lfilters_bits(self):
-        impulse = np.zeros(120)
-        impulse[0] = 1.0
-        want = sp_signal.lfilter([1.0], B3RC, impulse)
-        assert WMF3RC.tobytes() == want[:20].tobytes()
-
     @pytest.mark.parametrize("b", [[], [0.0], [0.0, 1.0], [[1.0, 0.5]]],
                              ids=["empty", "zero", "zero-lead", "2-d"])
     def test_rejects_what_lfilter_cannot_invert(self, b):

@@ -38,7 +38,6 @@ from .matched_encoder import (
     build_matched_trellis,
     edge_offsets,
     matched_encode,
-    offset_constant,
     serial_reference,
     state_counts,
 )

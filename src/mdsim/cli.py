@@ -130,7 +130,7 @@ def _cmd_selftest(args) -> int:
         if not np.array_equal(r_md.bits, r_std.bits):
             print(f"FAIL trial {trial}: MD/STD decisions differ", file=sys.stderr)
             failures += 1
-        elif abs(r_md.metric - r_std.metric) > 1e-9:
+        elif r_md.metric != r_std.metric:
             print(f"FAIL trial {trial}: metric mismatch", file=sys.stderr)
             failures += 1
     if failures:

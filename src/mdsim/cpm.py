@@ -189,12 +189,14 @@ def receive_lowpass(samples: np.ndarray, params: CpmParams,
     return np.convolve(taps, padded)[delay:n + delay]
 
 
+@functools.lru_cache(maxsize=16)
 def b999_bandwidth(params: CpmParams) -> float:
     """One-sided bandwidth containing 99.9% of the signal power.
 
     Welch estimate over a seeded waveform of 100 000 random symbols:
     periodic Hann segments of 64 symbols at 50% overlap, two-sided,
-    not detrended, their periodograms averaged.
+    not detrended, their periodograms averaged.  It depends only on the
+    format, so it is estimated once per ``params``.
     """
     rng = make_rng(20_999)
     idx = (rng.random(100_000) * params.M).astype(np.int64)

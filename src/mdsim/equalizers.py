@@ -36,6 +36,7 @@ from .matched_encoder import (
     MatchedTrellis,
     _msb_weights,
     bits_per_symbol,
+    channel_sum,
     edge_offsets,
     symbol_bits,
     symbol_index,
@@ -438,13 +439,12 @@ def build_isi_trellis(h: IsiResponse, M: int, memory: int | None = None,
     S = M**mem
     check_size("ISI trellis", S, state_cap, "reduce memory or raise the cap")
     levels = symbol_value(np.arange(M), M)
-    # past[s]: the sum over lags l = 1.. of taps[l] times the symbol sent
-    # l steps back, digit l-1 of window s, added in lag order
-    past = np.zeros(1)
-    for l in range(1, mem + 1):
-        past = np.add.outer(h.taps[l] * levels, past).reshape(-1)
-    outputs = h.taps[0] * levels + past[:, None]
-    return TrellisSpec(next_state=window_next_state(M, mem), outputs=outputs)
+    # the symbol sent l steps back is digit l-1 of window s and the input
+    # at lag 0: axis -(l+1) of the (M,) * (mem+1) table of (s, input)
+    outputs = channel_sum(h.taps[:mem + 1],
+                          lambda l: levels.reshape((M,) + (1,) * l))
+    return TrellisSpec(next_state=window_next_state(M, mem),
+                       outputs=outputs.reshape(S, M))
 
 
 def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
@@ -457,7 +457,9 @@ def build_std_trellis(code: ConvCode, h: IsiResponse, M: int,
     moves the encoder along its code branch, whose n bits are one symbol
     x, and the window along x; the branch output is the ISI trellis's for
     (window, x).  Serves as the equivalence baseline for the merged binary
-    trellis; both describe identical branch hypotheses.
+    trellis: both form their hypotheses with
+    :func:`mdsim.matched_encoder.channel_sum`, so a bit history has the
+    same float in each, and MD and STD report equal metrics.
     """
     bits_per_symbol(code, M)
     z_cha = M**h.L

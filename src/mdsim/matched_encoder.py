@@ -4,11 +4,10 @@ the natural PAM mapper, and an M-ary FIR ISI channel.
 The merged trellis keeps only binary delay elements: its state is the
 window of the last ``nu + L`` input bits (newest bit at the LSB), giving
 ``2^nu * 2^L`` states instead of the ``2^nu * M^L`` of the joint
-code-and-channel super trellis, with identical branch hypotheses.  Each
-output bit plane runs through its own binary convolution with the channel
-taps; the mod-2 adders are expressed through the floor decomposition
-``x mod 2 = x - 2*floor(x/2)`` so the whole chain collapses into one
-table of per-branch real hypotheses.
+code-and-channel super trellis, with identical branch hypotheses: the
+symbol sent ``l`` steps back is the code trellis's output on the code
+branch ``l`` bits back in the window, and both trellises form their
+hypotheses with one channel sum (:func:`channel_sum`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conv_code import ConvCode, _parity, conv_encode
+from .conv_code import ConvCode, build_conv_trellis, conv_encode
 from .trellis import STATE_CAP, TrellisSpec, check_size, window_next_state
 
 
@@ -97,9 +96,16 @@ class IsiResponse:
         return IsiResponse(self.taps[:n])
 
 
-def offset_constant(h: IsiResponse, M: int) -> float:
-    """Constant folding the bipolar shift of the mapper behind the channel sum."""
-    return -float(np.sum(h.taps)) * (M - 1)
+def channel_sum(taps, level) -> np.ndarray:
+    """Branch hypotheses ``sum_l taps[l] * level(l)``, where ``level(l)``
+    gives the level of the symbol sent ``l`` steps back on each branch,
+    broadcast against the others.  Lags 1..L are added in order and lag 0
+    last, so every trellis built here holds the same float for the same
+    symbol history."""
+    out = np.zeros(1)
+    for l in range(1, len(taps)):
+        out = out + taps[l] * level(l)
+    return out + taps[0] * level(0)
 
 
 def state_counts(nu: int, n: int, L: int) -> tuple[int, int, int]:
@@ -159,31 +165,23 @@ def build_matched_trellis(code: ConvCode, h: IsiResponse, M: int,
                           state_cap: int = STATE_CAP) -> MatchedTrellis:
     """Merge code, mapper, and channel into one binary trellis.
 
-    The branch hypothesis for bit window w is
-    ``2 * sum_i 2^(n-1-i) * sum_l h[l] * v_i[k-l] + C`` where ``v_i`` are
-    the mod-2 outputs of generator i over the window and C folds the
-    bipolar offset of all taps.  Every branch equals the serial chain
-    output for a bit history realizing that window.
+    Window w = (state << 1) | input holds c[k-m] at bit m, so the symbol
+    sent l steps back is the code trellis's output on the code branch
+    ``(w >> l) & (2^(nu+1) - 1)``.  The branch hypotheses are the
+    :func:`channel_sum` of those symbols: the same floats as the super
+    trellis's (:func:`mdsim.equalizers.build_std_trellis`) for the same
+    bit history, and the serial chain's output for it up to rounding.
     """
-    n = bits_per_symbol(code, M)
-    nu, L = code.nu, h.L
-    mem = nu + L
+    bits_per_symbol(code, M)
+    mem = code.nu + h.L
     S = 1 << mem
     check_size("merged trellis", S, state_cap,
                "use a serial receiver or raise the cap")
-    C = offset_constant(h, M)
-
-    # Flat enumeration over windows w = (state << 1) | input; bit m = c[k-m].
-    w = np.arange(S << 1, dtype=np.int64)
-    hyp = np.zeros(w.size, dtype=np.float64)
-    for i in range(n):
-        g_lsb = code.taps_lsb_first(i)
-        u_i = np.zeros(w.size, dtype=np.float64)
-        for l in range(L + 1):
-            u_i += h.taps[l] * _parity(w & (g_lsb << l))
-        hyp += float(1 << (n - 1 - i)) * u_i
-    hyp = 2.0 * hyp + C
-
+    # level of the symbol on each code branch (s << 1) | c
+    level = symbol_value(symbol_index(build_conv_trellis(code).outputs, M), M)
+    w = np.arange(S << 1)
+    mask = (2 << code.nu) - 1
+    hyp = channel_sum(h.taps, lambda l: level[(w >> l) & mask])
     spec = TrellisSpec(next_state=window_next_state(2, mem),
                        outputs=hyp.reshape(S, 2))
     return MatchedTrellis(trellis=spec, code=code, isi=h, M=M)

@@ -134,7 +134,7 @@ def test_criterion_03_md_std_identical_decisions(capsys):
             assert np.array_equal(r_md.bits, r_std.bits)
             gap = abs(r_md.metric - r_std.metric)
             worst_gap = max(worst_gap, gap)
-            assert gap < 1e-9
+            assert gap == 0.0
     elapsed = time.time() - t0
     assert elapsed < 300.0
     with capsys.disabled():

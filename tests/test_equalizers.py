@@ -525,6 +525,47 @@ class TestStdTrellis:
         np.testing.assert_allclose(out + (-offs), ref, atol=1e-12)
 
 
+# pam.cfg's chain and random non-dyadic taps, whose sums round
+EXACT_CASES = [
+    ((0o5, 0o7), (1, 0.6, 0.36, 0.216, 0.1296)),  # examples_cfg/pam.cfg
+    ((0o5, 0o7), tuple(np.r_[1.0, 2.0 * make_rng(21).random(3) - 1.0])),
+    ((0o133, 0o171), tuple(np.r_[1.0, 2.0 * make_rng(22).random(2) - 1.0])),
+]
+
+
+@pytest.mark.parametrize("gens, taps", EXACT_CASES,
+                         ids=["pam_cfg", "57_random", "133_171_random"])
+class TestMergedIsSuperTrellis:
+    """The merged trellis holds the super trellis's floats, so MD and STD
+    tie on equal metrics, not just within a rounding error."""
+
+    def test_each_branch_is_the_super_trellis_float(self, gens, taps):
+        code, h = ConvCode(gens), IsiResponse(taps)
+        mt = build_matched_trellis(code, h, 4)
+        std = build_std_trellis(code, h, 4)
+        # window w holds c[k-m] at bit m: walk the super trellis from state
+        # 0 along the window's older bits, oldest first, then take c[k]
+        w = np.arange(2 * mt.trellis.num_states)
+        s = np.zeros_like(w)
+        for m in range(code.nu + h.L, 0, -1):
+            s = std.next_state[s, (w >> m) & 1]
+        assert np.array_equal(mt.trellis.outputs.reshape(-1),
+                              std.outputs[s, w & 1])
+
+    def test_md_and_std_metrics_are_equal(self, gens, taps):
+        code, h = ConvCode(gens), IsiResponse(taps)
+        mt = build_matched_trellis(code, h, 4)
+        std = build_std_trellis(code, h, 4)
+        bits = (make_rng(23).random((40, 200)) < 0.5).astype(np.int64)
+        obs = np.stack([noisy_obs(tx_block(b, code, h), 0.8, 24 + i,
+                                  code=code, h=h)
+                        for i, b in enumerate(bits)])
+        r_md = viterbi_mlse(mt.trellis, obs, end_state=0)
+        r_std = viterbi_mlse(std, obs, end_state=0)
+        np.testing.assert_array_equal(r_md.bits, r_std.bits)
+        assert np.array_equal(r_md.metric, r_std.metric)
+
+
 class TestRsse:
     def test_full_partition_equals_mlse(self):
         for seed in range(20):

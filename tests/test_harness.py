@@ -107,6 +107,30 @@ def test_cpm_cfg_md_batch_takes_the_bench_point_in_two_calls():
     assert batch["MD"] >= 150
 
 
+def test_cpm_bandwidth_is_estimated_once_per_format(monkeypatch):
+    """A CPM config without a cutoff takes the B99.9 bandwidth, whose
+    Welch estimate modulates 100 000 symbols; a second sweep set-up of
+    the same format reuses the first estimate."""
+    from mdsim import cpm
+
+    modulate = cpm.cpm_modulate
+    estimates = []
+
+    def counting(params, symbols, *args, **kwargs):
+        if np.size(symbols) == 100_000:
+            estimates.append(params)
+        return modulate(params, symbols, *args, **kwargs)
+
+    monkeypatch.setattr(cpm, "cpm_modulate", counting)
+    cpm.b999_bandwidth.cache_clear()
+    cfg = parse_config("chain = cpm\ncalibration_symbols = 2000\n"
+                       "schemes = MD\n")
+    first = resolve_chain(cfg, lambda msg: None)
+    second = resolve_chain(cfg, lambda msg: None)
+    assert estimates == [cfg.cpm_params()]
+    assert second.cutoff == first.cutoff
+
+
 def test_pam_cfg_calls_peak_within_twice_batch_bytes():
     """One decode call of each examples_cfg/pam.cfg receiver, at its sweep
     batch of 10 dB blocks, allocates at its peak (by tracemalloc) less

@@ -10,7 +10,6 @@ from mdsim.matched_encoder import (
     bits_per_symbol,
     build_matched_trellis,
     matched_encode,
-    offset_constant,
     serial_reference,
     state_counts,
     symbol_bits,
@@ -62,12 +61,6 @@ def test_build_matched_trellis_respects_state_cap():
     with pytest.raises(ValueError, match="16 states"):
         build_matched_trellis(CODE_57, h, 4, state_cap=8)
     assert build_matched_trellis(CODE_57, h, 4, state_cap=16).trellis.num_states == 16
-
-
-def test_offset_constant():
-    assert offset_constant(IsiResponse([1, 0.5, 0.25]), 4) == -5.25
-    assert offset_constant(IsiResponse([1.0]), 2) == -1.0
-    assert offset_constant(IsiResponse([1, 1, 1]), 4) == -9.0
 
 
 def test_state_counts_table():
@@ -164,7 +157,8 @@ class TestEncodeOracle:
         h = IsiResponse([1, 0.5, 0.25])
         mt = build_matched_trellis(CODE_57, h, 4)
         out = matched_encode(mt, np.zeros(10, dtype=int))
-        np.testing.assert_allclose(out[h.L:], offset_constant(h, 4))
+        # every symbol is -(M - 1), so each output is -(M - 1) * sum(h)
+        np.testing.assert_allclose(out[h.L:], -(4 - 1) * np.sum(h.taps))
 
     def test_rejects_empty_bits(self):
         """An empty sequence is refused by name, not by np.convolve."""
